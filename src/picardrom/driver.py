@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import coupling, numerics, pod
 from .coupling import ConstantsLedger, DependenceGraph
@@ -43,6 +44,9 @@ class CoupledProblem:
     ``assemblers[i-1](x, ys)`` receives the outer iterate and the solutions of
     systems 1..i-1 already computed this step, and returns ``(A_i, F_i)``.
     ``combiner(x, ys)`` maps the p solutions to the next outer iterate.
+    Within a run, an assembler that returns the same ``A_i`` object again has
+    its factorization reused (see :class:`FactorCache`), so a returned matrix
+    must not be modified in place afterwards.
     """
 
     p: int
@@ -186,6 +190,37 @@ def _hash_state(x: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()[:12]
 
 
+def _same_matrix(cached, a) -> bool:
+    """Same object, or CSC matrices with bitwise-equal structure and values."""
+    if a is cached:
+        return True
+    return (scipy.sparse.issparse(a) and scipy.sparse.issparse(cached)
+            and a.format == cached.format == "csc" and a.shape == cached.shape
+            and np.array_equal(a.indptr, cached.indptr)
+            and np.array_equal(a.indices, cached.indices)
+            and np.array_equal(a.data, cached.data))
+
+
+class FactorCache:
+    """Full-order factorizations kept for one run, one entry per system.
+
+    A system's factors are reused while its assembler returns the same matrix
+    object or a bitwise-equal CSC matrix; any other matrix is factored afresh
+    and replaces the entry.
+    """
+
+    def __init__(self):
+        self._entries: dict[int, tuple] = {}
+
+    def solve(self, i: int, a, f) -> np.ndarray:
+        """Solve system ``i``'s ``a y = f``, factoring ``a`` only on a miss."""
+        f = numerics.as_vector(f)
+        entry = self._entries.get(i)
+        if entry is None or not _same_matrix(entry[0], a):
+            entry = self._entries[i] = (a, numerics.lu_factorize(a))
+        return numerics.lu_apply(entry[1], f)
+
+
 @dataclass
 class StepResult:
     x_next: np.ndarray
@@ -195,8 +230,15 @@ class StepResult:
 
 
 def exact_step(problem: CoupledProblem, x: np.ndarray,
-               report: RunReport | None = None) -> StepResult:
-    """One full-order step: solve all p systems in order, then combine."""
+               report: RunReport | None = None,
+               factors: FactorCache | None = None) -> StepResult:
+    """One full-order step: solve all p systems in order, then combine.
+
+    ``factors`` carries factorizations over from earlier steps of the same
+    run; without it every system is factored afresh.
+    """
+    if factors is None:
+        factors = FactorCache()
     ys: list[np.ndarray] = []
     rhs_norms: list[float] = []
     systems: list[tuple[np.ndarray, np.ndarray]] = []
@@ -204,7 +246,7 @@ def exact_step(problem: CoupledProblem, x: np.ndarray,
         a, f = problem.assemblers[i](x, ys)
         if report is not None:
             report.assemblies[i] += 1
-        y = numerics.solve_dense(a, f)
+        y = factors.solve(i, a, f)
         if report is not None:
             report.fom_solves[i] += 1
         ys.append(y)
@@ -225,13 +267,18 @@ def relaxed_step(problem: CoupledProblem, x: np.ndarray, scheme: Relaxation,
 def inexact_step(problem: CoupledProblem, x: np.ndarray,
                  bases: dict[int, pod.ReducedBasis], rom_set: frozenset[int],
                  inv_norms: dict[int, float], graph: DependenceGraph,
-                 report: RunReport | None = None, lam: float = 1.0):
+                 report: RunReport | None = None, lam: float = 1.0,
+                 factors: FactorCache | None = None):
     """One mixed FOM/ROM step at the mixed parameters.
 
     Systems in ``rom_set`` are solved with their reduced bases; every
-    downstream assembler receives the perturbed solutions. Returns the next
-    iterate, the summed error bound delta_k and the per-system residuals.
+    downstream assembler receives the perturbed solutions. The others are
+    solved in full order, through ``factors`` as in :func:`exact_step`.
+    Returns the next iterate, the summed error bound delta_k and the
+    per-system residuals.
     """
+    if factors is None:
+        factors = FactorCache()
     ys: list[np.ndarray] = []
     residuals: dict[int, float] = {}
     for i in range(1, problem.p + 1):
@@ -246,7 +293,7 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
             residuals[i] = sol.residual_norm
             ys.append(sol.full_field)
         else:
-            ys.append(numerics.solve_dense(a, f))
+            ys.append(factors.solve(i - 1, a, f))
             if report is not None:
                 report.fom_solves[i - 1] += 1
     x_next = problem.combiner(x, ys)
@@ -391,6 +438,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     if any(not 1 <= i <= problem.p for i in config.rom_set):
         raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
     report = RunReport(p=problem.p)
+    factors = FactorCache()   # per run: every run pays for its own factorizations
     rom = _RomState(problem, config, report) if config.rom_set else None
     if problem.fixed_constants is not None:
         fc = problem.fixed_constants
@@ -422,7 +470,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         fresh_start = False
 
         if use_fom:
-            step = exact_step(problem, x, report)
+            step = exact_step(problem, x, report, factors)
             x_next = step.x_next
             if lam != 1.0:
                 x_next = (1.0 - lam) * x + lam * x_next
@@ -474,7 +522,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             try:
                 x_t, delta_k, residuals = inexact_step(
                     problem, x, rom.all_bases(), config.rom_set, inv_norms,
-                    graph, report, lam)
+                    graph, report, lam, factors)
                 accept = evaluate_criterion(
                     config.criterion, delta_k=delta_k, err=err, l_est=l_est,
                     ledger=ledger, eps=config.eps, residuals=residuals,
@@ -498,7 +546,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         validation_event = None
         if step_norm < config.eps and not recompute:
             if config.validation_loop:
-                gx = exact_step(problem, x_next, report).x_next
+                gx = exact_step(problem, x_next, report, factors).x_next
                 if lam != 1.0:
                     gx = (1.0 - lam) * x_next + lam * gx
                 if numerics.norm2(gx - x_next) < config.eps:
@@ -541,10 +589,11 @@ def lockstep_verify(problem: CoupledProblem, config: RunConfig) -> float:
     """
     state = {"z": problem.x0.copy(), "max_dist": 0.0}
     scratch = RunReport(p=problem.p)
+    factors = FactorCache()
 
     def advance(z: np.ndarray, k: int) -> np.ndarray:
         lam = config.relaxation.factor(k)
-        gz = exact_step(problem, z, scratch).x_next
+        gz = exact_step(problem, z, scratch, factors).x_next
         return (1.0 - lam) * z + lam * gz if lam != 1.0 else gz
 
     def observer(ev: dict) -> None:

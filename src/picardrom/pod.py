@@ -156,7 +156,8 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
 
     With V the basis and u_mean the mean snapshot, solves
     ``(V^T A V) v = V^T f - V^T A u_mean`` and returns
-    ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``.
+    ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``. A sparse
+    ``A`` keeps the projection at O(nnz(A) * M).
     """
     a = numerics.as_matrix(a)
     f = numerics.as_vector(f)

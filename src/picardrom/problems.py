@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse
 
 from . import coupling, numerics
 from .driver import CoupledProblem, FixedConstants
@@ -75,118 +76,88 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
+def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
+    """CSC matrix of a 5-point stencil given per-node coefficients.
+
+    Each argument is a ``(ny, nx)`` array: ``west[j, i]`` multiplies the west
+    neighbour of node (j, i), and so on. A neighbour coefficient must be zero
+    where that neighbour lies outside the grid; zero coefficients are not stored.
+    """
+    n, nx = grid.n, grid.nx
+    rows, cols, vals = [], [], []
+    for coef, shift in ((diag, 0), (west, -1), (east, 1), (south, -nx), (north, nx)):
+        coef = coef.ravel()
+        keep = np.flatnonzero(coef)
+        rows.append(keep)
+        cols.append(keep + shift)
+        vals.append(coef[keep])
+    return scipy.sparse.csc_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
 def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
     """Assemble -div(d grad u) on interior nodes with per-side conditions.
 
     ``bc`` maps side names "south"/"north"/"west"/"east" to either
     ("dirichlet", values) where values is a scalar or an array along the side,
     or ("neumann", flux) with the prescribed conormal flux d*du/dn (scalar).
-    Returns (A, F_bc) with boundary contributions already moved to F_bc.
+    Returns (A, F_bc): A as a sparse CSC matrix, with boundary contributions
+    already moved to F_bc.
     """
     d = np.broadcast_to(np.asarray(d, dtype=float), (grid.n,))
     if np.min(d) <= 0.0:
         raise NonPositiveDiffusion("diffusion field must be strictly positive")
-    nx, ny = grid.nx, grid.ny
-    hx2, hy2 = grid.hx**2, grid.hy**2
-    a = np.zeros((grid.n, grid.n))
-    f = np.zeros(grid.n)
-
-    def side_values(side: str, count: int):
+    ny, nx = grid.ny, grid.nx
+    d = d.reshape(ny, nx)
+    # face weights between neighbouring nodes along x and along y
+    wx = _harmonic(d[:, :-1], d[:, 1:]) / grid.hx**2
+    wy = _harmonic(d[:-1, :], d[1:, :]) / grid.hy**2
+    diag = np.zeros((ny, nx))
+    f = np.zeros((ny, nx))
+    couplings = {}
+    # interior part, boundary node slice and spacing of each side; the sides
+    # are summed in west, east, south, north order at every node
+    sides = (("west", np.s_[:, 1:], wx, np.s_[:, 0], grid.hx),
+             ("east", np.s_[:, :-1], wx, np.s_[:, -1], grid.hx),
+             ("south", np.s_[1:, :], wy, np.s_[0, :], grid.hy),
+             ("north", np.s_[:-1, :], wy, np.s_[-1, :], grid.hy))
+    for side, inner, w, edge, h in sides:
+        diag[inner] += w
+        couplings[side] = np.zeros((ny, nx))
+        couplings[side][inner] = -w
         kind, val = bc[side]
-        vals = np.broadcast_to(np.asarray(val, dtype=float), (count,))
-        return kind, vals
-
-    for j in range(1, ny + 1):
-        for i in range(1, nx + 1):
-            n = grid.index(i, j)
-            dn = d[n]
-            # west
-            if i > 1:
-                m = grid.index(i - 1, j)
-                w = _harmonic(dn, d[m]) / hx2
-                a[n, n] += w
-                a[n, m] -= w
-            else:
-                kind, vals = side_values("west", ny)
-                if kind == "dirichlet":
-                    w = dn / hx2
-                    a[n, n] += w
-                    f[n] += w * vals[j - 1]
-                else:  # neumann: conormal flux d*du/dn prescribed
-                    f[n] += float(vals[j - 1]) / grid.hx
-            # east
-            if i < nx:
-                m = grid.index(i + 1, j)
-                w = _harmonic(dn, d[m]) / hx2
-                a[n, n] += w
-                a[n, m] -= w
-            else:
-                kind, vals = side_values("east", ny)
-                if kind == "dirichlet":
-                    w = dn / hx2
-                    a[n, n] += w
-                    f[n] += w * vals[j - 1]
-                else:
-                    f[n] += float(vals[j - 1]) / grid.hx
-            # south
-            if j > 1:
-                m = grid.index(i, j - 1)
-                w = _harmonic(dn, d[m]) / hy2
-                a[n, n] += w
-                a[n, m] -= w
-            else:
-                kind, vals = side_values("south", nx)
-                if kind == "dirichlet":
-                    w = dn / hy2
-                    a[n, n] += w
-                    f[n] += w * vals[i - 1]
-                else:
-                    f[n] += float(vals[i - 1]) / grid.hy
-            # north
-            if j < ny:
-                m = grid.index(i, j + 1)
-                w = _harmonic(dn, d[m]) / hy2
-                a[n, n] += w
-                a[n, m] -= w
-            else:
-                kind, vals = side_values("north", nx)
-                if kind == "dirichlet":
-                    w = dn / hy2
-                    a[n, n] += w
-                    f[n] += w * vals[i - 1]
-                else:
-                    f[n] += float(vals[i - 1]) / grid.hy
-    return a, f
+        vals = np.broadcast_to(np.asarray(val, dtype=float), d[edge].shape)
+        if kind == "dirichlet":
+            w_edge = d[edge] / h**2
+            diag[edge] += w_edge
+            f[edge] += w_edge * vals
+        else:  # neumann: conormal flux d*du/dn prescribed
+            f[edge] += vals / h
+    return _stencil_matrix(grid, diag, **couplings), f.ravel()
 
 
 def upwind_advection(grid: Grid2D, u: np.ndarray, inflow_value: float = 0.0):
     """First-order upwind discretization of ``u * dtheta/dy``.
 
-    Vertical velocity only. Returns (A_adv, F_adv); the Dirichlet inlet value
-    at the south boundary contributes to F_adv for upward flow, and the
-    outlet uses a zero-gradient ghost for downward flow.
+    Vertical velocity only. Returns (A_adv, F_adv), A_adv as a sparse CSC
+    matrix; the Dirichlet inlet value at the south boundary contributes to
+    F_adv for upward flow, and the outlet uses a zero-gradient ghost for
+    downward flow.
     """
-    u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n,))
-    nx, ny = grid.nx, grid.ny
-    hy = grid.hy
-    a = np.zeros((grid.n, grid.n))
-    f = np.zeros(grid.n)
-    for j in range(1, ny + 1):
-        for i in range(1, nx + 1):
-            n = grid.index(i, j)
-            un = u[n]
-            if un > 0.0:
-                a[n, n] += un / hy
-                if j > 1:
-                    a[n, grid.index(i, j - 1)] -= un / hy
-                else:
-                    f[n] += un / hy * inflow_value
-            elif un < 0.0:
-                if j < ny:
-                    a[n, n] -= un / hy
-                    a[n, grid.index(i, j + 1)] += un / hy
-                # at the outlet the zero-gradient ghost cancels the term
-    return a, f
+    u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n,)).reshape(grid.ny, grid.nx)
+    c = u / grid.hy
+    up = u > 0.0
+    down = u < 0.0
+    down[-1, :] = False  # at the outlet the zero-gradient ghost cancels the term
+    diag = np.where(up, c, np.where(down, -c, 0.0))
+    south = np.where(up, -c, 0.0)
+    south[0, :] = 0.0    # the inlet value enters F_adv instead
+    north = np.where(down, c, 0.0)
+    f = np.zeros_like(c)
+    f[0, :] = np.where(up[0, :], c[0, :] * inflow_value, 0.0)
+    zero = np.zeros_like(c)
+    return _stencil_matrix(grid, diag, zero, zero, south, north), f.ravel()
 
 
 @dataclass
@@ -213,14 +184,22 @@ class ReactionDiffusionPair:
             raise NonPositiveDiffusion("diffusion fields must be strictly positive")
 
 
-def assemble_rd_system(pair: ReactionDiffusionPair, which: int,
-                       y1: np.ndarray, y2: np.ndarray):
-    """Matrix and right-hand side of one equation of the pair."""
+def _rd_operator(pair: ReactionDiffusionPair, which: int):
+    """Matrix and boundary vector of one equation; independent of the iterate."""
     if which not in (1, 2):
         raise ConfigError("which must be 1 or 2")
     bc = {s: ("dirichlet", 0.0) for s in ("south", "north", "west", "east")}
-    d = pair.d1 if which == 1 else pair.d2
-    a, f_bc = diffusion_operator(pair.grid, d, bc)
+    return diffusion_operator(pair.grid, pair.d1 if which == 1 else pair.d2, bc)
+
+
+def assemble_rd_system(pair: ReactionDiffusionPair, which: int,
+                       y1: np.ndarray, y2: np.ndarray, operator=None):
+    """Matrix and right-hand side of one equation of the pair.
+
+    ``operator`` is an ``(A, F_bc)`` pair built earlier for the same equation;
+    the matrix does not depend on y1, y2, so repeated assemblies can share it.
+    """
+    a, f_bc = _rd_operator(pair, which) if operator is None else operator
     source = pair.f1(y1, y2) if which == 1 else pair.f2(y1, y2)
     return a, np.broadcast_to(np.asarray(source, dtype=float), (pair.grid.n,)) + f_bc
 
@@ -370,14 +349,22 @@ def make_coupled_problem(spec, exact_constants: bool = False) -> CoupledProblem:
 def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> CoupledProblem:
     n = pair.grid.n
     dims = (n, n)
+    operators = {}
+
+    def operator(which):
+        # Built on first use and then handed out as the same object, so the
+        # driver reuses its factorization for the rest of a run.
+        if which not in operators:
+            operators[which] = _rd_operator(pair, which)
+        return operators[which]
 
     def assemble_1(x, ys):
         y1k, y2k = _split(x, dims)
-        return assemble_rd_system(pair, 1, y1k, y2k)
+        return assemble_rd_system(pair, 1, y1k, y2k, operator(1))
 
     def assemble_2(x, ys):
         _, y2k = _split(x, dims)
-        return assemble_rd_system(pair, 2, ys[0], y2k)
+        return assemble_rd_system(pair, 2, ys[0], y2k, operator(2))
 
     def combiner(x, ys):
         return np.concatenate(ys)
@@ -389,11 +376,11 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
         name="reaction-diffusion",
     )
     if exact_constants:
-        _attach_rd_exact_constants(pair, problem)
+        _attach_rd_exact_constants(pair, problem, operator(1)[0], operator(2)[0])
     return problem
 
 
-def spd_inverse_norm(a: np.ndarray, iters: int = 300, seed: int = 0) -> float:
+def spd_inverse_norm(a, iters: int = 300, seed: int = 0) -> float:
     """||A^{-1}||_2 for symmetric positive definite A, by inverse power iteration."""
     factors = numerics.lu_factorize(a)
     rng = np.random.default_rng(seed)
@@ -407,21 +394,8 @@ def spd_inverse_norm(a: np.ndarray, iters: int = 300, seed: int = 0) -> float:
     return est * (1.0 + 1e-9)
 
 
-def operator_norm(matvec, rmatvec, n: int, iters: int = 300, seed: int = 0) -> float:
-    """Largest singular value of a linear map given by mat-vec callables."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= numerics.norm2(v)
-    est = 0.0
-    for _ in range(iters):
-        w = rmatvec(matvec(v))
-        est = math.sqrt(numerics.norm2(w))
-        v = w / (est * est)
-    return est * (1.0 + 1e-9)
-
-
-def _attach_rd_exact_constants(pair: ReactionDiffusionPair,
-                               problem: CoupledProblem) -> None:
+def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProblem,
+                               a1, a2) -> None:
     """Exact K constants and inverse norms for the linear demo pair.
 
     Only valid when the pair's couplings are linear (f1 = s12*y2 + q1,
@@ -432,10 +406,6 @@ def _attach_rd_exact_constants(pair: ReactionDiffusionPair,
     params = getattr(pair, "params", None)
     if params is None:
         raise ConfigError("exact constants require the linear_rd_pair demo")
-    n = pair.grid.n
-    zero = np.zeros(n)
-    a1, _ = assemble_rd_system(pair, 1, zero, zero)
-    a2, _ = assemble_rd_system(pair, 2, zero, zero)
     m1 = spd_inverse_norm(a1)
     m2 = spd_inverse_norm(a2)
     k10 = params.s12 * m1

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from picardrom import coupling, driver, numerics
+from picardrom import coupling, driver, numerics, problems
 from picardrom.coupling import ConstantsLedger
 from picardrom.driver import (
     CoupledProblem,
+    FactorCache,
     Relaxation,
     RunConfig,
     accelerated_run,
@@ -242,3 +244,93 @@ def test_lockstep_zero_without_rom():
     prob = scalar_problem()
     cfg = RunConfig(eps=1e-8, rom_set=frozenset())
     assert driver.lockstep_verify(prob, cfg) == 0.0
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count numerics.lu_factorize calls on n x n matrices, per n."""
+    counts = {}
+    original = numerics.lu_factorize
+
+    def spy(a):
+        rows, cols = a.shape
+        if rows == cols:
+            counts[rows] = counts.get(rows, 0) + 1
+        return original(a)
+
+    monkeypatch.setattr(numerics, "lu_factorize", spy)
+    return counts
+
+
+def rd_problem(n=8):
+    pair = problems.linear_rd_pair(problems.LinearRdParams(n=n))
+    return problems.make_coupled_problem(pair), n * n
+
+
+@pytest.mark.parametrize("rom_set", [frozenset(), frozenset({1})])
+def test_rd_run_factors_each_operator_once(factorizations, rom_set):
+    prob, n = rd_problem()
+    report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=rom_set))
+    assert report.converged
+    assert min(report.fom_solves) > 1
+    assert factorizations[n] == 2
+
+
+def test_each_run_pays_for_its_own_factorizations(factorizations):
+    prob, n = rd_problem()
+    cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}))
+    first = accelerated_run(prob, cfg)
+    assert factorizations[n] == 2
+    second = accelerated_run(prob, cfg)
+    assert factorizations[n] == 4
+    assert second.to_dict() == first.to_dict()
+
+
+def test_thermal_run_factors_every_fom_solve(factorizations):
+    prob = problems.make_coupled_problem(problems.ThermalFlowSurrogate())
+    n = prob.block_dims[0]
+    report = accelerated_run(prob, RunConfig(eps=1e-8, k_max=8, rom_set=frozenset({1})))
+    assert sum(report.fom_solves) > 2
+    assert factorizations[n] == sum(report.fom_solves)
+
+
+def test_factor_cache_refactors_a_changed_matrix(factorizations):
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.4) + 6.0 * np.eye(6)
+    mats = [scipy.sparse.csc_array(base), scipy.sparse.csc_array(base + np.eye(6)),
+            base.copy(), scipy.sparse.csc_array(base)]
+    f = rng.standard_normal(6)
+    cache = FactorCache()
+    for a in mats:
+        y = cache.solve(0, a, f)
+        assert numerics.norm2(a @ y - f) <= numerics.SOLVE_RTOL * numerics.norm2(f)
+    # changed values, a dense matrix, then CSC again: each one is a miss
+    assert factorizations[6] == 4
+    # same object, or a distinct but bitwise-equal CSC matrix: hits
+    cache.solve(0, mats[3], f)
+    cache.solve(0, scipy.sparse.csc_array(base), f)
+    assert factorizations[6] == 4
+    # entries are per system
+    cache.solve(1, mats[3], f)
+    assert factorizations[6] == 5
+
+
+def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
+    a_first = scipy.sparse.csc_array(np.diag([2.0, 4.0]))
+    a_second = scipy.sparse.csc_array(np.diag([4.0, 8.0]))
+    calls = []
+
+    def assemble(x, ys):
+        calls.append(None)
+        return (a_first if len(calls) % 2 else a_second), np.array([2.0, 8.0])
+
+    graph = coupling.make_graph(1, l_consts=[0.0, 1.0])
+    prob = CoupledProblem(p=1, block_dims=(2,), assemblers=(assemble,),
+                          combiner=lambda x, ys: ys[0].copy(), graph=graph,
+                          x0=np.zeros(2))
+    cache = FactorCache()
+    steps = [exact_step(prob, prob.x0, factors=cache).x_next for _ in range(4)]
+    assert factorizations[2] == 4
+    for k, y in enumerate(steps):
+        expected = [1.0, 2.0] if k % 2 == 0 else [0.5, 1.0]
+        assert np.array_equal(y, expected)

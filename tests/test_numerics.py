@@ -1,7 +1,8 @@
-"""Tests for the dense linear-algebra substrate."""
+"""Tests for the linear-algebra substrate (dense and sparse paths)."""
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from picardrom import numerics
 from picardrom.errors import DimensionMismatch, SingularMatrix
@@ -100,3 +101,71 @@ def test_norms():
     assert numerics.norm2([3.0, 4.0]) == 5.0
     assert numerics.norm2(np.zeros(7)) == 0.0
     assert numerics.frobenius(np.eye(4)) == 2.0
+
+
+def random_dominant(rng, n, density=0.2):
+    """Sparse CSC matrix with random off-diagonals and a dominant diagonal."""
+    off = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(off, 0.0)
+    dominance = np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n)
+    return scipy.sparse.csc_array(off + np.diag(dominance))
+
+
+def test_as_matrix_keeps_csc():
+    a = scipy.sparse.csc_array(np.eye(3))
+    assert numerics.as_matrix(a) is a
+    converted = numerics.as_matrix(scipy.sparse.csr_array(np.eye(3)))
+    assert converted.format == "csc"
+
+
+def test_sparse_singular_raises():
+    zero_row = scipy.sparse.csc_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    exact = scipy.sparse.csc_array(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    for a in (zero_row, exact, scipy.sparse.csc_array((3, 3))):
+        with pytest.raises(SingularMatrix):
+            numerics.solve_dense(a, np.ones(a.shape[0]))
+
+
+def test_sparse_tiny_pivot_raises():
+    a = scipy.sparse.csc_array(np.array([[1.0, 1.0], [1.0, 1.0 + 4e-15]]))
+    with pytest.raises(SingularMatrix):
+        numerics.lu_factorize(a)
+
+
+def test_sparse_rejects_nonfinite():
+    for bad in (np.nan, np.inf):
+        a = scipy.sparse.csc_array(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            numerics.as_matrix(a)
+        with pytest.raises(ValueError):
+            numerics.lu_factorize(a)
+
+
+def test_sparse_dimension_mismatch():
+    a = scipy.sparse.csc_array(np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        numerics.solve_dense(a, [1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        numerics.lu_apply(numerics.lu_factorize(a), np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        numerics.lu_factorize(scipy.sparse.csc_array(np.ones((2, 3))))
+
+
+def test_sparse_matches_dense():
+    rng = np.random.default_rng(21)
+    for n in (1, 5, 40, 200):
+        a = random_dominant(rng, n)
+        b = rng.standard_normal(n)
+        x_sparse = numerics.solve_dense(a, b)
+        x_dense = numerics.solve_dense(a.toarray(), b)
+        assert numerics.norm2(x_sparse - x_dense) <= 1e-12 * max(1.0, numerics.norm2(x_dense))
+
+
+def test_sparse_backward_residual():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        a = random_dominant(rng, 60)
+        b = rng.standard_normal(60)
+        factors = numerics.lu_factorize(a)
+        x = numerics.lu_apply(factors, b)
+        assert numerics.norm2(a @ x - b) <= numerics.SOLVE_RTOL * numerics.norm2(b)
