@@ -339,11 +339,6 @@ class ConstantsLedger:
         return self
 
 
-def update_ledger(ledger: ConstantsLedger, x, ys, rhs_norms) -> ConstantsLedger:
-    """Functional alias for :meth:`ConstantsLedger.observe`."""
-    return ledger.observe(x, ys, rhs_norms)
-
-
 def asymptotic_residual_budget(ledger: ConstantsLedger, eps: float) -> float:
     """Residual budget for the asymptotic quality criterion.
 

@@ -5,8 +5,11 @@ inexact sequence and the exact sequence restarted at the last full-order
 point: a full-order refinement step contracts it (``err <- L*err``), an
 accepted reduced step accumulates it (``err <- delta + L*err``), and a step
 whose tentative bound exceeds the solver tolerance is rejected and triggers a
-basis refinement. An optional outer validation loop applies the exact map
-once at apparent convergence.
+basis refinement. A reduced step is rejected as soon as its partial bound
+fails the criterion, before any downstream assembly or full-order solve, and
+the refinement step that follows reuses the rejected step's assembly of
+system 1. An optional outer validation loop applies the exact map once at
+apparent convergence.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ class CoupledProblem:
     ``combiner(x, ys)`` maps the p solutions to the next outer iterate.
     Within a run, an assembler that returns the same ``A_i`` object again has
     its factorization reused (see :class:`FactorCache`), so a returned matrix
-    must not be modified in place afterwards.
+    must not be modified in place afterwards. An assembler must be a
+    deterministic function of ``(x, ys)``: after a rejected reduced step the
+    refinement step at the same ``x`` reuses that step's ``(A_1, F_1)``
+    instead of assembling system 1 again.
     """
 
     p: int
@@ -120,6 +126,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One iteration of an accelerated run.
+
+    ``delta`` is the step's error bound; on a reduced step rejected early it
+    is the partial sum over the reduced systems solved before the rejection.
+    """
+
     k: int
     err: float
     delta: float | None
@@ -206,7 +218,9 @@ class FactorCache:
 
     A system's factors are reused while its assembler returns the same matrix
     object or a bitwise-equal CSC matrix; any other matrix is factored afresh
-    and replaces the entry.
+    and replaces the entry. A fresh factorization is handed the entry it
+    replaces, so a matrix with an unchanged sparsity pattern reuses that
+    pattern's column ordering (see :func:`numerics.lu_factorize`).
     """
 
     def __init__(self):
@@ -217,7 +231,8 @@ class FactorCache:
         f = numerics.as_vector(f)
         entry = self._entries.get(i)
         if entry is None or not _same_matrix(entry[0], a):
-            entry = self._entries[i] = (a, numerics.lu_factorize(a))
+            previous = None if entry is None else entry[1]
+            entry = self._entries[i] = (a, numerics.lu_factorize(a, previous))
         return numerics.lu_apply(entry[1], f)
 
 
@@ -231,11 +246,14 @@ class StepResult:
 
 def exact_step(problem: CoupledProblem, x: np.ndarray,
                report: RunReport | None = None,
-               factors: FactorCache | None = None) -> StepResult:
+               factors: FactorCache | None = None,
+               first_system: tuple | None = None) -> StepResult:
     """One full-order step: solve all p systems in order, then combine.
 
     ``factors`` carries factorizations over from earlier steps of the same
-    run; without it every system is factored afresh.
+    run; without it every system is factored afresh. ``first_system`` is an
+    ``(A_1, F_1)`` pair already assembled at ``x``, used instead of calling
+    the first assembler again.
     """
     if factors is None:
         factors = FactorCache()
@@ -243,9 +261,12 @@ def exact_step(problem: CoupledProblem, x: np.ndarray,
     rhs_norms: list[float] = []
     systems: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(problem.p):
-        a, f = problem.assemblers[i](x, ys)
-        if report is not None:
-            report.assemblies[i] += 1
+        if i == 0 and first_system is not None:
+            a, f = first_system
+        else:
+            a, f = problem.assemblers[i](x, ys)
+            if report is not None:
+                report.assemblies[i] += 1
         y = factors.solve(i, a, f)
         if report is not None:
             report.fom_solves[i] += 1
@@ -256,19 +277,13 @@ def exact_step(problem: CoupledProblem, x: np.ndarray,
     return StepResult(x_next=x_next, solutions=ys, rhs_norms=rhs_norms, systems=systems)
 
 
-def relaxed_step(problem: CoupledProblem, x: np.ndarray, scheme: Relaxation,
-                 k: int = 0, report: RunReport | None = None) -> np.ndarray:
-    """Averaged step ``(1 - lam) x + lam G(x)``."""
-    lam = scheme.factor(k)
-    gx = exact_step(problem, x, report).x_next
-    return (1.0 - lam) * x + lam * gx
-
-
 def inexact_step(problem: CoupledProblem, x: np.ndarray,
                  bases: dict[int, pod.ReducedBasis], rom_set: frozenset[int],
                  inv_norms: dict[int, float], graph: DependenceGraph,
                  report: RunReport | None = None, lam: float = 1.0,
-                 factors: FactorCache | None = None):
+                 factors: FactorCache | None = None,
+                 accept: Callable[[float, dict[int, float]], bool] | None = None,
+                 systems: list | None = None):
     """One mixed FOM/ROM step at the mixed parameters.
 
     Systems in ``rom_set`` are solved with their reduced bases; every
@@ -276,21 +291,36 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
     solved in full order, through ``factors`` as in :func:`exact_step`.
     Returns the next iterate, the summed error bound delta_k and the
     per-system residuals.
+
+    ``accept(delta, residuals)``, if given, is the quality criterion. It is
+    checked after each reduced system on the partial bound and residuals;
+    delta_k is a sum of nonnegative per-system terms in topological order,
+    and every criterion is monotone in these partial sums, so a partial
+    failure is final. The step then stops before any downstream assembly or
+    full-order solve and returns ``None`` as the next iterate, with the
+    partial bound and residuals. ``systems``, if given, receives each
+    ``(A_i, F_i)`` as it is assembled.
     """
     if factors is None:
         factors = FactorCache()
     ys: list[np.ndarray] = []
     residuals: dict[int, float] = {}
+    total = 0.0
     for i in range(1, problem.p + 1):
         a, f = problem.assemblers[i - 1](x, ys)
         if report is not None:
             report.assemblies[i - 1] += 1
+        if systems is not None:
+            systems.append((a, f))
         if i in rom_set:
             sol = pod.rom_solve(bases[i], a, f)
             if report is not None:
                 report.rom_solves += 1
                 report.projections += 1
             residuals[i] = sol.residual_norm
+            total += coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
+            if accept is not None and not accept(lam * total, residuals):
+                return None, lam * total, residuals
             ys.append(sol.full_field)
         else:
             ys.append(factors.solve(i - 1, a, f))
@@ -299,9 +329,7 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
     x_next = problem.combiner(x, ys)
     if lam != 1.0:
         x_next = (1.0 - lam) * x + lam * x_next
-    per_system = {i: (inv_norms[i], residuals[i]) for i in rom_set}
-    delta = lam * coupling.delta_multi(graph, rom_set, per_system)
-    return x_next, delta, residuals
+    return x_next, lam * total, residuals
 
 
 def propagation_bound(l_est: float, deltas: Sequence[float]) -> float:
@@ -449,6 +477,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     x = problem.x0.copy()
     err = math.inf
     recompute = False
+    rejected_system: tuple | None = None   # (A_1, F_1) of a rejected step at x
     converged = False
     rom_ok = False          # last criterion verdict; gates the reduced branch
     last_delta: float | None = None
@@ -470,7 +499,9 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         fresh_start = False
 
         if use_fom:
-            step = exact_step(problem, x, report, factors)
+            step = exact_step(problem, x, report, factors,
+                              first_system=rejected_system)
+            rejected_system = None
             x_next = step.x_next
             if lam != 1.0:
                 x_next = (1.0 - lam) * x + lam * x_next
@@ -519,14 +550,19 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         else:
             inv_norms = _inv_norms(problem, ledger, config.rom_set)
             graph = _effective_graph(problem, ledger, config.rom_set)
+
+            def verdict(delta, residuals):
+                return evaluate_criterion(
+                    config.criterion, delta_k=delta, err=err, l_est=l_est,
+                    ledger=ledger, eps=config.eps, residuals=residuals,
+                    tau_res=config.tau_res)
+
+            assembled: list[tuple] = []
             try:
                 x_t, delta_k, residuals = inexact_step(
                     problem, x, rom.all_bases(), config.rom_set, inv_norms,
-                    graph, report, lam, factors)
-                accept = evaluate_criterion(
-                    config.criterion, delta_k=delta_k, err=err, l_est=l_est,
-                    ledger=ledger, eps=config.eps, residuals=residuals,
-                    tau_res=config.tau_res)
+                    graph, report, lam, factors, accept=verdict, systems=assembled)
+                accept = x_t is not None and verdict(delta_k, residuals)
                 report.final_residual = sum(residuals.values())
             except SingularReducedSystem:
                 accept = False
@@ -537,6 +573,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             else:
                 x_next = x.copy()
                 recompute = True
+                rejected_system = assembled[0] if assembled else None
                 report.rejected += 1
                 event = "reject"
 

@@ -323,20 +323,27 @@ def emit_trace(report: RunReport, path) -> None:
                              repr(float(row.step_norm)), row.event])
 
 
+def _finite_json(obj):
+    """``obj`` with non-finite floats as the strings "inf", "-inf" and "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def emit_report(report: RunReport, path, extra: dict | None = None) -> None:
-    """JSON dump of the run report (plus optional extra keys)."""
+    """JSON dump of the run report (plus optional extra keys).
+
+    JSON has no literal for infinity or NaN, so non-finite floats are written
+    as the strings "inf", "-inf" and "nan".
+    """
     payload = report.to_dict()
     if extra:
         payload.update(extra)
-
-    def _default(obj):
-        if isinstance(obj, float) and not math.isfinite(obj):
-            return str(obj)
-        raise TypeError(f"not serializable: {type(obj)}")
-
-    text = json.dumps(payload, indent=2, default=_default)
-    # JSON has no Infinity literal; emit strings for non-finite floats
-    text = text.replace("Infinity", '"inf"').replace("NaN", '"nan"')
+    text = json.dumps(_finite_json(payload), indent=2, allow_nan=False)
     Path(path).write_text(text + "\n")
 
 

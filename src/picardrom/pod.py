@@ -61,11 +61,6 @@ class SnapshotWindow:
         return np.column_stack(self._columns)
 
 
-def push_snapshot(window: SnapshotWindow, u) -> SnapshotWindow:
-    """Append a snapshot, evicting the oldest when the window is full."""
-    return window.push(u)
-
-
 @dataclass(frozen=True)
 class ReducedBasis:
     """Orthonormal basis of the centered snapshot space plus the mean field."""

@@ -82,18 +82,24 @@ def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
     Each argument is a ``(ny, nx)`` array: ``west[j, i]`` multiplies the west
     neighbour of node (j, i), and so on. A neighbour coefficient must be zero
     where that neighbour lies outside the grid; zero coefficients are not stored.
+
+    Column ``c`` holds, in increasing row order, the entries of the rows of
+    its south, west, own, east and north nodes: ``north[c - nx]``,
+    ``east[c - 1]``, ``diag[c]``, ``west[c + 1]`` and ``south[c + nx]``.
     """
     n, nx = grid.n, grid.nx
-    rows, cols, vals = [], [], []
-    for coef, shift in ((diag, 0), (west, -1), (east, 1), (south, -nx), (north, nx)):
-        coef = coef.ravel()
-        keep = np.flatnonzero(coef)
-        rows.append(keep)
-        cols.append(keep + shift)
-        vals.append(coef[keep])
+    vals = np.zeros((n, 5))
+    vals[nx:, 0] = north.ravel()[:-nx]
+    vals[1:, 1] = east.ravel()[:-1]
+    vals[:, 2] = diag.ravel()
+    vals[:-1, 3] = west.ravel()[1:]
+    vals[:-nx, 4] = south.ravel()[nx:]
+    keep = vals != 0.0
+    rows = np.arange(n)[:, None] + np.array([-nx, -1, 0, 1, nx])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return scipy.sparse.csc_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+        (vals[keep], rows[keep].astype(np.int32), indptr), shape=(n, n))
 
 
 def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
@@ -294,18 +300,27 @@ def assemble_flow(surrogate: ThermalFlowSurrogate, theta: np.ndarray):
     return a, forcing + f_bc
 
 
-def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray):
-    """Temperature equation: -k_T lap(theta) + u dtheta/dy = 0, heated walls."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("velocity field must be finite")
+def _heat_diffusion(surrogate: ThermalFlowSurrogate):
+    """``-k_T lap`` with the heat equation's walls; independent of the iterate."""
     bc = {
         "south": ("dirichlet", surrogate.theta_in),
         "north": ("neumann", 0.0),
         "west": ("neumann", surrogate.theta_wall),
         "east": ("neumann", surrogate.theta_wall),
     }
-    a_diff, f_bc = diffusion_operator(surrogate.grid, surrogate.k_t, bc)
+    return diffusion_operator(surrogate.grid, surrogate.k_t, bc)
+
+
+def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray, diffusion=None):
+    """Temperature equation: -k_T lap(theta) + u dtheta/dy = 0, heated walls.
+
+    ``diffusion`` is an ``(A_diff, F_bc)`` pair built earlier for the same
+    surrogate; it does not depend on u, so repeated assemblies can share it.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("velocity field must be finite")
+    a_diff, f_bc = _heat_diffusion(surrogate) if diffusion is None else diffusion
     a_adv, f_adv = upwind_advection(surrogate.grid, u, inflow_value=surrogate.theta_in)
     return a_diff + a_adv, f_bc + f_adv
 
@@ -420,13 +435,18 @@ def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProb
 def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
     n = surrogate.grid.n
     dims = (n, n)
+    diffusion = []
 
     def assemble_1(x, ys):
         _, theta = _split(x, dims)
         return assemble_flow(surrogate, theta)
 
     def assemble_2(x, ys):
-        return assemble_heat(surrogate, ys[0])
+        # The k_T operator is built on first use and shared afterwards, like
+        # the rd operators.
+        if not diffusion:
+            diffusion.append(_heat_diffusion(surrogate))
+        return assemble_heat(surrogate, ys[0], diffusion[0])
 
     def combiner(x, ys):
         return np.concatenate(ys)

@@ -13,11 +13,12 @@ from picardrom.driver import (
     FactorCache,
     Relaxation,
     RunConfig,
+    RunReport,
     accelerated_run,
     evaluate_criterion,
     exact_step,
+    inexact_step,
     propagation_bound,
-    relaxed_step,
 )
 from picardrom.errors import ConfigError
 
@@ -57,6 +58,12 @@ def test_exact_step_scalar_contraction():
 def test_exact_step_decoupled_matches_independent_solves():
     res = exact_step(decoupled_problem(), np.zeros(3))
     assert np.allclose(res.x_next, [1.0, 2.0, 2.0], atol=1e-14)
+
+
+def relaxed_step(problem, x, scheme, k=0):
+    """Averaged step ``(1 - lam) x + lam G(x)``."""
+    lam = scheme.factor(k)
+    return (1.0 - lam) * x + lam * exact_step(problem, x).x_next
 
 
 def test_relaxed_step_identity_at_lambda_one():
@@ -252,11 +259,11 @@ def factorizations(monkeypatch):
     counts = {}
     original = numerics.lu_factorize
 
-    def spy(a):
+    def spy(a, *args, **kwargs):
         rows, cols = a.shape
         if rows == cols:
             counts[rows] = counts.get(rows, 0) + 1
-        return original(a)
+        return original(a, *args, **kwargs)
 
     monkeypatch.setattr(numerics, "lu_factorize", spy)
     return counts
@@ -334,3 +341,114 @@ def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
     for k, y in enumerate(steps):
         expected = [1.0, 2.0] if k % 2 == 0 else [0.5, 1.0]
         assert np.array_equal(y, expected)
+
+
+def thermal_problem():
+    return problems.make_coupled_problem(problems.ThermalFlowSurrogate())
+
+
+def disable_reuse(monkeypatch):
+    """Switch off early rejection, assembly reuse and column-ordering reuse.
+
+    Returns call counts of the patched entry points, so a test can check
+    that the plain paths really ran.
+    """
+    calls = {"inexact_step": 0, "exact_step": 0, "lu_factorize": 0}
+    inexact, exact, factorize = driver.inexact_step, driver.exact_step, numerics.lu_factorize
+
+    def plain_inexact(*args, accept=None, **kwargs):
+        calls["inexact_step"] += 1
+        return inexact(*args, **kwargs)
+
+    def plain_exact(*args, first_system=None, **kwargs):
+        calls["exact_step"] += 1
+        return exact(*args, **kwargs)
+
+    def plain_factorize(a, previous=None):
+        calls["lu_factorize"] += 1
+        return factorize(a)
+
+    monkeypatch.setattr(driver, "inexact_step", plain_inexact)
+    monkeypatch.setattr(driver, "exact_step", plain_exact)
+    monkeypatch.setattr(numerics, "lu_factorize", plain_factorize)
+    return calls
+
+
+def runs_with_and_without_reuse(monkeypatch, build, cfg):
+    fast = accelerated_run(build(), cfg)
+    calls = disable_reuse(monkeypatch)
+    try:
+        plain = accelerated_run(build(), cfg)
+    finally:
+        monkeypatch.undo()
+    assert all(calls.values())
+    return fast, plain
+
+
+def trace_signature(report):
+    return [(r.event, r.x_hash, r.err) for r in report.trace]
+
+
+def test_thermal_rom1_heat_solves_fall_by_the_rejected_count(monkeypatch):
+    cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}))
+    fast, plain = runs_with_and_without_reuse(monkeypatch, thermal_problem, cfg)
+    assert fast.converged and fast.rejected == plain.rejected > 0
+    assert fast.fom_solves[0] == plain.fom_solves[0]
+    assert fast.fom_solves[1] == plain.fom_solves[1] - fast.rejected
+    # a rejected step never assembles system 2, and its refinement step
+    # reuses its system-1 assembly
+    assert fast.assemblies == [a - fast.rejected for a in plain.assemblies]
+    assert fast.rom_solves == plain.rom_solves
+    assert trace_signature(fast) == trace_signature(plain)
+
+
+@pytest.mark.parametrize("criterion", driver.CRITERIA)
+@pytest.mark.parametrize("name", ["thermal", "rd"])
+def test_reuse_leaves_every_iterate_unchanged(monkeypatch, name, criterion):
+    build = thermal_problem if name == "thermal" else (lambda: rd_problem(16)[0])
+    for rom_set in (frozenset({1}), frozenset({1, 2})):
+        cfg = RunConfig(eps=1e-8, rom_set=rom_set, criterion=criterion)
+        fast, plain = runs_with_and_without_reuse(monkeypatch, build, cfg)
+        assert fast.iterations == plain.iterations > 0
+        assert fast.rejected == plain.rejected
+        assert trace_signature(fast) == trace_signature(plain)
+
+
+def test_inexact_step_stops_at_the_first_failing_reduced_system():
+    prob = thermal_problem()
+    cfg = RunConfig(eps=1e-8, rom_set=frozenset({1, 2}))
+    state = driver._RomState(prob, cfg, RunReport(p=2))
+    x = prob.x0.copy()
+    for _ in range(cfg.n_b):
+        step = exact_step(prob, x)
+        state.push(step.solutions)
+        x = step.x_next
+    bases = state.all_bases()
+    inv_norms = {1: 1.0, 2: 1.0}
+    full = inexact_step(prob, x, bases, cfg.rom_set, inv_norms, prob.graph)
+    seen, systems = [], []
+    report = RunReport(p=2)
+    x_next, delta, residuals = inexact_step(
+        prob, x, bases, cfg.rom_set, inv_norms, prob.graph, report,
+        accept=lambda d, r: seen.append((d, dict(r))) or False, systems=systems)
+    assert x_next is None
+    assert seen == [(delta, residuals)] and list(residuals) == [1]
+    assert residuals[1] == full[2][1]
+    assert 0.0 <= delta <= full[1]
+    assert report.assemblies == [1, 0] and report.rom_solves == 1
+    assert len(systems) == 1
+    # a predicate that always accepts changes nothing
+    always = inexact_step(prob, x, bases, cfg.rom_set, inv_norms, prob.graph,
+                          accept=lambda d, r: True)
+    assert np.array_equal(always[0], full[0]) and always[1:] == full[1:]
+
+
+def test_exact_step_uses_a_given_first_system():
+    prob = thermal_problem()
+    x = np.full(prob.x0.size, 0.05)
+    report = RunReport(p=2)
+    first = prob.assemblers[0](x, [])
+    reused = exact_step(prob, x, report, first_system=first)
+    assert report.assemblies == [0, 1]
+    assert reused.systems[0][0] is first[0]
+    assert np.array_equal(reused.x_next, exact_step(prob, x).x_next)

@@ -168,6 +168,23 @@ def test_emit_report_json(tmp_path):
     assert data["note"] == 1
 
 
+def test_emit_report_non_finite_round_trip(tmp_path):
+    report = accelerated_run(harness.build_problem(harness.ExperimentConfig(problem="scalar")),
+                             RunConfig(eps=1e-8, rom_set=frozenset()))
+    assert math.isinf(report.final_err)
+    path = tmp_path / "report.json"
+    extra = {"low": -math.inf, "bad": [math.nan, 1.5], "note": "Infinity and NaN stay",
+             "nested": {"high": math.inf}}
+    harness.emit_report(report, path, extra=extra)
+    data = json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(c))
+    assert data["final_err"] == "inf"
+    assert data["low"] == "-inf" and data["bad"] == ["nan", 1.5]
+    assert data["note"] == "Infinity and NaN stay"
+    assert data["nested"] == {"high": "inf"}
+    assert data["trace"][0]["err"] == "inf"
+    assert data["iterations"] == report.iterations
+
+
 def test_field_dump_roundtrip(tmp_path):
     grid = problems.Grid2D(4, 5, width=2.0, height=1.0)
     rng = np.random.default_rng(2)

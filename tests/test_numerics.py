@@ -169,3 +169,96 @@ def test_sparse_backward_residual():
         factors = numerics.lu_factorize(a)
         x = numerics.lu_apply(factors, b)
         assert numerics.norm2(a @ x - b) <= numerics.SOLVE_RTOL * numerics.norm2(b)
+
+
+def with_values(rng, a):
+    """Dominant CSC matrix with ``a``'s sparsity pattern and fresh values."""
+    mask = a.toarray() != 0.0
+    off = rng.standard_normal(a.shape) * mask
+    np.fill_diagonal(off, 0.0)
+    dominance = np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, a.shape[0])
+    b = scipy.sparse.csc_array(off + np.diag(dominance))
+    assert np.array_equal(b.indptr, a.indptr) and np.array_equal(b.indices, a.indices)
+    return b
+
+
+def assert_reordered_matches_fresh(matrices, rng):
+    """Refactoring with the previous handle solves bitwise like a fresh splu."""
+    previous = numerics.lu_factorize(matrices[0])
+    assert previous.columns is None
+    for a in matrices[1:]:
+        factors = numerics.lu_factorize(a, previous)
+        assert factors.columns is not None
+        assert np.array_equal(factors.columns.order, np.argsort(previous.lu.perm_c)
+                              if previous.columns is None else previous.columns.order)
+        fresh = numerics.lu_factorize(a)
+        for _ in range(3):
+            b = rng.standard_normal(a.shape[0])
+            assert np.array_equal(numerics.lu_apply(factors, b),
+                                  numerics.lu_apply(fresh, b))
+        previous = factors
+
+
+def thermal_matrices():
+    """Flow and heat matrices of the thermal demo at three iterates."""
+    from picardrom import problems
+    prob = problems.make_coupled_problem(problems.ThermalFlowSurrogate())
+    rng = np.random.default_rng(5)
+    flows, heats = [], []
+    for _ in range(3):
+        x = rng.uniform(0.0, 0.2, prob.x0.size)
+        a1, f1 = prob.assemblers[0](x, [])
+        a2, _ = prob.assemblers[1](x, [numerics.solve_dense(a1, f1)])
+        flows.append(a1)
+        heats.append(a2)
+    return flows, heats
+
+
+def test_reordered_factorization_matches_fresh_on_thermal_matrices():
+    rng = np.random.default_rng(17)
+    for matrices in thermal_matrices():
+        assert_reordered_matches_fresh(matrices, rng)
+
+
+def test_reordered_factorization_matches_fresh_on_random_patterns():
+    rng = np.random.default_rng(29)
+    for n in (1, 7, 40, 150):
+        for density in (0.05, 0.3):
+            a = random_dominant(rng, n, density)
+            assert_reordered_matches_fresh([a] + [with_values(rng, a) for _ in range(4)],
+                                           rng)
+
+
+def test_changed_pattern_gets_a_fresh_ordering():
+    from picardrom import problems
+    grid = problems.Grid2D(6, 9)
+    u = np.linspace(0.5, 1.5, grid.n)
+    eye = scipy.sparse.identity(grid.n, format="csc")
+    up = (eye + problems.upwind_advection(grid, u)[0]).tocsc()
+    down = (eye + problems.upwind_advection(grid, -u)[0]).tocsc()
+    assert not np.array_equal(up.indices, down.indices)
+    previous = numerics.lu_factorize(up)
+    factors = numerics.lu_factorize(down, previous)
+    assert factors.columns is None
+    b = np.random.default_rng(3).standard_normal(grid.n)
+    assert np.array_equal(numerics.lu_apply(factors, b),
+                          numerics.lu_apply(numerics.lu_factorize(down), b))
+    # a dense or differently sized matrix ignores a sparse previous handle
+    small = scipy.sparse.csc_array(np.diag([2.0, 4.0]))
+    assert numerics.lu_factorize(small, previous).columns is None
+    assert isinstance(numerics.lu_factorize(down.toarray(), previous), tuple)
+
+
+def test_reordered_path_keeps_singularity_and_length_checks():
+    previous = numerics.lu_factorize(
+        scipy.sparse.csc_array(np.array([[1.0, 2.0], [2.0, 5.0]])))
+    for singular in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 4e-15]]):
+        with pytest.raises(SingularMatrix):
+            numerics.lu_factorize(scipy.sparse.csc_array(np.array(singular)), previous)
+    factors = numerics.lu_factorize(
+        scipy.sparse.csc_array(np.array([[3.0, 2.0], [2.0, 5.0]])), previous)
+    assert factors.columns is not None
+    with pytest.raises(DimensionMismatch):
+        numerics.lu_apply(factors, np.ones(3))
+    x = numerics.lu_apply(factors, np.array([5.0, 7.0]))
+    assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-15)

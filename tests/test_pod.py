@@ -17,9 +17,9 @@ def _window(columns, capacity=None):
 def test_fifo_eviction():
     a, b, c = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])
     w = pod.SnapshotWindow(2)
-    pod.push_snapshot(w, a)
-    pod.push_snapshot(w, b)
-    pod.push_snapshot(w, c)
+    w.push(a)
+    w.push(b)
+    w.push(c)
     assert len(w) == 2
     assert np.array_equal(w.columns[0], b)
     assert np.array_equal(w.columns[1], c)

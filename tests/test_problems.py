@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from picardrom import coupling, numerics, problems
 from picardrom.driver import RunConfig, accelerated_run, exact_step
@@ -138,6 +139,30 @@ def reference_upwind_advection(grid, u, inflow_value=0.0):
     return a, f
 
 
+def reference_stencil_matrix(grid, diag, west, east, south, north):
+    """COO-built CSC matrix of a 5-point stencil (the former _stencil_matrix)."""
+    n, nx = grid.n, grid.nx
+    rows, cols, vals = [], [], []
+    for coef, shift in ((diag, 0), (west, -1), (east, 1), (south, -nx), (north, nx)):
+        coef = coef.ravel()
+        keep = np.flatnonzero(coef)
+        rows.append(keep)
+        cols.append(keep + shift)
+        vals.append(coef[keep])
+    return scipy.sparse.csc_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
+def assert_same_csc(a, ref):
+    """Bitwise-equal CSC arrays: shape, indptr, indices and data."""
+    assert a.format == ref.format == "csc"
+    assert a.shape == ref.shape
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.array_equal(a.data, ref.data)
+
+
 def boundary_mixes(grid, rng):
     """All-Dirichlet, all-Neumann and two mixed sets of side conditions."""
     sides = ("south", "north", "west", "east")
@@ -171,7 +196,7 @@ def test_diffusion_operator_matches_node_loop(nx, ny):
         for bc in boundary_mixes(grid, rng):
             a, f = diffusion_operator(grid, d, bc)
             a_ref, f_ref = reference_diffusion_operator(grid, d, bc)
-            assert a.format == "csc"
+            assert_same_csc(a, scipy.sparse.coo_array(a_ref).tocsc())
             assert np.array_equal(a.toarray(), a_ref)
             assert np.array_equal(f, f_ref)
 
@@ -186,9 +211,23 @@ def test_upwind_advection_matches_node_loop(nx, ny):
         for inflow in (0.0, 0.4):
             a, f = upwind_advection(grid, vel, inflow_value=inflow)
             a_ref, f_ref = reference_upwind_advection(grid, vel, inflow_value=inflow)
-            assert a.format == "csc"
+            assert_same_csc(a, scipy.sparse.coo_array(a_ref).tocsc())
             assert np.array_equal(a.toarray(), a_ref)
             assert np.array_equal(f, f_ref)
+
+
+@pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
+def test_stencil_matrix_matches_coo_build(nx, ny):
+    grid = Grid2D(nx, ny)
+    rng = np.random.default_rng(nx * 10 + ny)
+    for _ in range(20):
+        coefs = {name: rng.standard_normal((ny, nx)) * (rng.random((ny, nx)) < 0.8)
+                 for name in ("diag", "west", "east", "south", "north")}
+        # neighbours outside the grid carry zero coefficients
+        coefs["west"][:, 0] = coefs["east"][:, -1] = 0.0
+        coefs["south"][0, :] = coefs["north"][-1, :] = 0.0
+        assert_same_csc(problems._stencil_matrix(grid, **coefs),
+                        reference_stencil_matrix(grid, **coefs))
 
 
 def test_homogeneous_problem_is_zero():
