@@ -49,7 +49,10 @@ class CoupledProblem:
     ``combiner(x, ys)`` maps the p solutions to the next outer iterate.
     Within a run, an assembler that returns the same ``A_i`` object again has
     its factorization reused (see :class:`FactorCache`), so a returned matrix
-    must not be modified in place afterwards. An assembler must be a
+    must not be modified in place afterwards. A sparse ``A_i`` factors by
+    banded LU over the band its pattern spans, so its unknowns should be
+    ordered to keep entries near the diagonal, as the natural order of the
+    5-point stencils does. An assembler must be a
     deterministic function of ``(x, ys)``: after a rejected reduced step the
     refinement step at the same ``x`` reuses that step's ``(A_1, F_1)``
     instead of assembling system 1 again.
@@ -218,9 +221,8 @@ class FactorCache:
 
     A system's factors are reused while its assembler returns the same matrix
     object or a bitwise-equal CSC matrix; any other matrix is factored afresh
-    and replaces the entry. A fresh factorization is handed the entry it
-    replaces, so a matrix with an unchanged sparsity pattern reuses that
-    pattern's column ordering (see :func:`numerics.lu_factorize`).
+    and replaces the entry. Full-order matrices factor by LAPACK banded LU
+    (see :func:`numerics.lu_factorize`).
     """
 
     def __init__(self):
@@ -231,8 +233,7 @@ class FactorCache:
         f = numerics.as_vector(f)
         entry = self._entries.get(i)
         if entry is None or not _same_matrix(entry[0], a):
-            previous = None if entry is None else entry[1]
-            entry = self._entries[i] = (a, numerics.lu_factorize(a, previous))
+            entry = self._entries[i] = (a, numerics.lu_factorize(a))
         return numerics.lu_apply(entry[1], f)
 
 

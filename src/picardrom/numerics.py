@@ -1,13 +1,12 @@
 """Minimal linear-algebra substrate.
 
-Everything here is a thin, contract-checked layer over LAPACK and SuperLU (via
-numpy and scipy): direct solve with singularity detection, SVD, and the two
-norms used throughout the package. Full-order operators are sparse CSC and
-factor with SuperLU; reduced systems and other small matrices stay dense and
-factor with LAPACK. Both kinds go through the same :func:`lu_factorize` /
-:func:`lu_apply` pair. A sparse refactorization can be handed the previous
-handle of a matrix with the same sparsity pattern; it then reuses that
-pattern's COLAMD column ordering instead of computing it again.
+Everything here is a thin, contract-checked layer over LAPACK (via numpy and
+scipy): direct solve with singularity detection, SVD, and the two norms used
+throughout the package. Full-order operators are sparse CSC 5-point stencils
+in natural order, hence band matrices of half-width ``nx``; they factor with
+LAPACK banded LU. Reduced systems and other small matrices stay dense and
+factor with LAPACK dense LU. Both kinds go through the same
+:func:`lu_factorize` / :func:`lu_apply` pair.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix
 
@@ -68,89 +66,57 @@ class SvdResult:
 
 
 @dataclass(frozen=True)
-class _ColumnOrder:
-    """A fixed column permutation of one CSC sparsity pattern.
+class BandFactors:
+    """LAPACK banded LU (``dgbtrf``) of a square matrix of bandwidths ``kl``/``ku``."""
 
-    ``order`` is the column order SuperLU chose (``argsort(perm_c)``) for a
-    matrix of this pattern; ``indptr``/``indices`` describe the permuted
-    pattern and ``gather`` picks a matrix's ``data`` in permuted order.
+    lub: np.ndarray   # (2*kl + ku + 1, n) band storage of L and U, Fortran order
+    ipiv: np.ndarray  # row interchanges
+    kl: int
+    ku: int
+
+
+def _band(a) -> tuple[np.ndarray, int, int]:
+    """LAPACK band storage of the CSC matrix ``a``, duplicate entries summed.
+
+    Entry ``a[i, j]`` goes to row ``kl + ku + i - j`` of column ``j``; the
+    top ``kl`` rows are left free for the fill-in of partial pivoting.
     """
-
-    order: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
-
-    @classmethod
-    def of(cls, a, order: np.ndarray) -> "_ColumnOrder":
-        counts = np.diff(a.indptr)[order]
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(a.indptr.dtype)
-        gather = np.repeat(a.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
-        return cls(order=order, indptr=indptr, indices=a.indices[gather], gather=gather)
-
-    def permute(self, a):
-        """``a[:, order]`` for a matrix ``a`` of this pattern."""
-        return scipy.sparse.csc_array((a.data[self.gather], self.indices, self.indptr),
-                                      shape=a.shape)
+    n = a.shape[1]
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    offsets = a.indices - cols
+    kl = max(int(offsets.max(initial=0)), 0)
+    ku = max(int(-offsets.min(initial=0)), 0)
+    ldab = 2 * kl + ku + 1
+    flat = np.bincount(cols * ldab + (kl + ku) + offsets, weights=a.data,
+                       minlength=ldab * n)
+    return flat.reshape(n, ldab).T, kl, ku
 
 
-@dataclass(frozen=True)
-class SparseFactors:
-    """SuperLU factors of the CSC matrix ``matrix``.
-
-    With ``columns`` unset, ``lu`` factors ``matrix`` under SuperLU's own
-    COLAMD ordering. With ``columns`` set, ``lu`` factors
-    ``matrix[:, columns.order]`` in natural order, and :func:`lu_apply`
-    scatters the solution back.
-    """
-
-    lu: scipy.sparse.linalg.SuperLU
-    matrix: scipy.sparse.csc_array
-    columns: _ColumnOrder | None = None
-
-    def same_pattern(self, a) -> bool:
-        m = self.matrix
-        return (a.shape == m.shape and np.array_equal(a.indptr, m.indptr)
-                and np.array_equal(a.indices, m.indices))
-
-    def column_order(self) -> _ColumnOrder:
-        if self.columns is not None:
-            return self.columns
-        return _ColumnOrder.of(self.matrix, np.argsort(self.lu.perm_c))
-
-
-def _splu(a, **options):
-    try:
-        return scipy.sparse.linalg.splu(a, **options)
-    except RuntimeError as exc:  # SuperLU reports an exactly zero pivot
-        raise SingularMatrix(f"numerically singular matrix ({exc})") from exc
-
-
-def lu_factorize(a, previous=None):
+def lu_factorize(a):
     """LU-factor a square matrix, raising SingularMatrix on tiny pivots.
 
-    Sparse input factors with SuperLU, dense input with LAPACK. Returns an
-    opaque handle for :func:`lu_apply`; factor once, solve often.
-
-    ``previous`` is an optional earlier handle. When it factors a sparse
-    matrix with the same shape, ``indptr`` and ``indices`` as ``a``, the
-    column ordering COLAMD chose for that pattern is reused: ``a``'s columns
-    are permuted up front and SuperLU runs in natural order. COLAMD looks at
-    the pattern only, so the factors, and every solution, are the same as
-    those of a fresh factorization.
+    Returns an opaque handle for :func:`lu_apply`; factor once, solve often.
+    Dense input factors with LAPACK ``getrf``. Sparse input factors with
+    LAPACK banded LU (``gbtrf``, partial pivoting) over the band its pattern
+    spans, ``kl = max(i - j)`` below and ``ku = max(j - i)`` above the
+    diagonal. The band array holds ``(2*kl + ku + 1) * n`` doubles: cheap for
+    the narrow bands of the stencil operators (half-width ``nx`` in natural
+    order), but up to about 3x dense storage when entries lie far from the
+    diagonal.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if scipy.sparse.issparse(a):
         scale = np.abs(a.data).max(initial=0.0)
-        if isinstance(previous, SparseFactors) and previous.same_pattern(a):
-            columns = previous.column_order()
-            factors = SparseFactors(_splu(columns.permute(a), permc_spec="NATURAL"),
-                                    a, columns)
-        else:
-            factors = SparseFactors(_splu(a), a)
-        pivots = np.abs(factors.lu.U.diagonal())
+        ab, kl, ku = _band(a)
+        lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info < 0:
+            raise ValueError(f"dgbtrf rejected argument {-info}")
+        if info > 0:
+            raise SingularMatrix(f"numerically singular matrix (zero pivot {info})")
+        factors = BandFactors(lub, ipiv, kl, ku)
+        pivots = np.abs(lub[kl + ku])
     else:
         scale = np.abs(a).max()
         with warnings.catch_warnings():
@@ -165,18 +131,17 @@ def lu_factorize(a, previous=None):
 
 def lu_apply(factors, b: np.ndarray) -> np.ndarray:
     """Solve with a handle from :func:`lu_factorize`."""
-    sparse = isinstance(factors, SparseFactors)
-    n = factors.matrix.shape[0] if sparse else factors[0].shape[0]
+    banded = isinstance(factors, BandFactors)
+    n = factors.lub.shape[1] if banded else factors[0].shape[0]
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionMismatch("right-hand side length does not match matrix")
-    if not sparse:
+    if not banded:
         return scipy.linalg.lu_solve(factors, b, check_finite=False)
-    z = factors.lu.solve(b)
-    if factors.columns is None:
-        return z
-    x = np.empty_like(z)
-    x[factors.columns.order] = z
+    x, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
+                                         factors.ipiv)
+    if info < 0:
+        raise ValueError(f"dgbtrs rejected argument {-info}")
     return x
 
 

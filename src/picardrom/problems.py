@@ -111,6 +111,13 @@ def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
     Returns (A, F_bc): A as a sparse CSC matrix, with boundary contributions
     already moved to F_bc.
     """
+    stencil, f = _diffusion_stencil(grid, d, bc)
+    return _stencil_matrix(grid, **stencil), f
+
+
+def _diffusion_stencil(grid: Grid2D, d: np.ndarray, bc: dict):
+    """Stencil coefficients (keyword arguments of :func:`_stencil_matrix`)
+    and F_bc of :func:`diffusion_operator`."""
     d = np.broadcast_to(np.asarray(d, dtype=float), (grid.n,))
     if np.min(d) <= 0.0:
         raise NonPositiveDiffusion("diffusion field must be strictly positive")
@@ -121,7 +128,7 @@ def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
     wy = _harmonic(d[:-1, :], d[1:, :]) / grid.hy**2
     diag = np.zeros((ny, nx))
     f = np.zeros((ny, nx))
-    couplings = {}
+    stencil = {"diag": diag}
     # interior part, boundary node slice and spacing of each side; the sides
     # are summed in west, east, south, north order at every node
     sides = (("west", np.s_[:, 1:], wx, np.s_[:, 0], grid.hx),
@@ -130,8 +137,8 @@ def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
              ("north", np.s_[:-1, :], wy, np.s_[-1, :], grid.hy))
     for side, inner, w, edge, h in sides:
         diag[inner] += w
-        couplings[side] = np.zeros((ny, nx))
-        couplings[side][inner] = -w
+        stencil[side] = np.zeros((ny, nx))
+        stencil[side][inner] = -w
         kind, val = bc[side]
         vals = np.broadcast_to(np.asarray(val, dtype=float), d[edge].shape)
         if kind == "dirichlet":
@@ -140,7 +147,7 @@ def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
             f[edge] += w_edge * vals
         else:  # neumann: conormal flux d*du/dn prescribed
             f[edge] += vals / h
-    return _stencil_matrix(grid, diag, **couplings), f.ravel()
+    return stencil, f.ravel()
 
 
 def upwind_advection(grid: Grid2D, u: np.ndarray, inflow_value: float = 0.0):
@@ -151,6 +158,13 @@ def upwind_advection(grid: Grid2D, u: np.ndarray, inflow_value: float = 0.0):
     F_adv for upward flow, and the outlet uses a zero-gradient ghost for
     downward flow.
     """
+    stencil, f = _upwind_stencil(grid, u, inflow_value)
+    return _stencil_matrix(grid, **stencil), f
+
+
+def _upwind_stencil(grid: Grid2D, u: np.ndarray, inflow_value: float):
+    """Stencil coefficients (keyword arguments of :func:`_stencil_matrix`)
+    and F_adv of :func:`upwind_advection`."""
     u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n,)).reshape(grid.ny, grid.nx)
     c = u / grid.hy
     up = u > 0.0
@@ -163,7 +177,8 @@ def upwind_advection(grid: Grid2D, u: np.ndarray, inflow_value: float = 0.0):
     f = np.zeros_like(c)
     f[0, :] = np.where(up[0, :], c[0, :] * inflow_value, 0.0)
     zero = np.zeros_like(c)
-    return _stencil_matrix(grid, diag, zero, zero, south, north), f.ravel()
+    stencil = {"diag": diag, "west": zero, "east": zero, "south": south, "north": north}
+    return stencil, f.ravel()
 
 
 @dataclass
@@ -301,28 +316,32 @@ def assemble_flow(surrogate: ThermalFlowSurrogate, theta: np.ndarray):
 
 
 def _heat_diffusion(surrogate: ThermalFlowSurrogate):
-    """``-k_T lap`` with the heat equation's walls; independent of the iterate."""
+    """Stencil coefficients and F_bc of ``-k_T lap`` with the heat equation's
+    walls; independent of the iterate."""
     bc = {
         "south": ("dirichlet", surrogate.theta_in),
         "north": ("neumann", 0.0),
         "west": ("neumann", surrogate.theta_wall),
         "east": ("neumann", surrogate.theta_wall),
     }
-    return diffusion_operator(surrogate.grid, surrogate.k_t, bc)
+    return _diffusion_stencil(surrogate.grid, surrogate.k_t, bc)
 
 
 def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray, diffusion=None):
     """Temperature equation: -k_T lap(theta) + u dtheta/dy = 0, heated walls.
 
-    ``diffusion`` is an ``(A_diff, F_bc)`` pair built earlier for the same
+    ``diffusion`` is the result of :func:`_heat_diffusion` for the same
     surrogate; it does not depend on u, so repeated assemblies can share it.
+    The diffusion and upwind stencils are summed coefficient by coefficient
+    and the matrix is built once.
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("velocity field must be finite")
-    a_diff, f_bc = _heat_diffusion(surrogate) if diffusion is None else diffusion
-    a_adv, f_adv = upwind_advection(surrogate.grid, u, inflow_value=surrogate.theta_in)
-    return a_diff + a_adv, f_bc + f_adv
+    diff, f_bc = _heat_diffusion(surrogate) if diffusion is None else diffusion
+    adv, f_adv = _upwind_stencil(surrogate.grid, u, surrogate.theta_in)
+    stencil = {name: diff[name] + adv[name] for name in diff}
+    return _stencil_matrix(surrogate.grid, **stencil), f_bc + f_adv
 
 
 @dataclass
@@ -442,7 +461,7 @@ def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
         return assemble_flow(surrogate, theta)
 
     def assemble_2(x, ys):
-        # The k_T operator is built on first use and shared afterwards, like
+        # The k_T stencil is built on first use and shared afterwards, like
         # the rd operators.
         if not diffusion:
             diffusion.append(_heat_diffusion(surrogate))

@@ -288,6 +288,29 @@ def test_heat_zero_wall_flux_zero_solution():
     assert numerics.norm2(theta) <= 1e-12
 
 
+def test_heat_assembly_matches_summed_operators():
+    """One stencil build equals the sum of the diffusion and upwind matrices."""
+    surrogate = ThermalFlowSurrogate(theta_in=0.3)
+    grid = surrogate.grid
+    bc = {"south": ("dirichlet", surrogate.theta_in), "north": ("neumann", 0.0),
+          "west": ("neumann", surrogate.theta_wall),
+          "east": ("neumann", surrogate.theta_wall)}
+    a_diff, f_bc = diffusion_operator(grid, surrogate.k_t, bc)
+    diffusion = problems._heat_diffusion(surrogate)
+    rng = np.random.default_rng(41)
+    for trial in range(50):
+        u = rng.uniform(-2.0, 2.0, grid.n) * 10.0 ** rng.uniform(-3.0, 1.0)
+        u[rng.random(grid.n) < 0.2] = 0.0
+        if trial % 10 == 0:
+            u = np.abs(u) if trial % 20 == 0 else -np.abs(u)
+        a_adv, f_adv = upwind_advection(grid, u, inflow_value=surrogate.theta_in)
+        for shared in (None, diffusion):
+            a, f = assemble_heat(surrogate, u, shared)
+            assert_same_csc(a, a_diff + a_adv)
+            assert a.data.dtype == np.float64
+            assert np.array_equal(f, f_bc + f_adv)
+
+
 def test_upwind_is_m_matrix():
     grid = Grid2D(5, 7)
     rng = np.random.default_rng(0)
