@@ -39,7 +39,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="skip the outer validation loop")
     parser.add_argument("--reps", type=int, help="repetitions (bench)")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=int, help="RNG seed for benchmarking noise")
     parser.add_argument("--exact-constants", action="store_true",
                         help="use exact operator norms (linear problems only)")
     parser.add_argument("--kmax", type=int, help="iteration budget")
@@ -88,8 +87,6 @@ def _experiment_config(args) -> harness.ExperimentConfig:
         updates["repetitions"] = args.reps
     if args.out is not None:
         updates["output_dir"] = str(args.out)
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.exact_constants:
         updates["exact_constants"] = True
     if args.kmax is not None:
@@ -111,18 +108,18 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
     out = _out_dir(cfg)
     problem = harness.build_problem(cfg)
     try:
-        result = harness.run_reference(cfg, problem)
+        report = harness.run_reference(cfg, problem)
     except MaxIterationsExceeded as exc:
         print(f"reference: {exc}", file=sys.stderr)
         return EXIT_KMAX
-    harness.emit_report(result.report, out / "reference_report.json")
-    harness.emit_trace(result.report, out / "reference_trace.csv")
+    harness.emit_report(report, out / "reference_report.json")
+    harness.emit_trace(report, out / "reference_trace.csv")
     if cfg.problem != "scalar":
         grid = _problem_grid(cfg)
         n = grid.n
-        harness.dump_field(result.solution[:n], grid, out / "reference_field1.txt")
-        harness.dump_field(result.solution[n:], grid, out / "reference_field2.txt")
-    print(f"reference converged in {result.report.iterations} iterations "
+        harness.dump_field(report.x[:n], grid, out / "reference_field1.txt")
+        harness.dump_field(report.x[n:], grid, out / "reference_field2.txt")
+    print(f"reference converged in {report.iterations} iterations "
           f"(reports in {out})")
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from . import numerics
 from .errors import InvalidRange, MissingConstants
 
 RATIO_GUARD = 1e-14  # skip ratio updates when the denominator is this small
+LEDGER_WINDOW = 10   # iterations a ledger estimate is maximised over
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ class ConstantsLedger:
     supplied for linear problems).
     """
 
-    def __init__(self, window: int = 10):
+    def __init__(self, window: int = LEDGER_WINDOW):
         if window < 1:
             raise ValueError("window must be positive")
         self.window = window

@@ -113,7 +113,6 @@ class RunConfig:
     relaxation: Relaxation = field(default_factory=Relaxation)
     validation_loop: bool = True
     tau_res: float | None = None   # residual-criterion tolerance, default eps
-    ledger_window: int = 10
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -146,6 +145,13 @@ class TraceRow:
 
 @dataclass
 class RunReport:
+    """Counters, verdicts and trace of one accelerated run.
+
+    ``x`` is the final iterate: the last accepted or full-order iterate, or
+    ``x0`` when the run took no step. It is left out of comparisons, of the
+    repr and of :meth:`to_dict`, so JSON reports hold counters and trace only.
+    """
+
     p: int
     iterations: int = 0
     fom_solves: list[int] = field(default_factory=list)
@@ -162,6 +168,7 @@ class RunReport:
     final_residual: float = math.inf
     expansive_warning: bool = False
     trace: list[TraceRow] = field(default_factory=list)
+    x: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.fom_solves:
@@ -278,6 +285,11 @@ def exact_step(problem: CoupledProblem, x: np.ndarray,
     return StepResult(x_next=x_next, solutions=ys, rhs_norms=rhs_norms, systems=systems)
 
 
+def _relax(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
+    """Relaxed update ``(1 - lam)*x + lam*gx``; ``gx`` itself at ``lam == 1``."""
+    return gx if lam == 1.0 else (1.0 - lam) * x + lam * gx
+
+
 def inexact_step(problem: CoupledProblem, x: np.ndarray,
                  bases: dict[int, pod.ReducedBasis], rom_set: frozenset[int],
                  inv_norms: dict[int, float], graph: DependenceGraph,
@@ -327,10 +339,7 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
             ys.append(factors.solve(i - 1, a, f))
             if report is not None:
                 report.fom_solves[i - 1] += 1
-    x_next = problem.combiner(x, ys)
-    if lam != 1.0:
-        x_next = (1.0 - lam) * x + lam * x_next
-    return x_next, lam * total, residuals
+    return _relax(x, problem.combiner(x, ys), lam), lam * total, residuals
 
 
 def propagation_bound(l_est: float, deltas: Sequence[float]) -> float:
@@ -371,7 +380,7 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, l_est: float,
 class _RomState:
     """Per-system snapshot windows with lazily rebuilt bases."""
 
-    def __init__(self, problem: CoupledProblem, config: RunConfig, report: RunReport):
+    def __init__(self, config: RunConfig, report: RunReport):
         self.windows = {i: pod.SnapshotWindow(config.n_b) for i in config.rom_set}
         self.bases: dict[int, pod.ReducedBasis] = {}
         self.dirty = {i: True for i in config.rom_set}
@@ -406,33 +415,24 @@ class _RomState:
         return {i: self.basis_for(i) for i in self.windows}
 
 
-def _inv_norms(problem: CoupledProblem, ledger: ConstantsLedger,
-               rom_set: frozenset[int]) -> dict[int, float]:
-    if problem.fixed_constants is not None:
-        return {i: problem.fixed_constants.inv_norms[i - 1] for i in rom_set}
-    return {i: ledger.m_est for i in rom_set}
+def _bound_constants(problem: CoupledProblem, ledger: ConstantsLedger,
+                     rom_set: frozenset[int]) -> tuple[dict[int, float], DependenceGraph]:
+    """``||A_i^{-1}||`` per reduced system and the graph for amplification factors.
 
-
-def _effective_graph(problem: CoupledProblem, ledger: ConstantsLedger,
-                     rom_set: frozenset[int]) -> DependenceGraph:
-    """Graph used for amplification factors, with online K estimates filled in."""
-    if problem.fixed_constants is not None:
-        return problem.graph
-    if problem.p == 1:
-        return problem.graph
+    Exact constants when the problem supplies them; otherwise the ledger's M
+    for every system, and its online K_{2,1} estimate filled into the graph.
+    """
+    fc = problem.fixed_constants
+    if fc is not None:
+        return {i: fc.inv_norms[i - 1] for i in rom_set}, problem.graph
+    inv_norms = {i: ledger.m_est for i in rom_set}
     if problem.p == 2:
-        return problem.graph.with_k({(2, 1): ledger.k21_est})
-    if any(i < problem.p for i in rom_set):
+        return inv_norms, problem.graph.with_k({(2, 1): ledger.k21_est})
+    if problem.p > 2 and any(i < problem.p for i in rom_set):
         raise MissingConstants(
             "online estimation only covers K_{2,1}; supply fixed constants for p > 2"
         )
-    return problem.graph
-
-
-def _lipschitz(problem: CoupledProblem, ledger: ConstantsLedger) -> float:
-    if problem.fixed_constants is not None:
-        return problem.fixed_constants.lipschitz
-    return ledger.l_est
+    return inv_norms, problem.graph
 
 
 def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
@@ -457,163 +457,125 @@ def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
 
 def accelerated_run(problem: CoupledProblem, config: RunConfig,
                     observer: Callable[[dict], None] | None = None) -> RunReport:
-    """On-the-fly accelerated inexact Picard iterations (full state machine).
+    """On-the-fly accelerated inexact Picard iterations, as a state machine.
 
-    Full-order steps run while the quality criterion demands it, while the
-    snapshot window is filling, or after a rejection; otherwise the reduced
-    step is tried and accepted only if the criterion holds. The observer, if
-    given, receives one event dict per iteration (used by lockstep_verify).
+    Each iteration's state is its trace event:
+
+    * ``fom``: a full-order step. Once the snapshot windows are full it
+      probes the fresh reduced models on the systems it solved; their bound
+      restarts ``err`` and the criterion's verdict on it sets ``rom_ok``.
+    * ``rom``: a reduced step, tried while ``rom_ok`` holds and accepted if
+      the criterion holds for its bound; then ``err <- delta + L*err``.
+    * ``reject``: the reduced step failed the criterion or hit a singular
+      reduced system. ``x`` stays, ``rom_ok`` is cleared, ``refine`` follows.
+    * ``refine``: a full-order step that reuses the rejected step's assembly
+      of system 1; ``err <- L*err``. Under the propagation criterion
+      ``rom_ok`` becomes ``err <= eps``; under the others the reduced models
+      are probed as after ``fom``.
+
+    A step shorter than ``eps``, other than a rejection, ends the run, after
+    one exact step at the new iterate if ``validation_loop`` is set
+    (``validate-ok``, or ``validate-fail``, which clears ``err`` and
+    ``rom_ok``). ``observer`` receives one event dict per iteration.
     """
     if any(not 1 <= i <= problem.p for i in config.rom_set):
         raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
     report = RunReport(p=problem.p)
     factors = FactorCache()   # per run: every run pays for its own factorizations
-    rom = _RomState(problem, config, report) if config.rom_set else None
-    if problem.fixed_constants is not None:
-        fc = problem.fixed_constants
-        ledger = ConstantsLedger.fixed(m=max(fc.inv_norms), l=fc.lipschitz)
-    else:
-        ledger = ConstantsLedger(window=config.ledger_window)
+    rom = _RomState(config, report) if config.rom_set else None
+    fc = problem.fixed_constants
+    ledger = (ConstantsLedger.fixed(m=max(fc.inv_norms), l=fc.lipschitz)
+              if fc is not None else ConstantsLedger())
+
+    def holds(delta, residuals, err):
+        return evaluate_criterion(
+            config.criterion, delta_k=delta, err=err, l_est=l_est, ledger=ledger,
+            eps=config.eps, residuals=residuals, tau_res=config.tau_res)
 
     x = problem.x0.copy()
     err = math.inf
-    recompute = False
-    rejected_system: tuple | None = None   # (A_1, F_1) of a rejected step at x
-    converged = False
-    rom_ok = False          # last criterion verdict; gates the reduced branch
-    last_delta: float | None = None
-    warned_expansive = False
+    rom_ok = False                  # the criterion's last verdict
+    rejected: tuple | None = None   # (A_1, F_1) of the step rejected at x
     k = 0
-
-    while k < config.k_max and not converged:
+    while k < config.k_max and not report.converged:
         lam = config.relaxation.factor(k)
-        l_est = _lipschitz(problem, ledger)
-        if l_est >= 1.0 and not warned_expansive:
+        l_est = ledger.l_est
+        if l_est >= 1.0 and not report.expansive_warning:
             log.warning("estimated Lipschitz constant %.3g >= 1; propagation "
                         "guarantees void", l_est)
             report.expansive_warning = True
-            warned_expansive = True
+        delta_k, fresh_start = None, False
 
-        use_fom = (not rom_ok) or (k < config.n_b) or recompute or rom is None
-        delta_k: float | None = None
-        event = "fom"
-        fresh_start = False
-
-        if use_fom:
-            step = exact_step(problem, x, report, factors,
-                              first_system=rejected_system)
-            rejected_system = None
-            x_next = step.x_next
-            if lam != 1.0:
-                x_next = (1.0 - lam) * x + lam * x_next
-            if rom is not None:
-                rom.push(step.solutions)
-            ledger.observe(x_next, step.solutions, step.rhs_norms)
-            l_est = _lipschitz(problem, ledger)
-            if recompute:
-                err = l_est * err
-                recompute = False
-                event = "refine"
-                if config.criterion == "propagation":
-                    rom_ok = err <= config.eps
-                elif rom is not None and rom.ready():
-                    inv_norms = _inv_norms(problem, ledger, config.rom_set)
-                    graph = _effective_graph(problem, ledger, config.rom_set)
-                    delta_k, residuals = _probe_delta(
-                        rom, step.systems, inv_norms, graph, lam, report)
-                    rom_ok = (not math.isinf(delta_k)) and evaluate_criterion(
-                        config.criterion, delta_k=delta_k, err=0.0, l_est=l_est,
-                        ledger=ledger, eps=config.eps, residuals=residuals,
-                        tau_res=config.tau_res)
-                    if residuals:
-                        report.final_residual = sum(residuals.values())
-                else:
-                    rom_ok = False
-            else:
-                was_inf = math.isinf(err)
-                if rom is not None and rom.ready():
-                    inv_norms = _inv_norms(problem, ledger, config.rom_set)
-                    graph = _effective_graph(problem, ledger, config.rom_set)
-                    delta_k, residuals = _probe_delta(
-                        rom, step.systems, inv_norms, graph, lam, report)
-                    err = delta_k
-                    rom_ok = (not math.isinf(delta_k)) and evaluate_criterion(
-                        config.criterion, delta_k=delta_k, err=0.0, l_est=l_est,
-                        ledger=ledger, eps=config.eps, residuals=residuals,
-                        tau_res=config.tau_res)
-                    if residuals:
-                        report.final_residual = sum(residuals.values())
-                    fresh_start = was_inf
-                else:
-                    err = math.inf
-                    rom_ok = False
-                    fresh_start = True
-        else:
-            inv_norms = _inv_norms(problem, ledger, config.rom_set)
-            graph = _effective_graph(problem, ledger, config.rom_set)
-
-            def verdict(delta, residuals):
-                return evaluate_criterion(
-                    config.criterion, delta_k=delta, err=err, l_est=l_est,
-                    ledger=ledger, eps=config.eps, residuals=residuals,
-                    tau_res=config.tau_res)
-
+        if rom_ok:
+            inv_norms, graph = _bound_constants(problem, ledger, config.rom_set)
             assembled: list[tuple] = []
             try:
                 x_t, delta_k, residuals = inexact_step(
-                    problem, x, rom.all_bases(), config.rom_set, inv_norms,
-                    graph, report, lam, factors, accept=verdict, systems=assembled)
-                accept = x_t is not None and verdict(delta_k, residuals)
+                    problem, x, rom.all_bases(), config.rom_set, inv_norms, graph, report,
+                    lam, factors, accept=lambda d, r: holds(d, r, err), systems=assembled)
+                accepted = x_t is not None and holds(delta_k, residuals, err)
                 report.final_residual = sum(residuals.values())
             except SingularReducedSystem:
-                accept = False
-            if accept:
-                x_next = x_t
+                accepted = False
+            if accepted:
+                x_next, event = x_t, "rom"
                 err = delta_k + l_est * err
-                event = "rom"
             else:
-                x_next = x.copy()
-                recompute = True
-                rejected_system = assembled[0] if assembled else None
+                x_next, event = x.copy(), "reject"
+                rejected, rom_ok = assembled[0], False
                 report.rejected += 1
-                event = "reject"
+        else:
+            refine = rejected is not None
+            step = exact_step(problem, x, report, factors, first_system=rejected)
+            rejected = None
+            x_next = _relax(x, step.x_next, lam)
+            event = "refine" if refine else "fom"
+            if rom is not None:
+                rom.push(step.solutions)
+            ledger.observe(x_next, step.solutions, step.rhs_norms)
+            l_est = ledger.l_est
+            fresh_start = not refine and math.isinf(err)
+            err = l_est * err if refine else math.inf
+            rom_ok = refine and err <= config.eps
+            if (rom is not None and rom.ready()
+                    and not (refine and config.criterion == "propagation")):
+                delta_k, residuals = _probe_delta(
+                    rom, step.systems, *_bound_constants(problem, ledger, config.rom_set),
+                    lam, report)
+                rom_ok = not math.isinf(delta_k) and holds(delta_k, residuals, 0.0)
+                if residuals:
+                    report.final_residual = sum(residuals.values())
+                if not refine:
+                    err = delta_k
 
         step_norm = numerics.norm2(x_next - x)
         if delta_k is not None:
             report.final_delta = delta_k
-        validation_event = None
-        if step_norm < config.eps and not recompute:
-            if config.validation_loop:
-                gx = exact_step(problem, x_next, report, factors).x_next
-                if lam != 1.0:
-                    gx = (1.0 - lam) * x_next + lam * gx
-                if numerics.norm2(gx - x_next) < config.eps:
-                    converged = True
-                    validation_event = "validate-ok"
-                else:
-                    err = math.inf
-                    rom_ok = False
-                    report.validation_cycles += 1
-                    validation_event = "validate-fail"
+        validation = None
+        if step_norm < config.eps and rejected is None:
+            if not config.validation_loop:
+                report.converged = True
             else:
-                converged = True
+                gx = _relax(x_next, exact_step(problem, x_next, report, factors).x_next, lam)
+                if numerics.norm2(gx - x_next) < config.eps:
+                    report.converged, validation = True, "validate-ok"
+                else:
+                    err, rom_ok, validation = math.inf, False, "validate-fail"
+                    report.validation_cycles += 1
 
         report.trace.append(TraceRow(
             k=k, err=err, delta=delta_k, step_norm=step_norm,
-            event=validation_event or event, x_hash=_hash_state(x_next),
-            l_est=l_est))
+            event=validation or event, x_hash=_hash_state(x_next), l_est=l_est))
         if observer is not None:
-            observer({
-                "k": k, "event": event, "x_prev": x, "x_next": x_next,
-                "err": err, "delta": delta_k, "fresh_start": fresh_start,
-                "validation": validation_event,
-            })
+            observer({"k": k, "event": event, "x_prev": x, "x_next": x_next,
+                      "err": err, "delta": delta_k, "fresh_start": fresh_start,
+                      "validation": validation})
         x = x_next
         k += 1
 
     report.iterations = k
-    report.converged = converged
     report.final_err = err
+    report.x = x
     return report
 
 
@@ -631,8 +593,7 @@ def lockstep_verify(problem: CoupledProblem, config: RunConfig) -> float:
 
     def advance(z: np.ndarray, k: int) -> np.ndarray:
         lam = config.relaxation.factor(k)
-        gz = exact_step(problem, z, scratch, factors).x_next
-        return (1.0 - lam) * z + lam * gz if lam != 1.0 else gz
+        return _relax(z, exact_step(problem, z, scratch, factors).x_next, lam)
 
     def observer(ev: dict) -> None:
         if ev["event"] in ("fom", "refine"):

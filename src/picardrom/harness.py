@@ -13,13 +13,13 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.stats
 
-from . import driver, numerics, problems
+from . import numerics, problems
 from .driver import CRITERIA, CoupledProblem, RunConfig, RunReport, accelerated_run
 from .errors import ConfigError, MaxIterationsExceeded, TooFewSamples
 
@@ -47,7 +47,6 @@ class ExperimentConfig:
     criteria: tuple[str, ...] = CRITERIA
     repetitions: int = 1
     output_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.problem not in PROBLEM_NAMES:
@@ -62,7 +61,7 @@ class ExperimentConfig:
 
 
 _BOOL_FIELDS = {"validation", "exact_constants"}
-_INT_FIELDS = {"grid_n", "k_max", "n_b", "repetitions", "seed"}
+_INT_FIELDS = {"grid_n", "k_max", "n_b", "repetitions"}
 _FLOAT_FIELDS = {"eps", "reference_eps", "eps_rb", "tau_res"}
 
 
@@ -144,56 +143,41 @@ def build_run_config(cfg: ExperimentConfig, p: int, *,
     )
 
 
-@dataclass
-class ReferenceResult:
-    report: RunReport
-    solution: np.ndarray
-
-
 def run_reference(cfg: ExperimentConfig,
-                  problem: CoupledProblem | None = None) -> ReferenceResult:
-    """Plain Picard iteration to the reference tolerance (no reduced models)."""
+                  problem: CoupledProblem | None = None) -> RunReport:
+    """Plain Picard iteration to the reference tolerance (no reduced models).
+
+    The reference solution is the report's final iterate ``x``.
+    """
     problem = problem or build_problem(cfg)
     eps = cfg.reference_eps if cfg.reference_eps is not None else cfg.eps
     run_cfg = RunConfig(eps=eps, k_max=cfg.k_max, n_b=cfg.n_b,
                         rom_set=frozenset(), validation_loop=False)
-    solution = {}
-
-    def observer(ev):
-        solution["x"] = ev["x_next"]
-
-    report = accelerated_run(problem, run_cfg, observer=observer)
+    report = accelerated_run(problem, run_cfg)
     if not report.converged:
         raise MaxIterationsExceeded(
             f"reference run did not converge in {cfg.k_max} iterations")
-    return ReferenceResult(report=report, solution=solution["x"])
+    return report
 
 
 @dataclass
 class AcceleratedResult:
     report: RunReport
-    solution: np.ndarray
     error_vs_reference: float
 
 
 def run_accelerated(cfg: ExperimentConfig,
                     problem: CoupledProblem | None = None,
-                    reference: ReferenceResult | None = None,
+                    reference: RunReport | None = None,
                     run_cfg: RunConfig | None = None) -> AcceleratedResult:
     """Accelerated run plus Euclidean error against the reference solution."""
     problem = problem or build_problem(cfg)
     if reference is None:
         reference = run_reference(cfg, problem)
     run_cfg = run_cfg or build_run_config(cfg, problem.p)
-    solution = {}
-
-    def observer(ev):
-        solution["x"] = ev["x_next"]
-
-    report = accelerated_run(problem, run_cfg, observer=observer)
-    x = solution.get("x", problem.x0)
-    error = numerics.norm2(x - reference.solution)
-    return AcceleratedResult(report=report, solution=x, error_vs_reference=error)
+    report = accelerated_run(problem, run_cfg)
+    return AcceleratedResult(report=report,
+                             error_vs_reference=numerics.norm2(report.x - reference.x))
 
 
 COMPARE_COLUMNS = ("criterion", "validation", "iterations", "fom_iterations",

@@ -215,13 +215,9 @@ def test_validation_soundness():
     cfg = RunConfig(eps=1e-9, n_b=3, rom_set=frozenset({1}), validation_loop=True)
     report = accelerated_run(prob, cfg)
     assert report.converged
-    # re-apply the exact map at the last iterate recorded via trace replay
-    x = prob.x0.copy()
-    # replay: run again capturing final iterate with an observer
-    final = {}
-    accelerated_run(scalar_problem(), cfg, observer=lambda ev: final.update(x=ev["x_next"]))
-    gx = exact_step(prob, final["x"]).x_next
-    assert numerics.norm2(gx - final["x"]) < cfg.eps
+    # re-apply the exact map at the final iterate
+    gx = exact_step(prob, report.x).x_next
+    assert numerics.norm2(gx - report.x) < cfg.eps
 
 
 def test_err_accumulates_across_accepted_steps():
@@ -251,6 +247,45 @@ def test_lockstep_zero_without_rom():
     prob = scalar_problem()
     cfg = RunConfig(eps=1e-8, rom_set=frozenset())
     assert driver.lockstep_verify(prob, cfg) == 0.0
+
+
+def test_relaxed_plain_run_is_the_averaged_picard_sequence():
+    prob, _ = rd_problem()
+    cfg = RunConfig(eps=1e-8, relaxation=Relaxation("krasnoselskij", 0.5))
+    report = accelerated_run(prob, cfg)
+    assert report.converged and report.iterations > 1
+    x, hashes = prob.x0.copy(), []
+    for _ in report.trace:
+        x = 0.5 * x + 0.5 * exact_step(prob, x).x_next
+        hashes.append(driver._hash_state(x))
+    assert [row.x_hash for row in report.trace] == hashes
+
+
+@pytest.mark.parametrize("relaxation", [
+    Relaxation("krasnoselskij", 0.5),
+    Relaxation("mann", schedule=lambda k: 1.0 / (1.0 + 0.1 * k)),
+], ids=["krasnoselskij", "mann"])
+def test_relaxed_rom_run_keeps_the_lockstep_guarantee(relaxation):
+    pair = problems.linear_rd_pair(problems.LinearRdParams(n=8))
+    prob = problems.make_coupled_problem(pair, exact_constants=True)
+    cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}), criterion="propagation",
+                    relaxation=relaxation)
+    report = accelerated_run(prob, cfg)
+    assert report.converged
+    assert any(row.event == "rom" for row in report.trace)
+    assert driver.lockstep_verify(prob, cfg) <= cfg.eps
+
+
+@pytest.mark.parametrize("rom_set,k_max", [
+    (frozenset(), 1000), (frozenset({1}), 1000), (frozenset({1, 2}), 1000),
+    (frozenset({1}), 7),
+], ids=["none", "rom1", "both", "k_max"])
+def test_report_carries_the_final_iterate(rom_set, k_max):
+    prob, _ = rd_problem()
+    report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=rom_set, k_max=k_max))
+    assert report.converged == (k_max > 7)
+    assert driver._hash_state(report.x) == report.trace[-1].x_hash
+    assert "x" not in report.to_dict()
 
 
 @pytest.fixture
@@ -412,7 +447,7 @@ def test_reuse_leaves_every_iterate_unchanged(monkeypatch, name, criterion):
 def test_inexact_step_stops_at_the_first_failing_reduced_system():
     prob = thermal_problem()
     cfg = RunConfig(eps=1e-8, rom_set=frozenset({1, 2}))
-    state = driver._RomState(prob, cfg, RunReport(p=2))
+    state = driver._RomState(cfg, RunReport(p=2))
     x = prob.x0.copy()
     for _ in range(cfg.n_b):
         step = exact_step(prob, x)

@@ -400,8 +400,7 @@ def test_rd_fixed_point_matches_newton_oracle():
     prob = make_coupled_problem(pair)
     eps = 1e-10
     cfg = RunConfig(eps=eps, rom_set=frozenset(), validation_loop=False)
-    final = {}
-    accelerated_run(prob, cfg, observer=lambda ev: final.update(x=ev["x_next"]))
+    x = accelerated_run(prob, cfg).x
     # monolithic oracle: solve the coupled linear system directly
     n = pair.grid.n
     zero = np.zeros(n)
@@ -415,7 +414,7 @@ def test_rd_fixed_point_matches_newton_oracle():
     rhs = np.concatenate([np.full(n, params.q1) + (f1 - params.q1),
                           np.full(n, params.q2) + (f2 - params.q2)])
     exact = numerics.solve_dense(big, rhs)
-    assert numerics.norm2(final["x"] - exact) <= 10 * eps
+    assert numerics.norm2(x - exact) <= 10 * eps
 
 
 def test_rd_exact_constants_are_valid_bounds():
