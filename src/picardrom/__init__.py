@@ -4,7 +4,6 @@ from . import coupling, driver, harness, numerics, pod, problems
 from .driver import (
     CoupledProblem,
     FixedConstants,
-    Relaxation,
     RunConfig,
     RunReport,
     accelerated_run,
@@ -21,7 +20,6 @@ __all__ = [
     "problems",
     "CoupledProblem",
     "FixedConstants",
-    "Relaxation",
     "RunConfig",
     "RunReport",
     "accelerated_run",

@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from . import coupling, harness
+from .driver import CRITERIA
 from .errors import MaxIterationsExceeded, PicardRomError
 
 EXIT_OK = 0
@@ -27,21 +28,24 @@ _CRITERION_ALIASES = {"upper": "upper_bound"}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """Experiment flags; each ``dest`` is the ExperimentConfig field it sets."""
     parser.add_argument("--config", type=Path, help="INI experiment config")
     parser.add_argument("--problem", choices=harness.PROBLEM_NAMES)
     parser.add_argument("--rom", choices=("none", "1", "2", "both"))
-    parser.add_argument("--nb", type=int, help="snapshot window capacity")
+    parser.add_argument("--nb", dest="n_b", type=int, help="snapshot window capacity")
     parser.add_argument("--eps", type=float, help="solver tolerance")
     parser.add_argument("--eps-rb", type=float, help="basis energy tolerance")
-    parser.add_argument("--criterion",
-                        choices=("residual", "upper", "asymptotic", "propagation"))
-    parser.add_argument("--no-validation", action="store_true",
-                        help="skip the outer validation loop")
-    parser.add_argument("--reps", type=int, help="repetitions (bench)")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--exact-constants", action="store_true",
+    parser.add_argument("--criterion", type=lambda name: _CRITERION_ALIASES.get(name, name),
+                        choices=CRITERIA,
+                        help="'upper' is short for upper_bound")
+    parser.add_argument("--no-validation", dest="validation", action="store_const",
+                        const=False, help="skip the outer validation loop")
+    parser.add_argument("--reps", dest="repetitions", type=int,
+                        help="repetitions (bench)")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
+    parser.add_argument("--exact-constants", action="store_const", const=True,
                         help="use exact operator norms (linear problems only)")
-    parser.add_argument("--kmax", type=int, help="iteration budget")
+    parser.add_argument("--kmax", dest="k_max", type=int, help="iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,30 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
+    """The INI file's configuration (or the defaults) with every given flag applied."""
     cfg = harness.load_config(args.config) if args.config else harness.ExperimentConfig()
-    updates = {}
-    if args.problem:
-        updates["problem"] = args.problem
-    if args.rom:
-        updates["rom"] = args.rom
-    if args.nb is not None:
-        updates["n_b"] = args.nb
-    if args.eps is not None:
-        updates["eps"] = args.eps
-    if args.eps_rb is not None:
-        updates["eps_rb"] = args.eps_rb
-    if args.criterion:
-        updates["criterion"] = _CRITERION_ALIASES.get(args.criterion, args.criterion)
-    if args.no_validation:
-        updates["validation"] = False
-    if args.reps is not None:
-        updates["repetitions"] = args.reps
-    if args.out is not None:
-        updates["output_dir"] = str(args.out)
-    if args.exact_constants:
-        updates["exact_constants"] = True
-    if args.kmax is not None:
-        updates["k_max"] = args.kmax
+    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+               if getattr(args, f.name, None) is not None}
     return dataclasses.replace(cfg, **updates)
 
 

@@ -252,15 +252,12 @@ class ConstantsLedger:
     supplied for linear problems).
     """
 
-    def __init__(self, window: int = LEDGER_WINDOW):
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._m = deque(maxlen=window)
-        self._k21 = deque(maxlen=window)
-        self._k12 = deque(maxlen=window)
-        self._l = deque(maxlen=window)
-        self._l2p = deque(maxlen=window)
+    def __init__(self):
+        self._m = deque(maxlen=LEDGER_WINDOW)
+        self._k21 = deque(maxlen=LEDGER_WINDOW)
+        self._k12 = deque(maxlen=LEDGER_WINDOW)
+        self._l = deque(maxlen=LEDGER_WINDOW)
+        self._l2p = deque(maxlen=LEDGER_WINDOW)
         self._x_hist = deque(maxlen=3)
         self._y_hist = deque(maxlen=3)
         self.frozen = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ class CoupledProblem:
     graph: DependenceGraph
     x0: np.ndarray
     fixed_constants: FixedConstants | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.p != len(self.assemblers) or self.p != len(self.block_dims):
@@ -77,30 +76,6 @@ class CoupledProblem:
         self.x0 = np.asarray(self.x0, dtype=float)
 
 
-@dataclass(frozen=True)
-class Relaxation:
-    """Step averaging: picard (lambda=1), krasnoselskij, or mann schedule."""
-
-    kind: str = "picard"
-    lam: float = 1.0
-    schedule: Callable[[int], float] | None = None
-
-    def factor(self, k: int) -> float:
-        if self.kind == "picard":
-            return 1.0
-        if self.kind == "krasnoselskij":
-            lam = self.lam
-        elif self.kind == "mann":
-            if self.schedule is None:
-                raise ConfigError("mann relaxation needs a schedule")
-            lam = self.schedule(k)
-        else:
-            raise ConfigError(f"unknown relaxation kind {self.kind!r}")
-        if not 0.0 < lam <= 1.0:
-            raise ConfigError(f"relaxation factor must lie in (0, 1], got {lam}")
-        return lam
-
-
 @dataclass
 class RunConfig:
     eps: float
@@ -109,10 +84,10 @@ class RunConfig:
     eps_rb: float = 1e-7
     rom_set: frozenset[int] = frozenset()
     criterion: str = "propagation"
-    basis_method: str = "svd"
-    relaxation: Relaxation = field(default_factory=Relaxation)
+    # Step weight lam in (0, 1]: 1.0 is plain Picard, another constant is
+    # Krasnoselskij averaging, a function of the iteration k is a Mann schedule.
+    relaxation: float | Callable[[int], float] = 1.0
     validation_loop: bool = True
-    tau_res: float | None = None   # residual-criterion tolerance, default eps
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -121,8 +96,6 @@ class RunConfig:
             raise ConfigError("n_b must be >= 2")
         if self.criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
-        if self.basis_method not in ("svd", "gs"):
-            raise ConfigError(f"unknown basis method {self.basis_method!r}")
         self.rom_set = frozenset(self.rom_set)
 
 
@@ -148,8 +121,10 @@ class RunReport:
     """Counters, verdicts and trace of one accelerated run.
 
     ``x`` is the final iterate: the last accepted or full-order iterate, or
-    ``x0`` when the run took no step. It is left out of comparisons, of the
-    repr and of :meth:`to_dict`, so JSON reports hold counters and trace only.
+    ``x0`` when the run took no step (``None`` before the run ends). It is a
+    plain attribute, not a field, so comparisons, the repr,
+    ``dataclasses.asdict`` and :meth:`to_dict` leave it out, and JSON reports
+    hold counters and trace only.
     """
 
     p: int
@@ -157,7 +132,6 @@ class RunReport:
     fom_solves: list[int] = field(default_factory=list)
     assemblies: list[int] = field(default_factory=list)
     rom_solves: int = 0
-    projections: int = 0
     svds: int = 0
     basis_sizes: dict[int, int] = field(default_factory=dict)
     rejected: int = 0
@@ -168,44 +142,19 @@ class RunReport:
     final_residual: float = math.inf
     expansive_warning: bool = False
     trace: list[TraceRow] = field(default_factory=list)
-    x: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        self.x: np.ndarray | None = None
         if not self.fom_solves:
             self.fom_solves = [0] * self.p
         if not self.assemblies:
             self.assemblies = [0] * self.p
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "iterations": self.iterations,
-            "fom_solves": self.fom_solves,
-            "assemblies": self.assemblies,
-            "rom_solves": self.rom_solves,
-            "projections": self.projections,
-            "svds": self.svds,
-            "basis_sizes": {str(k): v for k, v in self.basis_sizes.items()},
-            "rejected": self.rejected,
-            "validation_cycles": self.validation_cycles,
-            "converged": self.converged,
-            "final_err": self.final_err,
-            "final_delta": self.final_delta,
-            "final_residual": self.final_residual,
-            "expansive_warning": self.expansive_warning,
-            "trace": [
-                {
-                    "k": r.k,
-                    "err": r.err,
-                    "delta": r.delta,
-                    "step_norm": r.step_norm,
-                    "event": r.event,
-                    "x_hash": r.x_hash,
-                    "l_est": r.l_est,
-                }
-                for r in self.trace
-            ],
-        }
+        """Every field in declaration order, with ``basis_sizes`` keyed by str."""
+        out = asdict(self)
+        out["basis_sizes"] = {str(k): v for k, v in self.basis_sizes.items()}
+        return out
 
 
 def _hash_state(x: np.ndarray) -> str:
@@ -285,6 +234,14 @@ def exact_step(problem: CoupledProblem, x: np.ndarray,
     return StepResult(x_next=x_next, solutions=ys, rhs_norms=rhs_norms, systems=systems)
 
 
+def _relaxation_factor(relaxation: float | Callable[[int], float], k: int) -> float:
+    """Step weight of iteration ``k``: the constant, or the schedule at ``k``."""
+    lam = relaxation(k) if callable(relaxation) else relaxation
+    if not 0.0 < lam <= 1.0:
+        raise ConfigError(f"relaxation factor must lie in (0, 1], got {lam}")
+    return lam
+
+
 def _relax(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
     """Relaxed update ``(1 - lam)*x + lam*gx``; ``gx`` itself at ``lam == 1``."""
     return gx if lam == 1.0 else (1.0 - lam) * x + lam * gx
@@ -329,7 +286,6 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
             sol = pod.rom_solve(bases[i], a, f)
             if report is not None:
                 report.rom_solves += 1
-                report.projections += 1
             residuals[i] = sol.residual_norm
             total += coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
             if accept is not None and not accept(lam * total, residuals):
@@ -354,8 +310,7 @@ def propagation_bound(l_est: float, deltas: Sequence[float]) -> float:
 
 def evaluate_criterion(kind: str, *, delta_k: float, err: float, l_est: float,
                        ledger: ConstantsLedger, eps: float,
-                       residuals: dict[int, float] | None = None,
-                       tau_res: float | None = None) -> bool:
+                       residuals: dict[int, float] | None = None) -> bool:
     """Accept (True) or refine (False) the current reduced step."""
     if kind == "propagation":
         return delta_k + l_est * err <= eps
@@ -364,8 +319,7 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, l_est: float,
     if kind == "residual":
         if not residuals:
             return False
-        tau = eps if tau_res is None else tau_res
-        return sum(residuals.values()) <= tau
+        return sum(residuals.values()) <= eps
     if kind == "asymptotic":
         if not residuals:
             return False
@@ -398,13 +352,10 @@ class _RomState:
     def basis_for(self, i: int) -> pod.ReducedBasis:
         if self.dirty[i]:
             window = self.windows[i]
-            if self.config.basis_method == "gs":
+            try:
+                basis = pod.build_basis_svd(window, self.config.eps_rb)
+            except pod.SvdFailure:
                 basis = pod.build_basis_gs(window)
-            else:
-                try:
-                    basis = pod.build_basis_svd(window, self.config.eps_rb)
-                except pod.SvdFailure:
-                    basis = pod.build_basis_gs(window)
             self.bases[i] = basis
             self.dirty[i] = False
             self.report.svds += 1
@@ -449,7 +400,6 @@ def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
         except SingularReducedSystem:
             return math.inf, {}
         report.rom_solves += 1
-        report.projections += 1
         residuals[i] = sol.residual_norm
         total += coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
     return lam * total, residuals
@@ -490,7 +440,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     def holds(delta, residuals, err):
         return evaluate_criterion(
             config.criterion, delta_k=delta, err=err, l_est=l_est, ledger=ledger,
-            eps=config.eps, residuals=residuals, tau_res=config.tau_res)
+            eps=config.eps, residuals=residuals)
 
     x = problem.x0.copy()
     err = math.inf
@@ -498,7 +448,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     rejected: tuple | None = None   # (A_1, F_1) of the step rejected at x
     k = 0
     while k < config.k_max and not report.converged:
-        lam = config.relaxation.factor(k)
+        lam = _relaxation_factor(config.relaxation, k)
         l_est = ledger.l_est
         if l_est >= 1.0 and not report.expansive_warning:
             log.warning("estimated Lipschitz constant %.3g >= 1; propagation "
@@ -592,7 +542,7 @@ def lockstep_verify(problem: CoupledProblem, config: RunConfig) -> float:
     factors = FactorCache()
 
     def advance(z: np.ndarray, k: int) -> np.ndarray:
-        lam = config.relaxation.factor(k)
+        lam = _relaxation_factor(config.relaxation, k)
         return _relax(z, exact_step(problem, z, scratch, factors).x_next, lam)
 
     def observer(ev: dict) -> None:

@@ -35,14 +35,11 @@ class ExperimentConfig:
     grid_n: int = 32                  # rd: n x n interior points
     rom: str = "1"                    # none | 1 | 2 | both
     eps: float = 1e-6
-    reference_eps: float | None = None  # defaults to eps
     k_max: int = 1000
     n_b: int = 5
     eps_rb: float = 1e-7
     criterion: str = "propagation"
-    basis_method: str = "svd"
     validation: bool = True
-    tau_res: float | None = None
     exact_constants: bool = False
     criteria: tuple[str, ...] = CRITERIA
     repetitions: int = 1
@@ -60,20 +57,13 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown criterion {c!r}")
 
 
-_BOOL_FIELDS = {"validation", "exact_constants"}
-_INT_FIELDS = {"grid_n", "k_max", "n_b", "repetitions"}
-_FLOAT_FIELDS = {"eps", "reference_eps", "eps_rb", "tau_res"}
-
-
 def save_config(cfg: ExperimentConfig, path) -> None:
     """Write the configuration as an INI file with a single [experiment] section."""
     parser = configparser.ConfigParser()
     parser["experiment"] = {}
     for f in fields(cfg):
         val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        if f.name == "criteria":
+        if isinstance(val, tuple):
             parser["experiment"][f.name] = ",".join(val)
         else:
             parser["experiment"][f.name] = repr(val) if isinstance(val, float) else str(val)
@@ -82,27 +72,30 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an INI configuration; unknown keys are rejected."""
+    """Read an INI configuration; unknown keys are rejected.
+
+    Each key parses as the type of its field's default: booleans as
+    configparser booleans, tuples as comma-separated lists, and ints, floats
+    and strings by calling the type.
+    """
     parser = configparser.ConfigParser()
     if not parser.read(str(path)):
         raise ConfigError(f"cannot read config file {path}")
     if "experiment" not in parser:
         raise ConfigError("config file needs an [experiment] section")
-    known = {f.name for f in fields(ExperimentConfig)}
+    section = parser["experiment"]
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     kwargs = {}
-    for key, raw in parser["experiment"].items():
-        if key not in known:
+    for key, raw in section.items():
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _BOOL_FIELDS:
-            kwargs[key] = parser["experiment"].getboolean(key)
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(raw)
-        elif key == "criteria":
+        kind = type(defaults[key])
+        if kind is bool:
+            kwargs[key] = section.getboolean(key)
+        elif kind is tuple:
             kwargs[key] = tuple(s.strip() for s in raw.split(",") if s.strip())
         else:
-            kwargs[key] = raw
+            kwargs[key] = kind(raw)
     return ExperimentConfig(**kwargs)
 
 
@@ -137,21 +130,18 @@ def build_run_config(cfg: ExperimentConfig, p: int, *,
         eps_rb=cfg.eps_rb,
         rom_set=_rom_set(cfg, p),
         criterion=criterion or cfg.criterion,
-        basis_method=cfg.basis_method,
         validation_loop=cfg.validation if validation is None else validation,
-        tau_res=cfg.tau_res,
     )
 
 
 def run_reference(cfg: ExperimentConfig,
                   problem: CoupledProblem | None = None) -> RunReport:
-    """Plain Picard iteration to the reference tolerance (no reduced models).
+    """Plain Picard iteration to ``cfg.eps`` (no reduced models).
 
     The reference solution is the report's final iterate ``x``.
     """
     problem = problem or build_problem(cfg)
-    eps = cfg.reference_eps if cfg.reference_eps is not None else cfg.eps
-    run_cfg = RunConfig(eps=eps, k_max=cfg.k_max, n_b=cfg.n_b,
+    run_cfg = RunConfig(eps=cfg.eps, k_max=cfg.k_max, n_b=cfg.n_b,
                         rom_set=frozenset(), validation_loop=False)
     report = accelerated_run(problem, run_cfg)
     if not report.converged:

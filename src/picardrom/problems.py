@@ -374,9 +374,7 @@ def make_coupled_problem(spec, exact_constants: bool = False) -> CoupledProblem:
             raise ConfigError("exact constants unavailable for the quasi-linear surrogate")
         return _make_thermal_problem(spec)
     if isinstance(spec, ScalarToy):
-        if exact_constants:
-            return _make_scalar_problem(spec, exact=True)
-        return _make_scalar_problem(spec, exact=False)
+        return _make_scalar_problem(spec, exact=exact_constants)
     raise ConfigError(f"unsupported problem spec {type(spec).__name__}")
 
 
@@ -407,7 +405,6 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
     problem = CoupledProblem(
         p=2, block_dims=dims, assemblers=(assemble_1, assemble_2),
         combiner=combiner, graph=graph, x0=np.zeros(2 * n),
-        name="reaction-diffusion",
     )
     if exact_constants:
         _attach_rd_exact_constants(pair, problem, operator(1)[0], operator(2)[0])
@@ -474,7 +471,6 @@ def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
     return CoupledProblem(
         p=2, block_dims=dims, assemblers=(assemble_1, assemble_2),
         combiner=combiner, graph=graph, x0=np.zeros(2 * n),
-        name="thermal-flow",
     )
 
 
@@ -489,7 +485,7 @@ def _make_scalar_problem(toy: ScalarToy, exact: bool) -> CoupledProblem:
     graph = coupling.make_graph(1, k_entries={(1, 0): rate}, l_consts=[0.0, 1.0])
     problem = CoupledProblem(
         p=1, block_dims=(1,), assemblers=(assemble_1,), combiner=combiner,
-        graph=graph, x0=np.array([toy.x0]), name="scalar-toy",
+        graph=graph, x0=np.array([toy.x0]),
     )
     if exact:
         problem.fixed_constants = FixedConstants(inv_norms=(1.0,), lipschitz=rate)

@@ -24,6 +24,37 @@ def test_config_roundtrip(tmp_path):
     assert loaded == cfg
 
 
+def every_field_set():
+    """A configuration whose every field differs from its default."""
+    return harness.ExperimentConfig(
+        problem="scalar", grid_n=12, rom="none", eps=2.5e-9, k_max=77, n_b=4,
+        eps_rb=3e-5, criterion="residual", validation=False, exact_constants=True,
+        criteria=("asymptotic", "residual"), repetitions=6, output_dir="results/a")
+
+
+def test_config_roundtrip_every_field(tmp_path):
+    cfg = every_field_set()
+    default = harness.ExperimentConfig()
+    for f in dataclasses.fields(cfg):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    path = tmp_path / "exp.ini"
+    harness.save_config(cfg, path)
+    loaded = harness.load_config(path)
+    assert loaded == cfg
+    for f in dataclasses.fields(cfg):
+        assert type(getattr(loaded, f.name)) is type(getattr(default, f.name)), f.name
+
+
+@pytest.mark.parametrize("key,value", [
+    ("basis_method", "gs"), ("tau_res", "1e-6"), ("reference_eps", "1e-10"),
+])
+def test_config_rejects_deleted_keys(tmp_path, key, value):
+    path = tmp_path / "old.ini"
+    path.write_text(f"[experiment]\nproblem = scalar\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        harness.load_config(path)
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nbogus = 1\n")
@@ -233,3 +264,25 @@ def test_cli_criterion_alias(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "run_report.json").read_text())
     assert data["converged"] is True
+
+
+def test_cli_flags_land_on_their_fields(tmp_path):
+    args = cli.build_parser().parse_args([
+        "run", "--problem", "thermal", "--rom", "both", "--nb", "7", "--eps", "3e-9",
+        "--eps-rb", "2e-5", "--criterion", "upper", "--no-validation", "--reps", "9",
+        "--out", str(tmp_path / "o"), "--exact-constants", "--kmax", "123"])
+    cfg = cli._experiment_config(args)
+    assert cfg == dataclasses.replace(
+        harness.ExperimentConfig(), problem="thermal", rom="both", n_b=7, eps=3e-9,
+        eps_rb=2e-5, criterion="upper_bound", validation=False, repetitions=9,
+        output_dir=str(tmp_path / "o"), exact_constants=True, k_max=123)
+
+
+def test_cli_config_file_values_survive_without_flags(tmp_path):
+    saved = every_field_set()
+    path = tmp_path / "exp.ini"
+    harness.save_config(saved, path)
+    args = cli.build_parser().parse_args(["run", "--config", str(path)])
+    assert cli._experiment_config(args) == saved
+    args = cli.build_parser().parse_args(["run", "--config", str(path), "--eps", "1e-4"])
+    assert cli._experiment_config(args) == dataclasses.replace(saved, eps=1e-4)
