@@ -44,7 +44,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="repetitions (bench)")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--exact-constants", action="store_const", const=True,
-                        help="use exact operator norms (linear problems only)")
+                        help="use certified operator-norm bounds (linear problems only)")
     parser.add_argument("--kmax", dest="k_max", type=int, help="iteration budget")
 
 

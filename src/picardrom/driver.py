@@ -34,9 +34,14 @@ CRITERIA = ("residual", "upper_bound", "asymptotic", "propagation")
 
 @dataclass(frozen=True)
 class FixedConstants:
-    """Exact constants for linear problems (bypass the online ledger)."""
+    """Certified constants for linear problems (bypass the online ledger).
 
-    inv_norms: tuple[float, ...]  # ||A_i^{-1}|| per system, index i-1
+    Each value must be an upper bound on its true constant, as the M-matrix
+    certificate of :func:`picardrom.problems.spd_inverse_norm` gives for
+    ``||A_i^{-1}||``; the error bounds are rigorous only then.
+    """
+
+    inv_norms: tuple[float, ...]  # upper bound on ||A_i^{-1}|| per system, index i-1
     lipschitz: float              # Lipschitz constant of G (or an upper bound)
 
 
@@ -405,6 +410,24 @@ def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
     return lam * total, residuals
 
 
+def _ledger(problem: CoupledProblem) -> ConstantsLedger:
+    """Online ledger, or one frozen at the problem's fixed constants.
+
+    A frozen ledger for p >= 2 presets K_{2,1} = K[2,1] and K_{1,2} =
+    K[1,0] * L_2 from the graph: y_2 reaches the next y_1 only through the
+    combiner's output x. Under the Picard combiner ``x = (y_1, y_2)``, so
+    L_2 = 1 and K_{1,2} = K[1,0].
+    """
+    fc = problem.fixed_constants
+    if fc is None:
+        return ConstantsLedger()
+    k = {}
+    if problem.p >= 2:
+        graph = problem.graph
+        k = {"k21": graph.k(2, 1), "k12": graph.k(1, 0) * float(graph.l_consts[2])}
+    return ConstantsLedger.fixed(m=max(fc.inv_norms), l=fc.lipschitz, **k)
+
+
 def accelerated_run(problem: CoupledProblem, config: RunConfig,
                     observer: Callable[[dict], None] | None = None) -> RunReport:
     """On-the-fly accelerated inexact Picard iterations, as a state machine.
@@ -433,9 +456,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     report = RunReport(p=problem.p)
     factors = FactorCache()   # per run: every run pays for its own factorizations
     rom = _RomState(config, report) if config.rom_set else None
-    fc = problem.fixed_constants
-    ledger = (ConstantsLedger.fixed(m=max(fc.inv_norms), l=fc.lipschitz)
-              if fc is not None else ConstantsLedger())
+    ledger = _ledger(problem)
 
     def holds(delta, residuals, err):
         return evaluate_criterion(

@@ -28,6 +28,13 @@ from .errors import (
 
 GRAVITY = 9.81
 
+# Sweeps of spd_inverse_norm stop once its per-node Collatz-Wielandt ratios
+# agree to INV_NORM_RTOL, or after INV_NORM_MAX_SWEEPS; every sweep's bound is
+# certified, so the cap only costs tightness.
+INV_NORM_RTOL = 1e-9
+INV_NORM_MAX_SWEEPS = 200
+NOT_M_MATRIX = "exact constants need a symmetric nonsingular M-matrix"
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -364,8 +371,9 @@ def _split(x: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
 def make_coupled_problem(spec, exact_constants: bool = False) -> CoupledProblem:
     """Wire a demo specification into a CoupledProblem (Picard combiner).
 
-    ``exact_constants`` (linear reaction-diffusion pair only) computes the
-    exact operator-norm constants so the error bounds are rigorous.
+    ``exact_constants`` (linear reaction-diffusion pair only) attaches
+    certified upper bounds on the operator-norm constants, so the error
+    bounds are rigorous.
     """
     if isinstance(spec, ReactionDiffusionPair):
         return _make_rd_problem(spec, exact_constants)
@@ -411,28 +419,68 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
     return problem
 
 
-def spd_inverse_norm(a, iters: int = 300, seed: int = 0) -> float:
-    """||A^{-1}||_2 for symmetric positive definite A, by inverse power iteration."""
+def spd_inverse_norm(a) -> float:
+    """Certified upper bound on ``||A^{-1}||_2`` by an M-matrix certificate.
+
+    ``A`` must be exactly symmetric with off-diagonal entries ``<= 0``. For
+    such a matrix any ``y > 0`` with ``A y > 0`` proves that ``A`` is a
+    nonsingular M-matrix, so ``A^{-1} >= 0`` (Berman & Plemmons, *Nonnegative
+    Matrices in the Mathematical Sciences*, ch. 6), and the Collatz-Wielandt
+    inequality gives ``||A^{-1}||_2 = rho(A^{-1}) <= max_i y_i / (A y)_i``
+    (Varga, *Matrix Iterative Analysis*, sec. 2.1). Every sweep of inverse
+    iteration from ``y = e`` supplies such a ``y``; ``(A y)_i`` is bounded
+    below by its computed value less the componentwise rounding bound of the
+    sparse product, so the bound of every sweep is valid and falls toward the
+    true norm as ``y`` nears the Perron vector. Sweeps stop once the per-node
+    ratios agree to ``INV_NORM_RTOL``, or after ``INV_NORM_MAX_SWEEPS``.
+
+    Raises ConfigError when a check fails, so no certificate exists, and
+    SingularMatrix when the factorization finds ``A`` singular; it never
+    returns an uncertified number.
+    """
+    a = numerics.as_matrix(a)
+    if not scipy.sparse.issparse(a):
+        a = scipy.sparse.csc_array(a)
+    # A is symmetric when its CSR arrays equal its CSC arrays; a layout with
+    # unsorted or duplicate entries can only fail this check, never pass it
+    t = a.tocsr()
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
+            and np.array_equal(a.data, t.data)
+            and np.all(a.data[a.indices != cols] <= 0.0)):
+        raise ConfigError(NOT_M_MATRIX)
     factors = numerics.lu_factorize(a)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[0])
-    v /= numerics.norm2(v)
-    est = 0.0
-    for _ in range(iters):
-        w = numerics.lu_apply(factors, v)
-        est = numerics.norm2(w)
-        v = w / est
-    return est * (1.0 + 1e-9)
+    abs_a = abs(a)
+    # |fl(A y) - A y| <= gamma_k |A| y for rows of at most k entries, with
+    # gamma_j = j u / (1 - j u); gamma_{k+2} also covers the roundings of
+    # fl(|A| y), of its product with gamma and of the subtraction
+    u = np.finfo(float).eps / 2
+    terms = int(np.diff(a.indptr).max()) + 2
+    gamma = terms * u / (1.0 - terms * u)
+    y = np.ones(a.shape[0])
+    for _ in range(INV_NORM_MAX_SWEEPS):
+        y = numerics.lu_apply(factors, y / y.max())
+        lo = a @ y - gamma * (abs_a @ y)
+        if not (np.all(y > 0.0) and np.all(lo > 0.0)):
+            raise ConfigError(NOT_M_MATRIX)
+        ratios = y / lo
+        bound = float(ratios.max())
+        if bound <= ratios.min() * (1.0 + INV_NORM_RTOL):
+            break
+    # margin for the roundings of the division and of this product
+    return bound * (1.0 + 4.0 * u)
 
 
 def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProblem,
                                a1, a2) -> None:
-    """Exact K constants and inverse norms for the linear demo pair.
+    """Certified K constants and inverse norms for the linear demo pair.
 
-    Only valid when the pair's couplings are linear (f1 = s12*y2 + q1,
-    f2 = s21*y1 + q2, as built by :func:`linear_rd_pair`); the Lipschitz bound
-    is the contraction bound of the exact graph, an upper bound on the true
-    constant of G.
+    Each ``||A_i^{-1}||`` is the certified upper bound of
+    :func:`spd_inverse_norm` (an M-matrix certificate), and each K is the
+    coupling slope times that bound. Only valid when the pair's couplings
+    are linear (f1 = s12*y2 + q1, f2 = s21*y1 + q2, as built by
+    :func:`linear_rd_pair`); the Lipschitz bound is the contraction bound
+    of this graph, an upper bound on the true constant of G.
     """
     params = getattr(pair, "params", None)
     if params is None:

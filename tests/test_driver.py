@@ -495,3 +495,19 @@ def test_exact_step_uses_a_given_first_system():
     assert report.assemblies == [0, 1]
     assert reused.systems[0][0] is first[0]
     assert np.array_equal(reused.x_next, exact_step(prob, x).x_next)
+
+
+@pytest.mark.parametrize("rom_set", [frozenset({1}), frozenset({2}), frozenset({1, 2})],
+                         ids=["rom1", "rom2", "both"])
+def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
+    pair = problems.linear_rd_pair(problems.LinearRdParams(n=16))
+    prob = problems.make_coupled_problem(pair, exact_constants=True)
+    ledger = driver._ledger(prob)
+    assert (ledger.k21_est, ledger.k12_est) == (prob.graph.k(2, 1), prob.graph.k(1, 0))
+    cfg = RunConfig(eps=1e-8, rom_set=rom_set, criterion="asymptotic")
+    report = accelerated_run(prob, cfg)
+    assert report.converged
+    assert any(row.event == "rom" for row in report.trace)
+    reference = accelerated_run(prob, RunConfig(eps=1e-12, validation_loop=False)).x
+    assert numerics.norm2(report.x - reference) <= 10 * cfg.eps
+    assert driver.lockstep_verify(prob, cfg) <= cfg.eps

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picardrom import coupling, numerics, problems
 from picardrom.driver import RunConfig, accelerated_run, exact_step
@@ -12,6 +14,7 @@ from picardrom.errors import (
     ConfigError,
     MissingDerivativeBounds,
     NonPositiveDiffusion,
+    SingularMatrix,
     ViscosityOutOfRange,
 )
 from picardrom.problems import (
@@ -418,16 +421,75 @@ def test_rd_fixed_point_matches_newton_oracle():
 
 
 def test_rd_exact_constants_are_valid_bounds():
-    pair = linear_rd_pair(LinearRdParams(n=8))
-    prob = make_coupled_problem(pair, exact_constants=True)
-    fc = prob.fixed_constants
-    n = pair.grid.n
-    zero = np.zeros(n)
-    a1, _ = assemble_rd_system(pair, 1, zero, zero)
-    true_inv = 1.0 / np.linalg.svd(a1.toarray(), compute_uv=False)[-1]
-    assert fc.inv_norms[0] >= true_inv * (1 - 1e-8)
-    assert fc.inv_norms[0] <= true_inv * 1.001
-    assert fc.lipschitz < 1.0
+    for n in (3, 8, 16):
+        pair = linear_rd_pair(LinearRdParams(n=n))
+        prob = make_coupled_problem(pair, exact_constants=True)
+        fc = prob.fixed_constants
+        zero = np.zeros(pair.grid.n)
+        for which, bound in zip((1, 2), fc.inv_norms):
+            a, _ = assemble_rd_system(pair, which, zero, zero)
+            true_inv = 1.0 / np.linalg.svd(a.toarray(), compute_uv=False)[-1]
+            assert true_inv <= bound <= true_inv * (1 + 1e-6)
+        assert fc.lipschitz < 1.0
+
+
+def test_inverse_norm_bound_is_tight_on_the_default_rd_operator():
+    a, _ = problems._rd_operator(linear_rd_pair(LinearRdParams(n=32)), 1)
+    true_inv = 1.0 / np.linalg.eigvalsh(a.toarray())[0]
+    assert true_inv <= problems.spd_inverse_norm(a) <= true_inv * (1 + 1e-6)
+
+
+SIDES = ("south", "north", "west", "east")
+
+
+@st.composite
+def m_matrix_operators(draw):
+    """diffusion_operator on a random small grid: positive, spatially varying
+    d and random walls, at least one of them Dirichlet."""
+    grid = Grid2D(draw(st.integers(3, 8)), draw(st.integers(3, 8)),
+                  width=draw(st.floats(0.5, 3.0)), height=draw(st.floats(0.5, 3.0)))
+    log_d = draw(st.lists(st.floats(-2.0, 2.0), min_size=grid.n, max_size=grid.n))
+    dirichlet = draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+    bc = {side: ("dirichlet", 0.0) if wall else ("neumann", 0.0)
+          for side, wall in zip(SIDES, dirichlet)}
+    return diffusion_operator(grid, np.exp(log_d), bc)[0]
+
+
+@settings(deadline=None, max_examples=100)
+@given(m_matrix_operators())
+def test_inverse_norm_bound_is_certified(a):
+    bound = problems.spd_inverse_norm(a)
+    dense = a.toarray()
+    true_inv = 1.0 / np.linalg.svd(dense, compute_uv=False)[-1]
+    # the dense reference carries rounding of its own
+    assert bound >= true_inv * (1 - 1e-12)
+    # inverse iteration closes the gap like (lam_1/lam_2)^sweeps; where the
+    # sweep cap allows that, the bound is tight too
+    lam = np.linalg.eigvalsh(dense)
+    if (lam[0] / lam[1]) ** problems.INV_NORM_MAX_SWEEPS <= 1e-9:
+        assert bound <= true_inv * (1 + 1e-6)
+
+
+def _no_certificate_cases():
+    surrogate = ThermalFlowSurrogate(grid=Grid2D(6, 9, width=2.0, height=6.0))
+    heat, _ = assemble_heat(surrogate, np.ones(surrogate.grid.n))
+    grid = Grid2D(5, 4)
+    a, _ = diffusion_operator(grid, 1.0, DIRICHLET0)
+    positive = a.tolil()
+    positive[3, 4] = positive[4, 3] = 1.0
+    neumann = {side: ("neumann", 0.0) for side in SIDES}
+    singular, _ = diffusion_operator(grid, 1.0, neumann)
+    lam_min = np.linalg.eigvalsh(a.toarray())[0]
+    indefinite = a - 2.0 * lam_min * scipy.sparse.eye_array(grid.n, format="csc")
+    return {"nonsymmetric-heat": heat, "positive-offdiagonal": positive.tocsc(),
+            "singular-neumann": singular, "indefinite": indefinite}
+
+
+@pytest.mark.parametrize("case", list(_no_certificate_cases()))
+def test_inverse_norm_bound_refuses_matrices_without_a_certificate(case):
+    a = _no_certificate_cases()[case]
+    with pytest.raises((ConfigError, SingularMatrix)):
+        problems.spd_inverse_norm(a)
 
 
 def test_thermal_coupled_fixed_point_contracts():
