@@ -166,15 +166,12 @@ def _hash_state(x: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()[:12]
 
 
-def _same_matrix(cached, a) -> bool:
-    """Same object, or CSC matrices with bitwise-equal structure and values."""
-    if a is cached:
-        return True
+def _same_pattern(cached, a) -> bool:
+    """CSC matrices of equal shape with bitwise-equal ``indptr`` and ``indices``."""
     return (scipy.sparse.issparse(a) and scipy.sparse.issparse(cached)
             and a.format == cached.format == "csc" and a.shape == cached.shape
             and np.array_equal(a.indptr, cached.indptr)
-            and np.array_equal(a.indices, cached.indices)
-            and np.array_equal(a.data, cached.data))
+            and np.array_equal(a.indices, cached.indices))
 
 
 class FactorCache:
@@ -183,7 +180,9 @@ class FactorCache:
     A system's factors are reused while its assembler returns the same matrix
     object or a bitwise-equal CSC matrix; any other matrix is factored afresh
     and replaces the entry. Full-order matrices factor by LAPACK banded LU
-    (see :func:`numerics.lu_factorize`).
+    (see :func:`numerics.lu_factorize`). A CSC matrix with the entry's
+    pattern (shape, ``indptr`` and ``indices``) but new values reuses the
+    entry's band layout, so its factorization only scatters the new values.
     """
 
     def __init__(self):
@@ -193,8 +192,13 @@ class FactorCache:
         """Solve system ``i``'s ``a y = f``, factoring ``a`` only on a miss."""
         f = numerics.as_vector(f)
         entry = self._entries.get(i)
-        if entry is None or not _same_matrix(entry[0], a):
-            entry = self._entries[i] = (a, numerics.lu_factorize(a))
+        if entry is None or a is not entry[0]:
+            layout = None
+            if entry is not None and _same_pattern(entry[0], a):
+                if np.array_equal(a.data, entry[0].data):
+                    return numerics.lu_apply(entry[1], f)
+                layout = entry[1].layout
+            entry = self._entries[i] = (a, numerics.lu_factorize(a, layout=layout))
         return numerics.lu_apply(entry[1], f)
 
 
@@ -457,6 +461,13 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     factors = FactorCache()   # per run: every run pays for its own factorizations
     rom = _RomState(config, report) if config.rom_set else None
     ledger = _ledger(problem)
+    bounds = None   # _bound_constants, built on first use after each observation
+
+    def bound_constants():
+        nonlocal bounds
+        if bounds is None:
+            bounds = _bound_constants(problem, ledger, config.rom_set)
+        return bounds
 
     def holds(delta, residuals, err):
         return evaluate_criterion(
@@ -478,7 +489,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         delta_k, fresh_start = None, False
 
         if rom_ok:
-            inv_norms, graph = _bound_constants(problem, ledger, config.rom_set)
+            inv_norms, graph = bound_constants()
             assembled: list[tuple] = []
             try:
                 x_t, delta_k, residuals = inexact_step(
@@ -504,6 +515,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             if rom is not None:
                 rom.push(step.solutions)
             ledger.observe(x_next, step.solutions, step.rhs_norms)
+            bounds = None
             l_est = ledger.l_est
             fresh_start = not refine and math.isinf(err)
             err = l_est * err if refine else math.inf
@@ -511,8 +523,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             if (rom is not None and rom.ready()
                     and not (refine and config.criterion == "propagation")):
                 delta_k, residuals = _probe_delta(
-                    rom, step.systems, *_bound_constants(problem, ledger, config.rom_set),
-                    lam, report)
+                    rom, step.systems, *bound_constants(), lam, report)
                 rom_ok = not math.isinf(delta_k) and holds(delta_k, residuals, 0.0)
                 if residuals:
                     report.final_residual = sum(residuals.values())

@@ -4,14 +4,15 @@ Everything here is a thin, contract-checked layer over LAPACK (via numpy and
 scipy): direct solve with singularity detection, SVD, and the two norms used
 throughout the package. Full-order operators are sparse CSC 5-point stencils
 in natural order, hence band matrices of half-width ``nx``; they factor with
-LAPACK banded LU. Reduced systems and other small matrices stay dense and
-factor with LAPACK dense LU. Both kinds go through the same
-:func:`lu_factorize` / :func:`lu_apply` pair.
+LAPACK banded LU. Where a band matrix reappears with the same pattern and
+new values, :func:`lu_factorize` takes the earlier factors' band layout and
+only scatters the new values. Reduced systems and other small matrices stay
+dense and factor with LAPACK dense LU, called directly. Both kinds go through
+the same :func:`lu_factorize` / :func:`lu_apply` pair.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,64 +67,91 @@ class SvdResult:
 
 
 @dataclass(frozen=True)
-class BandFactors:
-    """LAPACK banded LU (``dgbtrf``) of a square matrix of bandwidths ``kl``/``ku``."""
+class BandLayout:
+    """Where the stored entries of one CSC pattern go in LAPACK band storage.
 
-    lub: np.ndarray   # (2*kl + ku + 1, n) band storage of L and U, Fortran order
-    ipiv: np.ndarray  # row interchanges
+    ``index[e]`` is the position of stored entry ``e`` in the flat ``(n, ldab)``
+    band array, ``ldab = 2*kl + ku + 1``. A layout holds for every matrix with
+    the same shape, ``indptr`` and ``indices``, whatever its values.
+    """
+
+    index: np.ndarray
     kl: int
     ku: int
 
 
-def _band(a) -> tuple[np.ndarray, int, int]:
+@dataclass(frozen=True)
+class BandFactors:
+    """LAPACK banded LU (``dgbtrf``) of a square matrix, and its band layout."""
+
+    lub: np.ndarray   # (2*kl + ku + 1, n) band storage of L and U, Fortran order
+    ipiv: np.ndarray  # row interchanges
+    layout: BandLayout
+
+    @property
+    def kl(self) -> int:
+        return self.layout.kl
+
+    @property
+    def ku(self) -> int:
+        return self.layout.ku
+
+
+def _band(a, layout: BandLayout | None = None) -> tuple[np.ndarray, BandLayout]:
     """LAPACK band storage of the CSC matrix ``a``, duplicate entries summed.
 
     Entry ``a[i, j]`` goes to row ``kl + ku + i - j`` of column ``j``; the
-    top ``kl`` rows are left free for the fill-in of partial pivoting.
+    top ``kl`` rows are left free for the fill-in of partial pivoting. The
+    layout is derived from ``a``'s pattern unless one is given.
     """
     n = a.shape[1]
-    cols = np.repeat(np.arange(n), np.diff(a.indptr))
-    offsets = a.indices - cols
-    kl = max(int(offsets.max(initial=0)), 0)
-    ku = max(int(-offsets.min(initial=0)), 0)
-    ldab = 2 * kl + ku + 1
-    flat = np.bincount(cols * ldab + (kl + ku) + offsets, weights=a.data,
-                       minlength=ldab * n)
-    return flat.reshape(n, ldab).T, kl, ku
+    if layout is None:
+        cols = np.repeat(np.arange(n), np.diff(a.indptr))
+        offsets = a.indices - cols
+        kl = max(int(offsets.max(initial=0)), 0)
+        ku = max(int(-offsets.min(initial=0)), 0)
+        layout = BandLayout(cols * (2 * kl + ku + 1) + (kl + ku) + offsets, kl, ku)
+    ldab = 2 * layout.kl + layout.ku + 1
+    flat = np.bincount(layout.index, weights=a.data, minlength=ldab * n)
+    return flat.reshape(n, ldab).T, layout
 
 
-def lu_factorize(a):
+def lu_factorize(a, layout: BandLayout | None = None):
     """LU-factor a square matrix, raising SingularMatrix on tiny pivots.
 
     Returns an opaque handle for :func:`lu_apply`; factor once, solve often.
-    Dense input factors with LAPACK ``getrf``. Sparse input factors with
-    LAPACK banded LU (``gbtrf``, partial pivoting) over the band its pattern
+    Dense input factors with LAPACK ``dgetrf``. Sparse input factors with
+    LAPACK banded LU (``dgbtrf``, partial pivoting) over the band its pattern
     spans, ``kl = max(i - j)`` below and ``ku = max(j - i)`` above the
     diagonal. The band array holds ``(2*kl + ku + 1) * n`` doubles: cheap for
     the narrow bands of the stencil operators (half-width ``nx`` in natural
     order), but up to about 3x dense storage when entries lie far from the
-    diagonal.
+    diagonal. ``layout``, the ``layout`` of earlier factors of a CSC matrix
+    with the same shape, ``indptr`` and ``indices``, skips deriving it again;
+    the caller vouches for the equal pattern.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if scipy.sparse.issparse(a):
         scale = np.abs(a.data).max(initial=0.0)
-        ab, kl, ku = _band(a)
+        ab, layout = _band(a, layout)
+        kl, ku = layout.kl, layout.ku
         lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         if info > 0:
             raise SingularMatrix(f"numerically singular matrix (zero pivot {info})")
-        factors = BandFactors(lub, ipiv, kl, ku)
+        factors = BandFactors(lub, ipiv, layout)
         pivots = np.abs(lub[kl + ku])
     else:
         scale = np.abs(a).max()
-        with warnings.catch_warnings():
-            # singularity is detected below via the pivot check
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factors = scipy.linalg.lu_factor(a, check_finite=False)
-        pivots = np.abs(np.diag(factors[0]))
+        # info > 0 reports an exactly zero pivot, which the check below rejects
+        lu, piv, info = scipy.linalg.lapack.dgetrf(a)
+        if info < 0:
+            raise ValueError(f"dgetrf rejected argument {-info}")
+        factors = (lu, piv)
+        pivots = np.abs(np.diag(lu))
     if scale == 0.0 or np.any(pivots < PIVOT_RTOL * scale):
         raise SingularMatrix("numerically singular matrix (tiny pivot)")
     return factors
@@ -136,12 +164,13 @@ def lu_apply(factors, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionMismatch("right-hand side length does not match matrix")
-    if not banded:
-        return scipy.linalg.lu_solve(factors, b, check_finite=False)
-    x, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
-                                         factors.ipiv)
+    if banded:
+        x, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
+                                             factors.ipiv)
+    else:
+        x, info = scipy.linalg.lapack.dgetrs(*factors, b)
     if info < 0:
-        raise ValueError(f"dgbtrs rejected argument {-info}")
+        raise ValueError(f"{'dgbtrs' if banded else 'dgetrs'} rejected argument {-info}")
     return x
 
 

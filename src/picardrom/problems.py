@@ -10,6 +10,7 @@ advection-diffusion equation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -83,30 +84,55 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
+@functools.lru_cache(maxsize=8)
+def _stencil_pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only CSC ``indptr`` and ``indices`` of the full 5-point pattern of
+    an ``nx`` by ``ny`` grid, and the source of each stored entry: its index
+    in the coefficients ``north, east, diag, west, south``, each raveled, in
+    that order.
+
+    Column ``c`` holds, in increasing row order, the entries of the rows of
+    its south, west, own, east and north nodes that lie in the grid:
+    ``north[c - nx]``, ``east[c - 1]``, ``diag[c]``, ``west[c + 1]`` and
+    ``south[c + nx]``.
+    """
+    n = nx * ny
+    node = np.arange(n)
+    i = node % nx
+    inside = np.column_stack([node >= nx, i > 0, np.ones(n, dtype=bool),
+                              i < nx - 1, node < n - nx])
+    rows = node[:, None] + np.array([-nx, -1, 0, 1, nx])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    indices = rows[inside].astype(np.int32)
+    source = (np.arange(5) * n + rows)[inside]
+    for arr in (indptr, indices, source):
+        arr.setflags(write=False)
+    return indptr, indices, source
+
+
 def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
     """CSC matrix of a 5-point stencil given per-node coefficients.
 
     Each argument is a ``(ny, nx)`` array: ``west[j, i]`` multiplies the west
-    neighbour of node (j, i), and so on. A neighbour coefficient must be zero
-    where that neighbour lies outside the grid; zero coefficients are not stored.
+    neighbour of node (j, i), and so on. Coefficients of neighbours outside
+    the grid are not read, and zero coefficients are not stored.
 
-    Column ``c`` holds, in increasing row order, the entries of the rows of
-    its south, west, own, east and north nodes: ``north[c - nx]``,
-    ``east[c - 1]``, ``diag[c]``, ``west[c + 1]`` and ``south[c + nx]``.
+    The full pattern of the grid is built once per grid shape (see
+    :func:`_stencil_pattern`). The values are gathered along it in one step,
+    and a mask on them drops the exact zeros. The returned matrix owns its
+    arrays.
     """
-    n, nx = grid.n, grid.nx
-    vals = np.zeros((n, 5))
-    vals[nx:, 0] = north.ravel()[:-nx]
-    vals[1:, 1] = east.ravel()[:-1]
-    vals[:, 2] = diag.ravel()
-    vals[:-1, 3] = west.ravel()[1:]
-    vals[:-nx, 4] = south.ravel()[nx:]
-    keep = vals != 0.0
-    rows = np.arange(n)[:, None] + np.array([-nx, -1, 0, 1, nx])
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return scipy.sparse.csc_array(
-        (vals[keep], rows[keep].astype(np.int32), indptr), shape=(n, n))
+    indptr, indices, source = _stencil_pattern(grid.nx, grid.ny)
+    data = np.concatenate((north, east, diag, west, south), axis=None)[source]
+    keep = data != 0.0
+    if keep.all():
+        indptr, indices = indptr.copy(), indices.copy()
+    else:
+        kept = np.zeros(data.size + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        indptr, indices, data = kept[indptr], indices[keep], data[keep]
+    return scipy.sparse.csc_array((data, indices, indptr), shape=(grid.n, grid.n))
 
 
 def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):

@@ -307,11 +307,11 @@ def factorizations(monkeypatch):
     counts = {}
     original = numerics.lu_factorize
 
-    def spy(a):
+    def spy(a, **kwargs):
         rows, cols = a.shape
         if rows == cols:
             counts[rows] = counts.get(rows, 0) + 1
-        return original(a)
+        return original(a, **kwargs)
 
     monkeypatch.setattr(numerics, "lu_factorize", spy)
     return counts
@@ -389,6 +389,87 @@ def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
     for k, y in enumerate(steps):
         expected = [1.0, 2.0] if k % 2 == 0 else [0.5, 1.0]
         assert np.array_equal(y, expected)
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """(layout passed in, layout of the factors) of each numerics.lu_factorize call."""
+    calls = []
+    original = numerics.lu_factorize
+
+    def spy(a, layout=None):
+        factors = original(a, layout=layout)
+        calls.append((layout, factors.layout))
+        return factors
+
+    monkeypatch.setattr(numerics, "lu_factorize", spy)
+    return calls
+
+
+def band_csc(rng, n, kl, ku, duplicates=False):
+    """Diagonally dominant CSC band matrix; with ``duplicates``, a
+    non-canonical one whose columns hold unsorted, repeated rows."""
+    dense = np.triu(np.tril(rng.standard_normal((n, n)), ku), -kl)
+    dense[rng.random((n, n)) < 0.3] = 0.0
+    np.fill_diagonal(dense, 0.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+    a = scipy.sparse.csc_array(dense)
+    if not duplicates:
+        return a
+    rows, cols = a.indices, np.repeat(np.arange(n), np.diff(a.indptr))
+    order = np.lexsort((rng.random(2 * rows.size), np.tile(cols, 2)))
+    halves = np.concatenate([0.25 * a.data, 0.75 * a.data])[order]
+    indptr = np.concatenate([[0], np.cumsum(2 * np.diff(a.indptr))])
+    dup = scipy.sparse.csc_array((halves, np.tile(rows, 2)[order], indptr), shape=a.shape)
+    assert not dup.has_canonical_format
+    return dup
+
+
+def with_values(a, rng):
+    """``a``'s pattern (shape, indptr, indices) with new, dominant values."""
+    b = a.copy()
+    b.data = rng.uniform(-1.0, 1.0, a.nnz)
+    rows = a.indices
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    b.data[rows == cols] = a.shape[0] + 1.0
+    return b
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_factor_cache_reuses_the_band_layout_for_new_values(layouts, duplicates):
+    rng = np.random.default_rng(12)
+    first = band_csc(rng, 30, 3, 5, duplicates)
+    mats = [first] + [with_values(first, rng) for _ in range(4)]
+    f = rng.standard_normal(30)
+    expected = [numerics.solve_dense(a, f) for a in mats]
+    layouts.clear()
+    cache = FactorCache()
+    for a, y in zip(mats, expected):
+        assert np.array_equal(cache.solve(0, a, f), y)
+        # the duplicate entries are summed, as toarray() sums them
+        assert np.allclose(a.toarray() @ y, f, rtol=0.0, atol=1e-12)
+    derived = layouts[0][1]
+    assert layouts == [(None, derived)] + [(derived, derived)] * 4
+
+
+def test_factor_cache_derives_a_fresh_layout_for_a_new_pattern(layouts):
+    rng = np.random.default_rng(5)
+    dense = band_csc(rng, 20, 2, 2).toarray()
+    dense[3, 5], dense[7, 5] = 0.0, 0.5
+    first = scipy.sparse.csc_array(dense)
+    dense[3, 5], dense[7, 5] = 0.5, 0.0
+    moved = scipy.sparse.csc_array(dense)
+    assert np.array_equal(moved.indptr, first.indptr)   # only an entry moved
+    mats = [first, moved, band_csc(rng, 20, 2, 4), band_csc(rng, 20, 5, 1),
+            band_csc(rng, 21, 2, 2)]
+    f = rng.standard_normal(20)
+    cache = FactorCache()
+    for a in mats:
+        rhs = np.resize(f, a.shape[0])
+        assert np.array_equal(cache.solve(0, a, rhs), numerics.solve_dense(a, rhs))
+    fresh = layouts[::2]    # the cache's calls; solve_dense's follow each
+    assert [given for given, _ in fresh] == [None] * len(mats)
+    assert [(lay.kl, lay.ku) for _, lay in fresh[2:]] == [(2, 4), (5, 1), (2, 2)]
 
 
 def thermal_problem():

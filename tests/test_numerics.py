@@ -259,3 +259,31 @@ def test_banded_lu_raises_on_singular_band_matrices(system, data):
         dense[other + (other >= k)] = dense[k]
     with pytest.raises(SingularMatrix):
         numerics.lu_factorize(scipy.sparse.csc_array(dense))
+
+
+def factor_or_error(a, layout=None):
+    try:
+        return numerics.lu_factorize(a, layout=layout)
+    except SingularMatrix:
+        return SingularMatrix
+
+
+@settings(deadline=None, max_examples=200)
+@given(banded_systems(), st.data())
+def test_banded_lu_with_a_reused_layout_matches_a_fresh_one(system, data):
+    a, kl, ku, _, b = system
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    layout = numerics._band(a)[1]
+    assert (layout.kl, layout.ku) == (kl, ku)
+    # same indptr and indices, duplicates and row order included; new values
+    renewed = a.copy()
+    renewed.data = rng.standard_normal(a.nnz)
+    fresh = factor_or_error(renewed)
+    reused = factor_or_error(renewed, layout)
+    if fresh is SingularMatrix:
+        assert reused is SingularMatrix
+        return
+    assert reused.layout is layout
+    assert np.array_equal(reused.lub, fresh.lub)
+    assert np.array_equal(reused.ipiv, fresh.ipiv)
+    assert np.array_equal(numerics.lu_apply(reused, b), numerics.lu_apply(fresh, b))

@@ -233,6 +233,56 @@ def test_stencil_matrix_matches_coo_build(nx, ny):
                         reference_stencil_matrix(grid, **coefs))
 
 
+def stencil_cases(grid, rng):
+    """Coefficients with every in-grid entry nonzero, and the upwind stencils
+    of a zero and of a mixed-sign velocity, which hold exact zeros in the grid
+    and no west/east entries at all."""
+    full = {name: rng.uniform(0.5, 1.5, (grid.ny, grid.nx))
+            for name in ("diag", "west", "east", "south", "north")}
+    full["west"][:, 0] = full["east"][:, -1] = 0.0
+    full["south"][0, :] = full["north"][-1, :] = 0.0
+    mixed = rng.uniform(-2.0, 2.0, grid.n)
+    mixed[rng.random(grid.n) < 0.2] = 0.0
+    return [full] + [problems._upwind_stencil(grid, u, 0.4)[0] for u in (0.0, mixed)]
+
+
+@pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
+def test_stencil_matrix_stores_exactly_the_nonzero_coefficients(nx, ny):
+    grid = Grid2D(nx, ny)
+    full, still, mixed = stencil_cases(grid, np.random.default_rng(nx * 7 + ny))
+    for coefs in (full, still, mixed):
+        a = problems._stencil_matrix(grid, **coefs)
+        assert_same_csc(a, reference_stencil_matrix(grid, **coefs))
+        assert np.all(a.data != 0.0)
+    assert problems._stencil_matrix(grid, **full).nnz == 5 * grid.n - 2 * (nx + ny)
+    assert problems._stencil_matrix(grid, **still).nnz == 0
+    rows, cols = problems._stencil_matrix(grid, **mixed).nonzero()
+    assert np.all(np.isin(np.abs(rows - cols), (0, nx)))
+
+
+def test_stencil_matrices_do_not_share_their_arrays():
+    grid = Grid2D(5, 7)
+    for coefs in stencil_cases(grid, np.random.default_rng(3)):
+        first = problems._stencil_matrix(grid, **coefs)
+        for arr in (first.indptr, first.indices, first.data):
+            arr[:] = arr[::-1]
+        assert_same_csc(problems._stencil_matrix(grid, **coefs),
+                        reference_stencil_matrix(grid, **coefs))
+
+
+def test_stencil_pattern_cache_is_bounded():
+    cached = problems._stencil_pattern
+    for nx in range(3, 9):
+        for ny in range(3, 9):
+            grid = Grid2D(nx, ny)
+            diag = np.ones((ny, nx))
+            zero = np.zeros((ny, nx))
+            a = problems._stencil_matrix(grid, diag, zero, zero, zero, zero)
+            assert np.array_equal(a.toarray(), np.eye(grid.n))
+    info = cached.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 36
+
+
 def test_homogeneous_problem_is_zero():
     grid = Grid2D(6, 6)
     a, f_bc = diffusion_operator(grid, 1.0, DIRICHLET0)
