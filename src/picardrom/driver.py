@@ -53,11 +53,12 @@ class CoupledProblem:
     systems 1..i-1 already computed this step, and returns ``(A_i, F_i)``.
     ``combiner(x, ys)`` maps the p solutions to the next outer iterate.
     Within a run, an assembler that returns the same ``A_i`` object again has
-    its factorization reused (see :class:`FactorCache`), so a returned matrix
-    must not be modified in place afterwards. A sparse ``A_i`` factors by
-    banded LU over the band its pattern spans, so its unknowns should be
-    ordered to keep entries near the diagonal, as the natural order of the
-    5-point stencils does. An assembler must be a
+    its factorization reused, and the same object returned by two systems'
+    assemblers shares one factorization (see :class:`FactorCache`), so a
+    returned matrix must not be modified in place afterwards. A sparse
+    ``A_i`` factors by banded LU over the band its pattern spans, so its
+    unknowns should be ordered to keep entries near the diagonal, as the
+    natural order of the 5-point stencils does. An assembler must be a
     deterministic function of ``(x, ys)``: after a rejected reduced step the
     refinement step at the same ``x`` reuses that step's ``(A_1, F_1)``
     instead of assembling system 1 again.
@@ -125,6 +126,10 @@ class TraceRow:
 class RunReport:
     """Counters, verdicts and trace of one accelerated run.
 
+    ``fom_solves[i-1]`` counts system i's full-order solves and
+    ``factorizations[i-1]`` the full-order factorizations among them; a solve
+    that reuses factors (see :class:`FactorCache`) counts no factorization.
+
     ``x`` is the final iterate: the last accepted or full-order iterate, or
     ``x0`` when the run took no step (``None`` before the run ends). It is a
     plain attribute, not a field, so comparisons, the repr,
@@ -135,6 +140,7 @@ class RunReport:
     p: int
     iterations: int = 0
     fom_solves: list[int] = field(default_factory=list)
+    factorizations: list[int] = field(default_factory=list)
     assemblies: list[int] = field(default_factory=list)
     rom_solves: int = 0
     svds: int = 0
@@ -152,6 +158,8 @@ class RunReport:
         self.x: np.ndarray | None = None
         if not self.fom_solves:
             self.fom_solves = [0] * self.p
+        if not self.factorizations:
+            self.factorizations = [0] * self.p
         if not self.assemblies:
             self.assemblies = [0] * self.p
 
@@ -178,15 +186,23 @@ class FactorCache:
     """Full-order factorizations kept for one run, one entry per system.
 
     A system's factors are reused while its assembler returns the same matrix
-    object or a bitwise-equal CSC matrix; any other matrix is factored afresh
-    and replaces the entry. Full-order matrices factor by LAPACK banded LU
-    (see :func:`numerics.lu_factorize`). A CSC matrix with the entry's
-    pattern (shape, ``indptr`` and ``indices``) but new values reuses the
-    entry's band layout, so its factorization only scatters the new values.
+    object or a bitwise-equal CSC matrix. On any other matrix the entry is
+    replaced: by another system's entry that holds the same matrix object,
+    whose factors the two systems then share, or else by a fresh
+    factorization. Systems share factors by object identity only; matrices
+    of two systems are never compared by value. Full-order matrices factor
+    by LAPACK banded LU (see :func:`numerics.lu_factorize`). A CSC matrix
+    with the entry's pattern (shape, ``indptr`` and ``indices``) but new
+    values reuses the entry's band layout, so its factorization only
+    scatters the new values.
+
+    ``counts``, if given, receives one increment at index ``i`` per
+    factorization of system ``i``.
     """
 
-    def __init__(self):
+    def __init__(self, counts: list[int] | None = None):
         self._entries: dict[int, tuple] = {}
+        self._counts = counts
 
     def solve(self, i: int, a, f) -> np.ndarray:
         """Solve system ``i``'s ``a y = f``, factoring ``a`` only on a miss."""
@@ -198,7 +214,12 @@ class FactorCache:
                 if np.array_equal(a.data, entry[0].data):
                     return numerics.lu_apply(entry[1], f)
                 layout = entry[1].layout
-            entry = self._entries[i] = (a, numerics.lu_factorize(a, layout=layout))
+            entry = next((e for e in self._entries.values() if e[0] is a), None)
+            if entry is None:
+                entry = (a, numerics.lu_factorize(a, layout=layout))
+                if self._counts is not None:
+                    self._counts[i] += 1
+            self._entries[i] = entry
         return numerics.lu_apply(entry[1], f)
 
 
@@ -458,7 +479,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     if any(not 1 <= i <= problem.p for i in config.rom_set):
         raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
     report = RunReport(p=problem.p)
-    factors = FactorCache()   # per run: every run pays for its own factorizations
+    factors = FactorCache(report.factorizations)   # per run: each run factors afresh
     rom = _RomState(config, report) if config.rom_set else None
     ledger = _ledger(problem)
     bounds = None   # _bound_constants, built on first use after each observation

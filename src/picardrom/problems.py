@@ -416,13 +416,16 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
     n = pair.grid.n
     dims = (n, n)
     operators = {}
+    fields = {1: pair.d1.tobytes(), 2: pair.d2.tobytes()}
 
     def operator(which):
-        # Built on first use and then handed out as the same object, so the
-        # driver reuses its factorization for the rest of a run.
-        if which not in operators:
-            operators[which] = _rd_operator(pair, which)
-        return operators[which]
+        # Built on first use per distinct diffusion field and then handed out
+        # as the same object: the driver reuses its factorization for the rest
+        # of a run, and shares it between equations with bitwise-equal fields.
+        key = fields[which]
+        if key not in operators:
+            operators[key] = _rd_operator(pair, which)
+        return operators[key]
 
     def assemble_1(x, ys):
         y1k, y2k = _split(x, dims)
@@ -502,17 +505,18 @@ def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProb
     """Certified K constants and inverse norms for the linear demo pair.
 
     Each ``||A_i^{-1}||`` is the certified upper bound of
-    :func:`spd_inverse_norm` (an M-matrix certificate), and each K is the
-    coupling slope times that bound. Only valid when the pair's couplings
-    are linear (f1 = s12*y2 + q1, f2 = s21*y1 + q2, as built by
-    :func:`linear_rd_pair`); the Lipschitz bound is the contraction bound
-    of this graph, an upper bound on the true constant of G.
+    :func:`spd_inverse_norm` (an M-matrix certificate), computed once when
+    ``a2`` is ``a1``, and each K is the coupling slope times that bound.
+    Only valid when the pair's couplings are linear (f1 = s12*y2 + q1,
+    f2 = s21*y1 + q2, as built by :func:`linear_rd_pair`); the Lipschitz
+    bound is the contraction bound of this graph, an upper bound on the true
+    constant of G.
     """
     params = getattr(pair, "params", None)
     if params is None:
         raise ConfigError("exact constants require the linear_rd_pair demo")
     m1 = spd_inverse_norm(a1)
-    m2 = spd_inverse_norm(a2)
+    m2 = m1 if a2 is a1 else spd_inverse_norm(a2)
     k10 = params.s12 * m1
     k21 = params.s21 * m2
     graph = coupling.make_graph(

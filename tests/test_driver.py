@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picardrom import coupling, driver, numerics, problems
 from picardrom.coupling import ConstantsLedger
@@ -328,17 +330,20 @@ def test_rd_run_factors_each_operator_once(factorizations, rom_set):
     report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=rom_set))
     assert report.converged
     assert min(report.fom_solves) > 1
-    assert factorizations[n] == 2
+    # both equations have one diffusion field, so they share one operator
+    assert factorizations[n] == 1
+    assert report.factorizations == [1, 0]
 
 
 def test_each_run_pays_for_its_own_factorizations(factorizations):
     prob, n = rd_problem()
     cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}))
     first = accelerated_run(prob, cfg)
-    assert factorizations[n] == 2
+    assert factorizations[n] == 1
     second = accelerated_run(prob, cfg)
-    assert factorizations[n] == 4
+    assert factorizations[n] == 2
     assert second.to_dict() == first.to_dict()
+    assert second.factorizations == [1, 0]
 
 
 def test_thermal_run_factors_every_fom_solve(factorizations):
@@ -347,6 +352,7 @@ def test_thermal_run_factors_every_fom_solve(factorizations):
     report = accelerated_run(prob, RunConfig(eps=1e-8, k_max=8, rom_set=frozenset({1})))
     assert sum(report.fom_solves) > 2
     assert factorizations[n] == sum(report.fom_solves)
+    assert report.factorizations == report.fom_solves
 
 
 def test_factor_cache_refactors_a_changed_matrix(factorizations):
@@ -365,9 +371,26 @@ def test_factor_cache_refactors_a_changed_matrix(factorizations):
     cache.solve(0, mats[3], f)
     cache.solve(0, scipy.sparse.csc_array(base), f)
     assert factorizations[6] == 4
-    # entries are per system
-    cache.solve(1, mats[3], f)
+    # another system: the same object shares the entry's factors, while a
+    # distinct but bitwise-equal CSC matrix is factored afresh
+    assert np.array_equal(cache.solve(1, mats[3], f), cache.solve(0, mats[3], f))
+    assert factorizations[6] == 4
+    cache.solve(2, scipy.sparse.csc_array(base), f)
     assert factorizations[6] == 5
+
+
+def test_factor_cache_counts_factorizations_per_system():
+    rng = np.random.default_rng(7)
+    a = scipy.sparse.csc_array(np.diag(rng.uniform(1.0, 2.0, 4)))
+    f = rng.standard_normal(4)
+    counts = [0, 0, 0]
+    cache = FactorCache(counts)
+    cache.solve(0, a, f)
+    cache.solve(1, a, f)            # shared with system 0
+    cache.solve(0, a.copy(), f)     # bitwise equal: a reuse
+    cache.solve(2, a.copy(), f)     # distinct object: factored
+    cache.solve(1, a * 2.0, f)      # new values: factored
+    assert counts == [1, 1, 1]
 
 
 def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
@@ -389,6 +412,57 @@ def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
     for k, y in enumerate(steps):
         expected = [1.0, 2.0] if k % 2 == 0 else [0.5, 1.0]
         assert np.array_equal(y, expected)
+
+
+def linear_pair(a1, a2, s12, s21, q1, q2):
+    """Picard pair ``a1 y1 = s12 y2 + q1``, ``a2 y2 = s21 y1 + q2``; each
+    assembler hands out its matrix as the same object on every call."""
+    n = a1.shape[0]
+
+    def assemble_1(x, ys):
+        return a1, s12 * x[n:] + q1
+
+    def assemble_2(x, ys):
+        return a2, s21 * ys[0] + q2
+
+    graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
+    return CoupledProblem(p=2, block_dims=(n, n), assemblers=(assemble_1, assemble_2),
+                          combiner=lambda x, ys: np.concatenate(ys), graph=graph,
+                          x0=np.zeros(2 * n))
+
+
+@st.composite
+def shared_operator_runs(draw):
+    """A diffusion_operator on a random small grid with a positive field, the
+    couplings and sources of a contractive pair, and a ROM selection."""
+    grid = problems.Grid2D(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    log_d = draw(st.lists(st.floats(-1.0, 1.0), min_size=grid.n, max_size=grid.n))
+    walls = {s: ("dirichlet", 0.0) for s in ("south", "north", "west", "east")}
+    a, _ = problems.diffusion_operator(grid, np.exp(log_d), walls)
+    # ||A^{-1}|| < 0.15 for d >= exp(-1) on the unit square, so the pair's
+    # Picard map contracts with factor below 0.1
+    coeffs = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+    rom_set = draw(st.sampled_from([(), (1,), (2,), (1, 2)]))
+    return a, coeffs, RunConfig(eps=1e-8, n_b=3, rom_set=frozenset(rom_set))
+
+
+def without_factorizations(report):
+    out = report.to_dict()
+    del out["factorizations"]
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(shared_operator_runs())
+def test_sharing_an_operator_changes_no_bits(run):
+    a, coeffs, cfg = run
+    shared = accelerated_run(linear_pair(a, a, *coeffs), cfg)
+    copied = accelerated_run(linear_pair(a, a.copy(), *coeffs), cfg)
+    assert shared.converged
+    assert without_factorizations(shared) == without_factorizations(copied)
+    assert np.array_equal(shared.x, copied.x)
+    assert shared.factorizations == [1, 0]
+    assert copied.factorizations == [1, 1]
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 Every case runs one demo problem from its unperturbed ``x0`` under one
 criterion and one ROM selection, with the harness defaults and
 ``eps = 1e-8``, and compares the event sequence, ``fom_solves``,
-``iterations``, ``rejected`` and ``converged`` with the recorded fixture; a
-run that stops with a library error records the error's class instead.
+``factorizations``, ``iterations``, ``rejected`` and ``converged`` with the
+recorded fixture; a run that stops with a library error records the error's
+class instead.
 ``x_hash`` is left out: it follows the last bits of the linear solvers.
 
 Regenerate the fixture after an intended change with
@@ -45,6 +46,7 @@ def record(case: str) -> dict:
     return {
         "events": [row.event for row in report.trace],
         "fom_solves": report.fom_solves,
+        "factorizations": report.factorizations,
         "iterations": report.iterations,
         "rejected": report.rejected,
         "converged": report.converged,

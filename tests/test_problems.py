@@ -1,5 +1,6 @@
 """Tests for the finite-difference demo problems."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -481,6 +482,55 @@ def test_rd_exact_constants_are_valid_bounds():
             true_inv = 1.0 / np.linalg.svd(a.toarray(), compute_uv=False)[-1]
             assert true_inv <= bound <= true_inv * (1 + 1e-6)
         assert fc.lipschitz < 1.0
+
+
+def spied(monkeypatch, name):
+    """Arguments of each call of ``problems.<name>``, which still runs."""
+    calls = []
+    original = getattr(problems, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(problems, name, spy)
+    return calls
+
+
+def test_rd_pair_with_equal_fields_builds_and_certifies_one_operator(monkeypatch):
+    pair = linear_rd_pair(LinearRdParams(n=8))
+    built = spied(monkeypatch, "_rd_operator")
+    certified = spied(monkeypatch, "spd_inverse_norm")
+    prob = make_coupled_problem(pair, exact_constants=True)
+    assert len(built) == len(certified) == 1
+    monkeypatch.undo()
+    x = np.zeros(2 * pair.grid.n)
+    a1, _ = prob.assemblers[0](x, [])
+    a2, _ = prob.assemblers[1](x, [np.zeros(pair.grid.n)])
+    assert a2 is a1
+    # the shared bound is the one system 2's own operator gets
+    expected = problems.spd_inverse_norm(problems._rd_operator(pair, 2)[0])
+    assert prob.fixed_constants.inv_norms == (expected, expected)
+    report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
+    assert report.converged and report.factorizations == [1, 0]
+
+
+def test_rd_pair_with_different_fields_builds_and_certifies_two(monkeypatch):
+    pair = linear_rd_pair(LinearRdParams(n=8))
+    pair2 = dataclasses.replace(pair, d2=0.03)
+    pair2.params = pair.params
+    built = spied(monkeypatch, "_rd_operator")
+    certified = spied(monkeypatch, "spd_inverse_norm")
+    prob = make_coupled_problem(pair2, exact_constants=True)
+    assert [which for _, which in built] == [1, 2]
+    assert len(certified) == 2
+    monkeypatch.undo()
+    m1, m2 = prob.fixed_constants.inv_norms
+    assert m1 == problems.spd_inverse_norm(problems._rd_operator(pair2, 1)[0])
+    assert m2 == problems.spd_inverse_norm(problems._rd_operator(pair2, 2)[0])
+    assert m2 < m1      # the larger diffusion has the smaller inverse
+    report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
+    assert report.converged and report.factorizations == [1, 1]
 
 
 def test_inverse_norm_bound_is_tight_on_the_default_rd_operator():
