@@ -111,7 +111,7 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
 def _problem_grid(cfg: harness.ExperimentConfig):
     from . import problems
     if cfg.problem == "rd":
-        return problems.Grid2D(cfg.grid_n, cfg.grid_n, 1.0, 1.0)
+        return problems.ReactionDiffusionPair(n=cfg.grid_n).grid
     return problems.ThermalFlowSurrogate().grid
 
 

@@ -55,7 +55,9 @@ class CoupledProblem:
     Within a run, an assembler that returns the same ``A_i`` object again has
     its factorization reused, and the same object returned by two systems'
     assemblers shares one factorization (see :class:`FactorCache`), so a
-    returned matrix must not be modified in place afterwards. A sparse
+    returned matrix must not be modified in place afterwards. Reuse goes by
+    object identity only: an assembler whose matrix does not change should
+    hand out one object, since an equal new matrix is factored again. A sparse
     ``A_i`` factors by banded LU over the band its pattern spans, so its
     unknowns should be ordered to keep entries near the diagonal, as the
     natural order of the 5-point stencils does. An assembler must be a
@@ -186,15 +188,13 @@ class FactorCache:
     """Full-order factorizations kept for one run, one entry per system.
 
     A system's factors are reused while its assembler returns the same matrix
-    object or a bitwise-equal CSC matrix. On any other matrix the entry is
-    replaced: by another system's entry that holds the same matrix object,
-    whose factors the two systems then share, or else by a fresh
-    factorization. Systems share factors by object identity only; matrices
-    of two systems are never compared by value. Full-order matrices factor
-    by LAPACK banded LU (see :func:`numerics.lu_factorize`). A CSC matrix
-    with the entry's pattern (shape, ``indptr`` and ``indices``) but new
-    values reuses the entry's band layout, so its factorization only
-    scatters the new values.
+    object, and shared with any other system whose entry holds that object.
+    Matrices are matched by identity only, never by value: any other matrix
+    is factored afresh and replaces the system's entry. Full-order matrices
+    factor by LAPACK banded LU (see :func:`numerics.lu_factorize`). A CSC
+    matrix with the replaced entry's pattern (shape, ``indptr`` and
+    ``indices``) but new values reuses that entry's band layout, so its
+    factorization only scatters the new values.
 
     ``counts``, if given, receives one increment at index ``i`` per
     factorization of system ``i``.
@@ -207,19 +207,14 @@ class FactorCache:
     def solve(self, i: int, a, f) -> np.ndarray:
         """Solve system ``i``'s ``a y = f``, factoring ``a`` only on a miss."""
         f = numerics.as_vector(f)
-        entry = self._entries.get(i)
-        if entry is None or a is not entry[0]:
-            layout = None
-            if entry is not None and _same_pattern(entry[0], a):
-                if np.array_equal(a.data, entry[0].data):
-                    return numerics.lu_apply(entry[1], f)
-                layout = entry[1].layout
-            entry = next((e for e in self._entries.values() if e[0] is a), None)
-            if entry is None:
-                entry = (a, numerics.lu_factorize(a, layout=layout))
-                if self._counts is not None:
-                    self._counts[i] += 1
-            self._entries[i] = entry
+        entry = next((e for e in self._entries.values() if e[0] is a), None)
+        if entry is None:
+            old = self._entries.get(i)
+            layout = old[1].layout if old is not None and _same_pattern(old[0], a) else None
+            entry = (a, numerics.lu_factorize(a, layout=layout))
+            if self._counts is not None:
+                self._counts[i] += 1
+        self._entries[i] = entry
         return numerics.lu_apply(entry[1], f)
 
 

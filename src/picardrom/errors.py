@@ -45,10 +45,6 @@ class ViscosityOutOfRange(PicardRomError):
     """Temperature too close to the singularity of the viscosity law."""
 
 
-class MissingDerivativeBounds(PicardRomError):
-    """Analytic contraction estimate needs coupling derivative bounds."""
-
-
 class ConfigError(PicardRomError):
     """Invalid problem or run configuration."""
 

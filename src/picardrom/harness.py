@@ -101,8 +101,8 @@ def load_config(path) -> ExperimentConfig:
 
 def build_problem(cfg: ExperimentConfig) -> CoupledProblem:
     if cfg.problem == "rd":
-        pair = problems.linear_rd_pair(problems.LinearRdParams(n=cfg.grid_n))
-        return problems.make_coupled_problem(pair, exact_constants=cfg.exact_constants)
+        return problems.make_coupled_problem(problems.ReactionDiffusionPair(n=cfg.grid_n),
+                                             exact_constants=cfg.exact_constants)
     if cfg.problem == "thermal":
         return problems.make_coupled_problem(problems.ThermalFlowSurrogate())
     return problems.make_coupled_problem(

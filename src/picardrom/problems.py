@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -22,7 +21,6 @@ from . import coupling, numerics
 from .driver import CoupledProblem, FixedConstants
 from .errors import (
     ConfigError,
-    MissingDerivativeBounds,
     NonPositiveDiffusion,
     ViscosityOutOfRange,
 )
@@ -214,48 +212,32 @@ def _upwind_stencil(grid: Grid2D, u: np.ndarray, inflow_value: float):
     return stencil, f.ravel()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReactionDiffusionPair:
-    """Two diffusion equations coupled through their reactive right-hand sides.
+    """Two diffusion equations on the unit square coupled by linear reactions.
 
-    The alternate scheme lags both arguments for the first equation and uses
-    the fresh first solution for the second:
-    f1 is evaluated at (y1^k, y2^k), f2 at (y1^{k+1}, y2^k).
+    ``-d1 lap y1 = s12*y2 + q1`` and ``-d2 lap y2 = s21*y1 + q2`` on an
+    ``n`` x ``n`` grid of interior nodes, with homogeneous Dirichlet walls.
+    The alternate scheme lags ``y2`` in the first equation and uses the fresh
+    ``y1`` in the second. The assemblers and the certified constants read
+    these same fields.
     """
 
-    grid: Grid2D
-    d1: np.ndarray
-    d2: np.ndarray
-    f1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    f2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # sup-norm bounds on |df_i / dy_j|: ((b11, b12), (b21, b22)), optional
-    df_bounds: tuple[tuple[float, float], tuple[float, float]] | None = None
+    n: int = 32
+    d1: float = 0.02
+    d2: float = 0.02
+    s12: float = 0.15   # df1/dy2
+    s21: float = 0.15   # df2/dy1
+    q1: float = 1.0
+    q2: float = 0.5
 
     def __post_init__(self):
-        self.d1 = np.broadcast_to(np.asarray(self.d1, dtype=float), (self.grid.n,))
-        self.d2 = np.broadcast_to(np.asarray(self.d2, dtype=float), (self.grid.n,))
-        if np.min(self.d1) <= 0.0 or np.min(self.d2) <= 0.0:
-            raise NonPositiveDiffusion("diffusion fields must be strictly positive")
+        if not (self.d1 > 0.0 and self.d2 > 0.0):
+            raise NonPositiveDiffusion("diffusion coefficients must be strictly positive")
 
-
-def _rd_operator(pair: ReactionDiffusionPair, which: int):
-    """Matrix and boundary vector of one equation; independent of the iterate."""
-    if which not in (1, 2):
-        raise ConfigError("which must be 1 or 2")
-    bc = {s: ("dirichlet", 0.0) for s in ("south", "north", "west", "east")}
-    return diffusion_operator(pair.grid, pair.d1 if which == 1 else pair.d2, bc)
-
-
-def assemble_rd_system(pair: ReactionDiffusionPair, which: int,
-                       y1: np.ndarray, y2: np.ndarray, operator=None):
-    """Matrix and right-hand side of one equation of the pair.
-
-    ``operator`` is an ``(A, F_bc)`` pair built earlier for the same equation;
-    the matrix does not depend on y1, y2, so repeated assemblies can share it.
-    """
-    a, f_bc = _rd_operator(pair, which) if operator is None else operator
-    source = pair.f1(y1, y2) if which == 1 else pair.f2(y1, y2)
-    return a, np.broadcast_to(np.asarray(source, dtype=float), (pair.grid.n,)) + f_bc
+    @property
+    def grid(self) -> Grid2D:
+        return Grid2D(self.n, self.n)
 
 
 def rectangle_poincare_constant(width: float, height: float) -> float:
@@ -265,40 +247,8 @@ def rectangle_poincare_constant(width: float, height: float) -> float:
 
 def kappa_analytic(pair: ReactionDiffusionPair) -> float:
     """Analytic contraction estimate for the pair's Picard iteration."""
-    if pair.df_bounds is None:
-        raise MissingDerivativeBounds("kappa_analytic needs df_bounds")
     c_p = rectangle_poincare_constant(pair.grid.width, pair.grid.height)
-    total = sum(pair.df_bounds[0]) + sum(pair.df_bounds[1])
-    d_min = min(float(np.min(pair.d1)), float(np.min(pair.d2)))
-    return c_p**2 * total / d_min
-
-
-@dataclass
-class LinearRdParams:
-    """Parameters of the default linearly-coupled reaction-diffusion demo."""
-
-    n: int = 32
-    diffusion: float = 0.02
-    s12: float = 0.15   # df1/dy2
-    s21: float = 0.15   # df2/dy1
-    q1: float = 1.0
-    q2: float = 0.5
-
-
-def linear_rd_pair(params: LinearRdParams | None = None) -> ReactionDiffusionPair:
-    """Default demo pair: f1 = s12*y2 + q1, f2 = s21*y1 + q2."""
-    p = params or LinearRdParams()
-    grid = Grid2D(nx=p.n, ny=p.n, width=1.0, height=1.0)
-    pair = ReactionDiffusionPair(
-        grid=grid,
-        d1=p.diffusion,
-        d2=p.diffusion,
-        f1=lambda y1, y2: p.s12 * y2 + p.q1,
-        f2=lambda y1, y2: p.s21 * y1 + p.q2,
-        df_bounds=((0.0, p.s12), (p.s21, 0.0)),
-    )
-    pair.params = p
-    return pair
+    return c_p**2 * (abs(pair.s12) + abs(pair.s21)) / min(pair.d1, pair.d2)
 
 
 @dataclass
@@ -397,7 +347,7 @@ def _split(x: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
 def make_coupled_problem(spec, exact_constants: bool = False) -> CoupledProblem:
     """Wire a demo specification into a CoupledProblem (Picard combiner).
 
-    ``exact_constants`` (linear reaction-diffusion pair only) attaches
+    ``exact_constants`` (the reaction-diffusion pair and the scalar toy) attaches
     certified upper bounds on the operator-norm constants, so the error
     bounds are rigorous.
     """
@@ -413,38 +363,39 @@ def make_coupled_problem(spec, exact_constants: bool = False) -> CoupledProblem:
 
 
 def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> CoupledProblem:
-    n = pair.grid.n
-    dims = (n, n)
+    grid = pair.grid
+    n = grid.n
+    walls = {side: ("dirichlet", 0.0) for side in ("south", "north", "west", "east")}
     operators = {}
-    fields = {1: pair.d1.tobytes(), 2: pair.d2.tobytes()}
 
-    def operator(which):
-        # Built on first use per distinct diffusion field and then handed out
-        # as the same object: the driver reuses its factorization for the rest
-        # of a run, and shares it between equations with bitwise-equal fields.
-        key = fields[which]
-        if key not in operators:
-            operators[key] = _rd_operator(pair, which)
-        return operators[key]
+    def operator(d):
+        # Built on first use per distinct diffusion coefficient and then handed
+        # out as the same object: the driver reuses its factorization for the
+        # rest of a run, and shares it between equations with equal
+        # coefficients.
+        if d not in operators:
+            operators[d] = diffusion_operator(grid, d, walls)
+        return operators[d]
 
     def assemble_1(x, ys):
-        y1k, y2k = _split(x, dims)
-        return assemble_rd_system(pair, 1, y1k, y2k, operator(1))
+        a, f_bc = operator(pair.d1)
+        return a, pair.s12 * x[n:] + pair.q1 + f_bc
 
     def assemble_2(x, ys):
-        _, y2k = _split(x, dims)
-        return assemble_rd_system(pair, 2, ys[0], y2k, operator(2))
+        a, f_bc = operator(pair.d2)
+        return a, pair.s21 * ys[0] + pair.q2 + f_bc
 
     def combiner(x, ys):
         return np.concatenate(ys)
 
     graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
     problem = CoupledProblem(
-        p=2, block_dims=dims, assemblers=(assemble_1, assemble_2),
+        p=2, block_dims=(n, n), assemblers=(assemble_1, assemble_2),
         combiner=combiner, graph=graph, x0=np.zeros(2 * n),
     )
     if exact_constants:
-        _attach_rd_exact_constants(pair, problem, operator(1)[0], operator(2)[0])
+        _attach_rd_exact_constants(pair, problem, operator(pair.d1)[0],
+                                   operator(pair.d2)[0])
     return problem
 
 
@@ -502,25 +453,19 @@ def spd_inverse_norm(a) -> float:
 
 def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProblem,
                                a1, a2) -> None:
-    """Certified K constants and inverse norms for the linear demo pair.
+    """Certified K constants and inverse norms of the pair's problem.
 
     Each ``||A_i^{-1}||`` is the certified upper bound of
     :func:`spd_inverse_norm` (an M-matrix certificate), computed once when
-    ``a2`` is ``a1``, and each K is the coupling slope times that bound.
-    Only valid when the pair's couplings are linear (f1 = s12*y2 + q1,
-    f2 = s21*y1 + q2, as built by :func:`linear_rd_pair`); the Lipschitz
-    bound is the contraction bound of this graph, an upper bound on the true
-    constant of G.
+    ``a2`` is ``a1``. The reactions are linear, so each K is the coupling's
+    absolute slope times that bound, and the Lipschitz bound is the
+    contraction bound of this graph, an upper bound on the true constant of G.
     """
-    params = getattr(pair, "params", None)
-    if params is None:
-        raise ConfigError("exact constants require the linear_rd_pair demo")
     m1 = spd_inverse_norm(a1)
     m2 = m1 if a2 is a1 else spd_inverse_norm(a2)
-    k10 = params.s12 * m1
-    k21 = params.s21 * m2
     graph = coupling.make_graph(
-        2, k_entries={(1, 0): k10, (2, 1): k21}, l_consts=[0.0, 1.0, 1.0])
+        2, k_entries={(1, 0): abs(pair.s12) * m1, (2, 1): abs(pair.s21) * m2},
+        l_consts=[0.0, 1.0, 1.0])
     problem.graph = graph
     problem.fixed_constants = FixedConstants(
         inv_norms=(m1, m2), lipschitz=coupling.contraction_bound(graph))
@@ -553,8 +498,10 @@ def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
 
 
 def _make_scalar_problem(toy: ScalarToy, exact: bool) -> CoupledProblem:
+    identity = np.array([[1.0]])   # one object, so a run factors it once
+
     def assemble_1(x, ys):
-        return np.array([[1.0]]), np.array([toy.rate * x[0] + toy.source])
+        return identity, np.array([toy.rate * x[0] + toy.source])
 
     def combiner(x, ys):
         return ys[0].copy()

@@ -31,7 +31,7 @@ def _verdict(num, ok, detail):
 def test_acceptance_01_lockstep_corollary():
     """Accepted iterates stay within eps of the exact sequence (rd demo)."""
     t0 = time.perf_counter()
-    pair = problems.linear_rd_pair(problems.LinearRdParams(n=32))
+    pair = problems.ReactionDiffusionPair(n=32)
     problem = problems.make_coupled_problem(pair, exact_constants=True)
     cfg = RunConfig(eps=1e-6, n_b=5, rom_set=frozenset({1}),
                     criterion="propagation")

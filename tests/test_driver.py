@@ -273,7 +273,7 @@ def test_relaxed_plain_run_is_the_averaged_picard_sequence():
     lambda k: 1.0 / (1.0 + 0.1 * k),
 ], ids=["krasnoselskij", "mann"])
 def test_relaxed_rom_run_keeps_the_lockstep_guarantee(relaxation):
-    pair = problems.linear_rd_pair(problems.LinearRdParams(n=8))
+    pair = problems.ReactionDiffusionPair(n=8)
     prob = problems.make_coupled_problem(pair, exact_constants=True)
     cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}), criterion="propagation",
                     relaxation=relaxation)
@@ -320,7 +320,7 @@ def factorizations(monkeypatch):
 
 
 def rd_problem(n=8):
-    pair = problems.linear_rd_pair(problems.LinearRdParams(n=n))
+    pair = problems.ReactionDiffusionPair(n=n)
     return problems.make_coupled_problem(pair), n * n
 
 
@@ -367,16 +367,15 @@ def test_factor_cache_refactors_a_changed_matrix(factorizations):
         assert numerics.norm2(a @ y - f) <= numerics.SOLVE_RTOL * numerics.norm2(f)
     # changed values, a dense matrix, then CSC again: each one is a miss
     assert factorizations[6] == 4
-    # same object, or a distinct but bitwise-equal CSC matrix: hits
+    # the same object is a hit, and another system shares its factors
     cache.solve(0, mats[3], f)
-    cache.solve(0, scipy.sparse.csc_array(base), f)
-    assert factorizations[6] == 4
-    # another system: the same object shares the entry's factors, while a
-    # distinct but bitwise-equal CSC matrix is factored afresh
     assert np.array_equal(cache.solve(1, mats[3], f), cache.solve(0, mats[3], f))
     assert factorizations[6] == 4
-    cache.solve(2, scipy.sparse.csc_array(base), f)
+    # a distinct but bitwise-equal CSC matrix is a miss, for any system
+    cache.solve(0, scipy.sparse.csc_array(base), f)
     assert factorizations[6] == 5
+    cache.solve(2, scipy.sparse.csc_array(base), f)
+    assert factorizations[6] == 6
 
 
 def test_factor_cache_counts_factorizations_per_system():
@@ -387,10 +386,10 @@ def test_factor_cache_counts_factorizations_per_system():
     cache = FactorCache(counts)
     cache.solve(0, a, f)
     cache.solve(1, a, f)            # shared with system 0
-    cache.solve(0, a.copy(), f)     # bitwise equal: a reuse
+    cache.solve(0, a.copy(), f)     # distinct object, equal values: factored
     cache.solve(2, a.copy(), f)     # distinct object: factored
     cache.solve(1, a * 2.0, f)      # new values: factored
-    assert counts == [1, 1, 1]
+    assert counts == [2, 1, 1]
 
 
 def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
@@ -655,7 +654,7 @@ def test_exact_step_uses_a_given_first_system():
 @pytest.mark.parametrize("rom_set", [frozenset({1}), frozenset({2}), frozenset({1, 2})],
                          ids=["rom1", "rom2", "both"])
 def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
-    pair = problems.linear_rd_pair(problems.LinearRdParams(n=16))
+    pair = problems.ReactionDiffusionPair(n=16)
     prob = problems.make_coupled_problem(pair, exact_constants=True)
     ledger = driver._ledger(prob)
     assert (ledger.k21_est, ledger.k12_est) == (prob.graph.k(2, 1), prob.graph.k(1, 0))

@@ -6,30 +6,26 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from picardrom import coupling, numerics, problems
-from picardrom.driver import RunConfig, accelerated_run, exact_step
+from picardrom.driver import RunConfig, accelerated_run, exact_step, lockstep_verify
 from picardrom.errors import (
     ConfigError,
-    MissingDerivativeBounds,
     NonPositiveDiffusion,
     SingularMatrix,
     ViscosityOutOfRange,
 )
 from picardrom.problems import (
     Grid2D,
-    LinearRdParams,
     ReactionDiffusionPair,
     ScalarToy,
     ThermalFlowSurrogate,
     assemble_flow,
     assemble_heat,
-    assemble_rd_system,
     diffusion_operator,
     kappa_analytic,
-    linear_rd_pair,
     make_coupled_problem,
     upwind_advection,
 )
@@ -407,30 +403,19 @@ def test_flow_symmetry_for_constant_theta():
 
 def test_kappa_analytic_unit_square():
     s_val, d = 0.1, 0.5
-    pair = linear_rd_pair(LinearRdParams(n=8, diffusion=d, s12=s_val, s21=s_val))
-    # kappa uses all four partial bounds; here two are zero and two are s
+    pair = ReactionDiffusionPair(n=8, d1=d, d2=d, s12=s_val, s21=s_val)
+    # kappa sums the absolute coupling slopes
     expected = (1.0 / (2.0 * math.pi ** 2)) * (2 * s_val) / d
     assert kappa_analytic(pair) == pytest.approx(expected, rel=1e-12)
 
 
-def test_kappa_analytic_requires_bounds():
-    pair = linear_rd_pair(LinearRdParams(n=8))
-    pair.df_bounds = None
-    with pytest.raises(MissingDerivativeBounds):
-        kappa_analytic(pair)
-
-
 def test_kappa_zero_for_uncoupled():
-    grid = Grid2D(8, 8)
-    pair = ReactionDiffusionPair(grid=grid, d1=1.0, d2=1.0,
-                                 f1=lambda y1, y2: np.zeros(grid.n),
-                                 f2=lambda y1, y2: np.zeros(grid.n),
-                                 df_bounds=((0.0, 0.0), (0.0, 0.0)))
+    pair = ReactionDiffusionPair(n=8, d1=1.0, d2=1.0, s12=0.0, s21=0.0)
     assert kappa_analytic(pair) == 0.0
 
 
 def test_kappa_below_golden_ratio_satisfies_condition4():
-    pair = linear_rd_pair(LinearRdParams(n=8, diffusion=0.02, s12=0.1, s21=0.1))
+    pair = ReactionDiffusionPair(n=8, s12=0.1, s21=0.1)
     kappa = kappa_analytic(pair)
     assert kappa < (math.sqrt(5.0) - 1.0) / 2.0
     g = coupling.make_graph(2, {(1, 0): kappa, (2, 1): kappa})
@@ -438,9 +423,14 @@ def test_kappa_below_golden_ratio_satisfies_condition4():
     assert rep.conditions[3].applicable and rep.conditions[3].satisfied
 
 
+def test_rd_pair_rejects_nonpositive_diffusion():
+    for d in (0.0, -0.02, math.nan):
+        with pytest.raises(NonPositiveDiffusion):
+            ReactionDiffusionPair(d2=d)
+
+
 def test_rd_zero_coupling_converges_after_first_solve():
-    grid_n = 8
-    pair = linear_rd_pair(LinearRdParams(n=grid_n, s12=0.0, s21=0.0))
+    pair = ReactionDiffusionPair(n=8, s12=0.0, s21=0.0)
     prob = make_coupled_problem(pair)
     cfg = RunConfig(eps=1e-12, rom_set=frozenset(), validation_loop=False)
     report = accelerated_run(prob, cfg)
@@ -449,39 +439,68 @@ def test_rd_zero_coupling_converges_after_first_solve():
 
 
 def test_rd_fixed_point_matches_newton_oracle():
-    params = LinearRdParams(n=8)
-    pair = linear_rd_pair(params)
+    pair = ReactionDiffusionPair(n=8, d2=0.03)
     prob = make_coupled_problem(pair)
     eps = 1e-10
     cfg = RunConfig(eps=eps, rom_set=frozenset(), validation_loop=False)
     x = accelerated_run(prob, cfg).x
     # monolithic oracle: solve the coupled linear system directly
     n = pair.grid.n
-    zero = np.zeros(n)
-    a1, f1 = assemble_rd_system(pair, 1, zero, zero)
-    a2, f2 = assemble_rd_system(pair, 2, zero, zero)
+    a1, f1 = diffusion_operator(pair.grid, pair.d1, DIRICHLET0)
+    a2, f2 = diffusion_operator(pair.grid, pair.d2, DIRICHLET0)
     big = np.zeros((2 * n, 2 * n))
     big[:n, :n] = a1.toarray()
-    big[:n, n:] = -params.s12 * np.eye(n)
+    big[:n, n:] = -pair.s12 * np.eye(n)
     big[n:, n:] = a2.toarray()
-    big[n:, :n] = -params.s21 * np.eye(n)
-    rhs = np.concatenate([np.full(n, params.q1) + (f1 - params.q1),
-                          np.full(n, params.q2) + (f2 - params.q2)])
+    big[n:, :n] = -pair.s21 * np.eye(n)
+    rhs = np.concatenate([pair.q1 + f1, pair.q2 + f2])
     exact = numerics.solve_dense(big, rhs)
     assert numerics.norm2(x - exact) <= 10 * eps
 
 
 def test_rd_exact_constants_are_valid_bounds():
     for n in (3, 8, 16):
-        pair = linear_rd_pair(LinearRdParams(n=n))
+        pair = ReactionDiffusionPair(n=n)
         prob = make_coupled_problem(pair, exact_constants=True)
         fc = prob.fixed_constants
-        zero = np.zeros(pair.grid.n)
-        for which, bound in zip((1, 2), fc.inv_norms):
-            a, _ = assemble_rd_system(pair, which, zero, zero)
+        for d, bound in zip((pair.d1, pair.d2), fc.inv_norms):
+            a, _ = diffusion_operator(pair.grid, d, DIRICHLET0)
             true_inv = 1.0 / np.linalg.svd(a.toarray(), compute_uv=False)[-1]
             assert true_inv <= bound <= true_inv * (1 + 1e-6)
         assert fc.lipschitz < 1.0
+
+
+def test_negative_couplings_certify_their_absolute_slopes():
+    positive = ReactionDiffusionPair(n=8)
+    m1 = make_coupled_problem(positive, exact_constants=True).fixed_constants.inv_norms[0]
+    for s12, s21 in ((-0.15, 0.15), (-0.15, -0.15)):
+        pair = dataclasses.replace(positive, s12=s12, s21=s21)
+        prob = make_coupled_problem(pair, exact_constants=True)
+        assert prob.graph.k(1, 0) == 0.15 * m1
+        assert prob.graph.k(2, 1) == 0.15 * m1
+        assert kappa_analytic(pair) == kappa_analytic(positive)
+        cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}))
+        assert accelerated_run(prob, cfg).converged
+        assert lockstep_verify(prob, cfg) <= cfg.eps
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(n=st.integers(3, 6), log_d=st.tuples(st.floats(-3.0, 0.0), st.floats(-3.0, 0.0)),
+       s=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_exact_constants_hold_on_random_contractive_pairs(n, log_d, s):
+    pair = ReactionDiffusionPair(n=n, d1=math.exp(log_d[0]), d2=math.exp(log_d[1]),
+                                 s12=s[0], s21=s[1])
+    prob = make_coupled_problem(pair, exact_constants=True)
+    assume(prob.fixed_constants.lipschitz < 1.0)
+    a1, _ = prob.assemblers[0](prob.x0, [])
+    true_inv = 1.0 / np.linalg.svd(a1.toarray(), compute_uv=False)[-1]
+    # the dense reference carries rounding of its own
+    assert prob.graph.k(1, 0) >= abs(pair.s12) * true_inv * (1 - 1e-12)
+    assert kappa_analytic(pair) >= 0.0
+    for rom_set in ({1}, {2}, {1, 2}):
+        cfg = RunConfig(eps=1e-8, rom_set=frozenset(rom_set), criterion="propagation")
+        assert accelerated_run(prob, cfg).converged
+        assert lockstep_verify(prob, cfg) <= cfg.eps
 
 
 def spied(monkeypatch, name):
@@ -498,8 +517,8 @@ def spied(monkeypatch, name):
 
 
 def test_rd_pair_with_equal_fields_builds_and_certifies_one_operator(monkeypatch):
-    pair = linear_rd_pair(LinearRdParams(n=8))
-    built = spied(monkeypatch, "_rd_operator")
+    pair = ReactionDiffusionPair(n=8)
+    built = spied(monkeypatch, "diffusion_operator")
     certified = spied(monkeypatch, "spd_inverse_norm")
     prob = make_coupled_problem(pair, exact_constants=True)
     assert len(built) == len(certified) == 1
@@ -509,32 +528,31 @@ def test_rd_pair_with_equal_fields_builds_and_certifies_one_operator(monkeypatch
     a2, _ = prob.assemblers[1](x, [np.zeros(pair.grid.n)])
     assert a2 is a1
     # the shared bound is the one system 2's own operator gets
-    expected = problems.spd_inverse_norm(problems._rd_operator(pair, 2)[0])
+    expected = problems.spd_inverse_norm(diffusion_operator(pair.grid, pair.d2, DIRICHLET0)[0])
     assert prob.fixed_constants.inv_norms == (expected, expected)
     report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
     assert report.converged and report.factorizations == [1, 0]
 
 
 def test_rd_pair_with_different_fields_builds_and_certifies_two(monkeypatch):
-    pair = linear_rd_pair(LinearRdParams(n=8))
-    pair2 = dataclasses.replace(pair, d2=0.03)
-    pair2.params = pair.params
-    built = spied(monkeypatch, "_rd_operator")
+    pair = dataclasses.replace(ReactionDiffusionPair(n=8), d2=0.03)
+    built = spied(monkeypatch, "diffusion_operator")
     certified = spied(monkeypatch, "spd_inverse_norm")
-    prob = make_coupled_problem(pair2, exact_constants=True)
-    assert [which for _, which in built] == [1, 2]
+    prob = make_coupled_problem(pair, exact_constants=True)
+    assert [d for _, d, _ in built] == [0.02, 0.03]
     assert len(certified) == 2
     monkeypatch.undo()
     m1, m2 = prob.fixed_constants.inv_norms
-    assert m1 == problems.spd_inverse_norm(problems._rd_operator(pair2, 1)[0])
-    assert m2 == problems.spd_inverse_norm(problems._rd_operator(pair2, 2)[0])
+    for d, m in ((pair.d1, m1), (pair.d2, m2)):
+        assert m == problems.spd_inverse_norm(diffusion_operator(pair.grid, d, DIRICHLET0)[0])
     assert m2 < m1      # the larger diffusion has the smaller inverse
     report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
     assert report.converged and report.factorizations == [1, 1]
 
 
 def test_inverse_norm_bound_is_tight_on_the_default_rd_operator():
-    a, _ = problems._rd_operator(linear_rd_pair(LinearRdParams(n=32)), 1)
+    prob = make_coupled_problem(ReactionDiffusionPair())
+    a, _ = prob.assemblers[0](prob.x0, [])
     true_inv = 1.0 / np.linalg.eigvalsh(a.toarray())[0]
     assert true_inv <= problems.spd_inverse_norm(a) <= true_inv * (1 + 1e-6)
 
