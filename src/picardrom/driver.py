@@ -173,7 +173,7 @@ class RunReport:
 
 
 def _hash_state(x: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()[:12]
+    return hashlib.sha1(np.ascontiguousarray(x).data).hexdigest()[:12]
 
 
 def _same_pattern(cached, a) -> bool:

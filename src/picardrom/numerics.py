@@ -13,6 +13,7 @@ the same :func:`lu_factorize` / :func:`lu_apply` pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ def as_vector(data) -> np.ndarray:
     v = np.asarray(data, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"expected nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -52,7 +53,7 @@ def as_matrix(data):
         a = values = np.asarray(data, dtype=float)
     if a.ndim != 2 or 0 in a.shape:
         raise DimensionMismatch(f"expected nonempty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -152,7 +153,7 @@ def lu_factorize(a, layout: BandLayout | None = None):
             raise ValueError(f"dgetrf rejected argument {-info}")
         factors = (lu, piv)
         pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or np.any(pivots < PIVOT_RTOL * scale):
+    if scale == 0.0 or (pivots < PIVOT_RTOL * scale).any():
         raise SingularMatrix("numerically singular matrix (tiny pivot)")
     return factors
 
@@ -193,11 +194,22 @@ def svd(a) -> SvdResult:
     return SvdResult(left=u, singular_values=s, right=vh)
 
 
+def _root_sum_squares(a) -> float:
+    """``sqrt(x . x)`` over the float entries of ``a`` raveled in memory
+    order: what ``np.linalg.norm`` computes for real input, bit for bit,
+    without its dispatch."""
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def norm2(v) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    """Euclidean norm of the entries (the Frobenius norm, for a matrix)."""
+    return _root_sum_squares(v)
 
 
 def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float), "fro"))
+    """Frobenius norm of a 2-D array."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
+    return _root_sum_squares(a)

@@ -10,6 +10,7 @@ advection-diffusion equation.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -78,21 +79,30 @@ class Grid2D:
         return (j - 1) * self.nx + (i - 1)
 
 
+def _node_field(grid: Grid2D, values) -> np.ndarray:
+    """``values``, a scalar or one value per node, as a ``(ny, nx)`` float array."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (grid.n,):
+        v = np.broadcast_to(v, (grid.n,))
+    return v.reshape(grid.ny, grid.nx)
+
+
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
 @functools.lru_cache(maxsize=8)
-def _stencil_pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only CSC ``indptr`` and ``indices`` of the full 5-point pattern of
-    an ``nx`` by ``ny`` grid, and the source of each stored entry: its index
-    in the coefficients ``north, east, diag, west, south``, each raveled, in
-    that order.
+def _stencil_pattern(nx: int, ny: int):
+    """CSC template of the full 5-point pattern of an ``nx`` by ``ny`` grid,
+    and the source of each stored entry: its index in the coefficients
+    ``north, east, diag, west, south``, each raveled, in that order.
 
     Column ``c`` holds, in increasing row order, the entries of the rows of
     its south, west, own, east and north nodes that lie in the grid:
     ``north[c - nx]``, ``east[c - 1]``, ``diag[c]``, ``west[c + 1]`` and
-    ``south[c + nx]``.
+    ``south[c + nx]``. The template's ``indptr`` and ``indices`` are
+    read-only and its ``data`` is all ones; its format is checked in full
+    once, here.
     """
     n = nx * ny
     node = np.arange(n)
@@ -104,9 +114,12 @@ def _stencil_pattern(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     np.cumsum(inside.sum(axis=1), out=indptr[1:])
     indices = rows[inside].astype(np.int32)
     source = (np.arange(5) * n + rows)[inside]
-    for arr in (indptr, indices, source):
+    template = scipy.sparse.csc_array((np.ones(indices.size), indices, indptr),
+                                      shape=(n, n))
+    template.check_format(full_check=True)
+    for arr in (template.indptr, template.indices, source):
         arr.setflags(write=False)
-    return indptr, indices, source
+    return template, source
 
 
 def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
@@ -116,21 +129,25 @@ def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
     neighbour of node (j, i), and so on. Coefficients of neighbours outside
     the grid are not read, and zero coefficients are not stored.
 
-    The full pattern of the grid is built once per grid shape (see
-    :func:`_stencil_pattern`). The values are gathered along it in one step,
-    and a mask on them drops the exact zeros. The returned matrix owns its
-    arrays.
+    The values are gathered along the grid's full pattern (see
+    :func:`_stencil_pattern`) in one step, and a mask on them drops the exact
+    zeros. The result is a shallow copy of the grid's checked template with
+    the new ``data`` and its own ``indptr`` and ``indices``: the full pattern
+    or a subset of it, so scipy's constructor need not check it again. The
+    returned matrix owns its arrays.
     """
-    indptr, indices, source = _stencil_pattern(grid.nx, grid.ny)
+    template, source = _stencil_pattern(grid.nx, grid.ny)
     data = np.concatenate((north, east, diag, west, south), axis=None)[source]
     keep = data != 0.0
     if keep.all():
-        indptr, indices = indptr.copy(), indices.copy()
+        indptr, indices = template.indptr.copy(), template.indices.copy()
     else:
-        kept = np.zeros(data.size + 1, dtype=np.int32)
+        kept = np.zeros(data.size + 1, dtype=template.indptr.dtype)
         np.cumsum(keep, out=kept[1:])
-        indptr, indices, data = kept[indptr], indices[keep], data[keep]
-    return scipy.sparse.csc_array((data, indices, indptr), shape=(grid.n, grid.n))
+        indptr, indices, data = kept[template.indptr], template.indices[keep], data[keep]
+    matrix = copy.copy(template)
+    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    return matrix
 
 
 def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
@@ -148,36 +165,47 @@ def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
 
 def _diffusion_stencil(grid: Grid2D, d: np.ndarray, bc: dict):
     """Stencil coefficients (keyword arguments of :func:`_stencil_matrix`)
-    and F_bc of :func:`diffusion_operator`."""
-    d = np.broadcast_to(np.asarray(d, dtype=float), (grid.n,))
-    if np.min(d) <= 0.0:
+    and F_bc of :func:`diffusion_operator`.
+
+    The face weights are written once, padded with the boundary faces:
+    ``fx[:, i]`` is the face west of column ``i`` and ``fy[j, :]`` the face
+    south of row ``j``. A boundary face weighs ``d / h**2`` on a Dirichlet
+    side and 0 on a Neumann side, so each node's diagonal sums its west,
+    east, south and north faces in that order, and each off-diagonal is a
+    view of the negated faces; the boundary entries of the off-diagonals lie
+    outside the grid and are not read.
+    """
+    d = _node_field(grid, d)
+    if d.min() <= 0.0:
         raise NonPositiveDiffusion("diffusion field must be strictly positive")
     ny, nx = grid.ny, grid.nx
-    d = d.reshape(ny, nx)
-    # face weights between neighbouring nodes along x and along y
-    wx = _harmonic(d[:, :-1], d[:, 1:]) / grid.hx**2
-    wy = _harmonic(d[:-1, :], d[1:, :]) / grid.hy**2
-    diag = np.zeros((ny, nx))
+    fx = np.empty((ny, nx + 1))
+    fy = np.empty((ny + 1, nx))
+    np.divide(_harmonic(d[:, :-1], d[:, 1:]), grid.hx**2, out=fx[:, 1:-1])
+    np.divide(_harmonic(d[:-1, :], d[1:, :]), grid.hy**2, out=fy[1:-1, :])
     f = np.zeros((ny, nx))
-    stencil = {"diag": diag}
-    # interior part, boundary node slice and spacing of each side; the sides
-    # are summed in west, east, south, north order at every node
-    sides = (("west", np.s_[:, 1:], wx, np.s_[:, 0], grid.hx),
-             ("east", np.s_[:, :-1], wx, np.s_[:, -1], grid.hx),
-             ("south", np.s_[1:, :], wy, np.s_[0, :], grid.hy),
-             ("north", np.s_[:-1, :], wy, np.s_[-1, :], grid.hy))
-    for side, inner, w, edge, h in sides:
-        diag[inner] += w
-        stencil[side] = np.zeros((ny, nx))
-        stencil[side][inner] = -w
+    # boundary face, boundary node slice and spacing of each side, in the
+    # order their contributions are summed at every node
+    sides = (("west", fx[:, 0], np.s_[:, 0], grid.hx),
+             ("east", fx[:, -1], np.s_[:, -1], grid.hx),
+             ("south", fy[0, :], np.s_[0, :], grid.hy),
+             ("north", fy[-1, :], np.s_[-1, :], grid.hy))
+    for side, face, edge, h in sides:
         kind, val = bc[side]
-        vals = np.broadcast_to(np.asarray(val, dtype=float), d[edge].shape)
-        if kind == "dirichlet":
-            w_edge = d[edge] / h**2
-            diag[edge] += w_edge
-            f[edge] += w_edge * vals
+        val = np.asarray(val, dtype=float)
+        if val.shape not in ((), face.shape):
+            val = np.broadcast_to(val, face.shape)
+        dirichlet = kind == "dirichlet"
+        if dirichlet:
+            np.divide(d[edge], h**2, out=face)
         else:  # neumann: conormal flux d*du/dn prescribed
-            f[edge] += vals / h
+            face[:] = 0.0
+        if val.any():  # boundary data that is exactly zero adds nothing
+            f[edge] += face * val if dirichlet else val / h
+    diag = fx[:, :-1] + fx[:, 1:] + fy[:-1, :] + fy[1:, :]
+    fx, fy = -fx, -fy
+    stencil = {"diag": diag, "west": fx[:, :-1], "east": fx[:, 1:],
+               "south": fy[:-1, :], "north": fy[1:, :]}
     return stencil, f.ravel()
 
 
@@ -193,22 +221,29 @@ def upwind_advection(grid: Grid2D, u: np.ndarray, inflow_value: float = 0.0):
     return _stencil_matrix(grid, **stencil), f
 
 
+def _upwind_split(grid: Grid2D, u: np.ndarray):
+    """``max(u/hy, 0)`` and ``min(u/hy, 0)`` as ``(ny, nx)`` arrays, the
+    latter zero on the outlet row, where the zero-gradient ghost cancels the
+    term. Upward flow adds the first to the diagonal and subtracts it from
+    the south coefficient; downward flow subtracts the second from the
+    diagonal and adds it to the north coefficient."""
+    c = _node_field(grid, u) / grid.hy
+    down = np.minimum(c, 0.0)
+    down[-1, :] = 0.0
+    return np.maximum(c, 0.0), down
+
+
 def _upwind_stencil(grid: Grid2D, u: np.ndarray, inflow_value: float):
     """Stencil coefficients (keyword arguments of :func:`_stencil_matrix`)
     and F_adv of :func:`upwind_advection`."""
-    u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n,)).reshape(grid.ny, grid.nx)
-    c = u / grid.hy
-    up = u > 0.0
-    down = u < 0.0
-    down[-1, :] = False  # at the outlet the zero-gradient ghost cancels the term
-    diag = np.where(up, c, np.where(down, -c, 0.0))
-    south = np.where(up, -c, 0.0)
+    up, down = _upwind_split(grid, u)
+    south = -up
     south[0, :] = 0.0    # the inlet value enters F_adv instead
-    north = np.where(down, c, 0.0)
-    f = np.zeros_like(c)
-    f[0, :] = np.where(up[0, :], c[0, :] * inflow_value, 0.0)
-    zero = np.zeros_like(c)
-    stencil = {"diag": diag, "west": zero, "east": zero, "south": south, "north": north}
+    f = np.zeros_like(up)
+    f[0, :] += up[0, :] * inflow_value
+    zero = np.zeros_like(up)
+    stencil = {"diag": up - down, "west": zero, "east": zero, "south": south,
+               "north": down}
     return stencil, f.ravel()
 
 
@@ -273,7 +308,7 @@ class ThermalFlowSurrogate:
 
     def viscosity(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if np.any(theta <= self.visc_c + self.theta_margin):
+        if (theta <= self.visc_c + self.theta_margin).any():
             raise ViscosityOutOfRange(
                 f"temperature reached the viscosity singularity near {self.visc_c}"
             )
@@ -315,16 +350,22 @@ def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray, diffusion=None
 
     ``diffusion`` is the result of :func:`_heat_diffusion` for the same
     surrogate; it does not depend on u, so repeated assemblies can share it.
-    The diffusion and upwind stencils are summed coefficient by coefficient
-    and the matrix is built once.
+    The upwind terms (see :func:`_upwind_split`) are added to the diffusion
+    stencil's diagonal, south and north coefficients; its west and east
+    coefficients are used as they are, and the matrix is built once.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("velocity field must be finite")
     diff, f_bc = _heat_diffusion(surrogate) if diffusion is None else diffusion
-    adv, f_adv = _upwind_stencil(surrogate.grid, u, surrogate.theta_in)
-    stencil = {name: diff[name] + adv[name] for name in diff}
-    return _stencil_matrix(surrogate.grid, **stencil), f_bc + f_adv
+    grid = surrogate.grid
+    up, down = _upwind_split(grid, u)
+    stencil = dict(diff, diag=diff["diag"] + up - down, south=diff["south"] - up, north=diff["north"] + down)
+    f = f_bc.copy()
+    if surrogate.theta_in != 0.0:
+        # upward flow carries the inlet value in through the south boundary
+        f[:grid.nx] += up[0, :] * surrogate.theta_in
+    return _stencil_matrix(grid, **stencil), f
 
 
 @dataclass

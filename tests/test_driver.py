@@ -1,6 +1,7 @@
 """Tests for the fixed-point engine and the accelerated state machine."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -294,6 +295,15 @@ def test_report_carries_the_final_iterate(rom_set, k_max):
     assert driver._hash_state(report.x) == report.trace[-1].x_hash
     assert "x" not in report.to_dict()
     assert "x" not in dataclasses.asdict(report)
+
+
+def test_state_hash_is_the_digest_of_the_contiguous_bytes():
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((12, 9))
+    for x in (rng.standard_normal(50), block, block.T, block[::2, 1::3], block[:, 4],
+              np.zeros(0)):
+        old = hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()[:12]
+        assert driver._hash_state(x) == old
 
 
 def test_report_dict_keys_are_the_fields_in_order():

@@ -105,6 +105,19 @@ def test_norms():
     assert numerics.frobenius(np.eye(4)) == 2.0
 
 
+def test_norms_equal_numpys_bit_for_bit():
+    rng = np.random.default_rng(17)
+    block = rng.standard_normal((40, 30)) * 10.0 ** rng.uniform(-5, 5, (40, 30))
+    for v in (rng.standard_normal(101), block[:, 3], block[::3, 1], block.ravel()[::7],
+              rng.integers(-9, 9, 13)):
+        assert numerics.norm2(v) == np.linalg.norm(v)
+    for a in (block, block.T, block[::2, 1::3], np.asfortranarray(block), block[:5, :0]):
+        assert numerics.frobenius(a) == np.linalg.norm(a, "fro")
+        assert numerics.norm2(a) == np.linalg.norm(a)
+    with pytest.raises(ValueError):
+        numerics.frobenius(block[0])
+
+
 def random_dominant(rng, n, density=0.2):
     """Sparse CSC matrix with random off-diagonals and a dominant diagonal."""
     off = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)

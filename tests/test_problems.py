@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,19 @@ def assert_same_csc(a, ref):
     assert np.array_equal(a.data, ref.data)
 
 
+def assert_bitwise(x, y):
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads included."""
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+def assert_same_sparse(a, ref):
+    """Bitwise-equal compressed arrays of one format."""
+    assert a.format == ref.format and a.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert_bitwise(getattr(a, name), getattr(ref, name))
+
+
 def boundary_mixes(grid, rng):
     """All-Dirichlet, all-Neumann and two mixed sets of side conditions."""
     sides = ("south", "north", "west", "east")
@@ -267,6 +281,32 @@ def test_stencil_matrices_do_not_share_their_arrays():
                         reference_stencil_matrix(grid, **coefs))
 
 
+@pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
+def test_stencil_matrices_behave_like_constructed_ones(nx, ny):
+    """Every matrix built on the grid's template, full or zero-masked, passes
+    scipy's full format check and computes what a matrix built by the
+    ``csc_array`` constructor from the same arrays computes."""
+    grid = Grid2D(nx, ny)
+    rng = np.random.default_rng(nx * 13 + ny)
+    cases = stencil_cases(grid, rng) + [
+        problems._diffusion_stencil(grid, rng.uniform(0.1, 2.0, grid.n), bc)[0]
+        for bc in boundary_mixes(grid, rng)]
+    v = rng.standard_normal(grid.n)
+    m = rng.standard_normal((grid.n, 3))
+    for coefs in cases:
+        a = problems._stencil_matrix(grid, **coefs)
+        a.check_format(full_check=True)
+        ref = scipy.sparse.csc_array((a.data.copy(), a.indices.copy(), a.indptr.copy()),
+                                     shape=a.shape)
+        assert_bitwise(a.toarray(), ref.toarray())
+        assert_bitwise(a @ v, ref @ v)
+        assert_bitwise(a @ m, ref @ m)
+        assert_same_sparse(a.tocsr(), ref.tocsr())
+        assert_same_sparse(abs(a), abs(ref))
+        assert_same_sparse(a + a, ref + ref)
+        assert_same_sparse(a @ a, ref @ ref)
+
+
 def test_stencil_pattern_cache_is_bounded():
     cached = problems._stencil_pattern
     for nx in range(3, 9):
@@ -278,6 +318,72 @@ def test_stencil_pattern_cache_is_bounded():
             assert np.array_equal(a.toarray(), np.eye(grid.n))
     info = cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize < 36
+
+
+def boundary_data_cases(grid, rng):
+    """Side conditions whose values are a scalar zero, an array of zeros or a
+    nonzero array, on all four sides and mixed side by side."""
+    sides = ("south", "north", "west", "east")
+    along = {"south": grid.nx, "north": grid.nx, "west": grid.ny, "east": grid.ny}
+    makers = (lambda count: 0.0, np.zeros, lambda count: rng.uniform(-1.0, 1.0, count))
+    cases = [{s: (kind, make(along[s])) for s in sides}
+             for kind in ("dirichlet", "neumann") for make in makers]
+    for _ in range(6):
+        cases.append({s: (("dirichlet", "neumann")[rng.integers(2)],
+                          makers[rng.integers(3)](along[s])) for s in sides})
+    return cases
+
+
+@pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
+def test_boundary_data_matches_node_loop_bitwise(nx, ny):
+    grid = Grid2D(nx, ny, width=2.0, height=6.0)
+    rng = np.random.default_rng(nx * 31 + ny)
+    for d in (0.04, rng.uniform(0.01, 3.0, grid.n)):
+        for bc in boundary_data_cases(grid, rng):
+            a, f = diffusion_operator(grid, d, bc)
+            a_ref, f_ref = reference_diffusion_operator(grid, d, bc)
+            assert_same_sparse(a, scipy.sparse.coo_array(a_ref).tocsc())
+            assert_bitwise(f, f_ref)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+def test_boundary_data_of_the_wrong_length_is_refused(kind):
+    grid = Grid2D(5, 7)
+    for values in (np.zeros(grid.nx + 1), np.ones(grid.nx - 1)):
+        bc = dict(DIRICHLET0, south=(kind, values))
+        with pytest.raises(ValueError):
+            diffusion_operator(grid, 1.0, bc)
+
+
+@pytest.mark.parametrize("theta_in", [0.0, 0.3])
+def test_thermal_assemblies_match_node_loop_bitwise(theta_in):
+    """The flow set (inlet profile south, Neumann 0 north, Dirichlet 0 walls)
+    and the heat set, with and without an inflow temperature."""
+    surrogate = ThermalFlowSurrogate(theta_in=theta_in)
+    grid = surrogate.grid
+    rng = np.random.default_rng(int(theta_in * 10) + 3)
+    flow_bc = {"south": ("dirichlet", surrogate.inlet_profile()), "north": ("neumann", 0.0),
+               "west": ("dirichlet", 0.0), "east": ("dirichlet", 0.0)}
+    heat_bc = {"south": ("dirichlet", surrogate.theta_in), "north": ("neumann", 0.0),
+               "west": ("neumann", surrogate.theta_wall),
+               "east": ("neumann", surrogate.theta_wall)}
+    k_ref, k_f_ref = reference_diffusion_operator(grid, surrogate.k_t, heat_bc)
+    stencil, f_bc = problems._heat_diffusion(surrogate)
+    assert_same_sparse(problems._stencil_matrix(grid, **stencil),
+                       scipy.sparse.coo_array(k_ref).tocsc())
+    assert_bitwise(f_bc, k_f_ref)
+    for _ in range(5):
+        theta = rng.uniform(-0.5, 1.0, grid.n)
+        a, f = assemble_flow(surrogate, theta)
+        a_ref, f_ref = reference_diffusion_operator(grid, surrogate.viscosity(theta), flow_bc)
+        assert_same_sparse(a, scipy.sparse.coo_array(a_ref).tocsc())
+        assert_bitwise(f, surrogate.beta * problems.GRAVITY * theta + f_ref)
+        u = rng.uniform(-2.0, 2.0, grid.n)
+        u[rng.random(grid.n) < 0.2] = 0.0
+        a, f = assemble_heat(surrogate, u, (stencil, f_bc))
+        up_ref, up_f_ref = reference_upwind_advection(grid, u, theta_in)
+        assert_same_sparse(a, scipy.sparse.coo_array(k_ref + up_ref).tocsc())
+        assert_bitwise(f, k_f_ref + up_f_ref)
 
 
 def test_homogeneous_problem_is_zero():
@@ -381,6 +487,37 @@ def test_viscosity_law():
     assert np.all(np.diff(nus) < 0)  # monotone decreasing
     with pytest.raises(ViscosityOutOfRange):
         s.viscosity(np.array([-8.6]))
+
+
+def test_run_into_the_viscosity_singularity_stops_cleanly():
+    """Cooled walls drive the temperature below the singularity of a
+    viscosity law whose pole sits just below zero: the run raises from the
+    next flow assembly, after finite iterates and without a numpy warning."""
+    surrogate = ThermalFlowSurrogate(theta_wall=-0.12, visc_c=-0.55)
+    problem = make_coupled_problem(surrogate)
+    finite = []
+
+    def observer(ev):
+        finite.append(bool(np.isfinite(ev["x_next"]).all()))
+
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(ViscosityOutOfRange):
+            accelerated_run(problem, RunConfig(eps=1e-8, rom_set=frozenset({1})),
+                            observer=observer)
+    assert finite and all(finite)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_velocity_reaching_the_heat_assembly_raises(bad):
+    problem = make_coupled_problem(ThermalFlowSurrogate())
+    n = problem.block_dims[0]
+    u = np.ones(n)
+    u[n // 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        problem.assemblers[1](problem.x0, [u])
+    with pytest.raises(ValueError, match="finite"):
+        assemble_heat(ThermalFlowSurrogate(), u)
 
 
 def test_flow_unforced_zero():
