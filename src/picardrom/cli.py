@@ -99,20 +99,13 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
     harness.emit_report(report, out / "reference_report.json")
     harness.emit_trace(report, out / "reference_trace.csv")
     if cfg.problem != "scalar":
-        grid = _problem_grid(cfg)
+        grid = harness.problem_spec(cfg).grid
         n = grid.n
         harness.dump_field(report.x[:n], grid, out / "reference_field1.txt")
         harness.dump_field(report.x[n:], grid, out / "reference_field2.txt")
     print(f"reference converged in {report.iterations} iterations "
           f"(reports in {out})")
     return EXIT_OK
-
-
-def _problem_grid(cfg: harness.ExperimentConfig):
-    from . import problems
-    if cfg.problem == "rd":
-        return problems.ReactionDiffusionPair(n=cfg.grid_n).grid
-    return problems.ThermalFlowSurrogate().grid
 
 
 def _cmd_run(cfg: harness.ExperimentConfig) -> int:

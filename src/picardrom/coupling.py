@@ -98,21 +98,6 @@ def enumerate_paths(graph: DependenceGraph, i: int, j: int) -> list[tuple[int, .
     return descend(j)
 
 
-def path_count(i: int, j: int) -> int:
-    """Cardinality of the decreasing-path set: 1 if j == i, else 2**(j-i-1)."""
-    if j < i or i < 0:
-        raise InvalidRange(f"need 0 <= i <= j, got i={i}, j={j}")
-    return 1 if j == i else 2 ** (j - i - 1)
-
-
-def path_weight(graph: DependenceGraph, path: tuple[int, ...]) -> float:
-    """Product of K along consecutive path pairs; empty product is 1."""
-    w = 1.0
-    for a, b in zip(path, path[1:]):
-        w *= graph.k(a, b)
-    return w
-
-
 def _path_sum(graph: DependenceGraph, i: int, j: int) -> float:
     """Sum of path weights over d_{i,j} without materializing the paths."""
     if j == i:
@@ -154,20 +139,6 @@ def delta_single(graph: DependenceGraph, i: int, inv_norm: float,
     return amplification_factor(graph, i) * inv_norm * residual_norm
 
 
-def delta_multi(graph: DependenceGraph, rom_set,
-                per_system: dict[int, tuple[float, float]]) -> float:
-    """Sum of single-system bounds over the ROM-treated set.
-
-    Residuals must have been evaluated at the mixed parameters (ROM solutions
-    substituted downstream where computed).
-    """
-    total = 0.0
-    for i in sorted(rom_set):
-        inv_norm, residual = per_system[i]
-        total += delta_single(graph, i, inv_norm, residual)
-    return total
-
-
 @dataclass(frozen=True)
 class ConditionStatus:
     applicable: bool
@@ -182,9 +153,6 @@ class SufficientConditionsReport:
     weak_picard_solver: bool
     linearly_structured: bool
     conditions: tuple[ConditionStatus, ...]  # conditions 1..5
-
-    def any_satisfied(self) -> bool:
-        return any(c.applicable and c.satisfied for c in self.conditions)
 
 
 def _is_linearly_structured(graph: DependenceGraph, tol: float = 0.0) -> bool:

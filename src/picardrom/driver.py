@@ -25,7 +25,7 @@ import scipy.sparse
 
 from . import coupling, numerics, pod
 from .coupling import ConstantsLedger, DependenceGraph
-from .errors import ConfigError, MissingConstants, SingularReducedSystem
+from .errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
 
 log = logging.getLogger(__name__)
 
@@ -272,6 +272,27 @@ def _relax(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
     return gx if lam == 1.0 else (1.0 - lam) * x + lam * gx
 
 
+def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, inv_norms: dict[int, float],
+                   graph: DependenceGraph, report: RunReport | None,
+                   residuals: dict[int, float]) -> tuple[np.ndarray, float]:
+    """Reduced solve of system ``i`` and its term of the step's error bound.
+
+    Returns the reduced solution and ``coupling.delta_single`` of its residual,
+    records that residual in ``residuals[i]`` and counts the solve in
+    ``report``. ``(A_i, F_i)`` must be assembled at the mixed parameters: the
+    reduced solutions of earlier systems substituted downstream where they were
+    computed. A step's bound is the sum of these terms over its reduced
+    systems in topological order, times the step weight. Raises
+    SingularReducedSystem, counting nothing, when the projected system is
+    singular.
+    """
+    sol = pod.rom_solve(basis, a, f)
+    if report is not None:
+        report.rom_solves += 1
+    residuals[i] = sol.residual_norm
+    return sol.full_field, coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
+
+
 def inexact_step(problem: CoupledProblem, x: np.ndarray,
                  bases: dict[int, pod.ReducedBasis], rom_set: frozenset[int],
                  inv_norms: dict[int, float], graph: DependenceGraph,
@@ -308,29 +329,16 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
         if systems is not None:
             systems.append((a, f))
         if i in rom_set:
-            sol = pod.rom_solve(bases[i], a, f)
-            if report is not None:
-                report.rom_solves += 1
-            residuals[i] = sol.residual_norm
-            total += coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
+            y, term = _reduced_solve(i, bases[i], a, f, inv_norms, graph, report, residuals)
+            total += term
             if accept is not None and not accept(lam * total, residuals):
                 return None, lam * total, residuals
-            ys.append(sol.full_field)
+            ys.append(y)
         else:
             ys.append(factors.solve(i - 1, a, f))
             if report is not None:
                 report.fom_solves[i - 1] += 1
     return _relax(x, problem.combiner(x, ys), lam), lam * total, residuals
-
-
-def propagation_bound(l_est: float, deltas: Sequence[float]) -> float:
-    """Accumulated bound ``sum_i L**i * delta[k - i]`` from a common point."""
-    if l_est < 0.0:
-        raise ValueError("l_est must be nonnegative")
-    total = 0.0
-    for i, d in enumerate(reversed(list(deltas))):
-        total += (l_est**i) * d
-    return total
 
 
 def evaluate_criterion(kind: str, *, delta_k: float, err: float, l_est: float,
@@ -379,7 +387,7 @@ class _RomState:
             window = self.windows[i]
             try:
                 basis = pod.build_basis_svd(window, self.config.eps_rb)
-            except pod.SvdFailure:
+            except SvdFailure:
                 basis = pod.build_basis_gs(window)
             self.bases[i] = basis
             self.dirty[i] = False
@@ -421,12 +429,11 @@ def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
     for i in sorted(state.windows):
         a, f = systems[i - 1]
         try:
-            sol = pod.rom_solve(state.basis_for(i), a, f)
+            _, term = _reduced_solve(i, state.basis_for(i), a, f, inv_norms, graph,
+                                     report, residuals)
         except SingularReducedSystem:
             return math.inf, {}
-        report.rom_solves += 1
-        residuals[i] = sol.residual_norm
-        total += coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
+        total += term
     return lam * total, residuals
 
 

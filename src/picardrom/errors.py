@@ -9,10 +9,6 @@ class SingularMatrix(PicardRomError):
     """Direct solver detected numerical singularity while pivoting."""
 
 
-class ConvergenceFailure(PicardRomError):
-    """Iterative SVD kernel failed to converge."""
-
-
 class DimensionMismatch(PicardRomError):
     """Operand shapes are inconsistent."""
 
@@ -22,7 +18,7 @@ class TooFewSnapshots(PicardRomError):
 
 
 class SvdFailure(PicardRomError):
-    """SVD-based basis construction failed; Gram-Schmidt may be used instead."""
+    """The SVD kernel failed; basis construction may fall back to Gram-Schmidt."""
 
 
 class SingularReducedSystem(PicardRomError):

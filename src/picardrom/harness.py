@@ -99,14 +99,21 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def build_problem(cfg: ExperimentConfig) -> CoupledProblem:
+def problem_spec(cfg: ExperimentConfig):
+    """The demo specification ``cfg.problem`` names, sized by ``cfg.grid_n`` for rd."""
     if cfg.problem == "rd":
-        return problems.make_coupled_problem(problems.ReactionDiffusionPair(n=cfg.grid_n),
-                                             exact_constants=cfg.exact_constants)
+        return problems.ReactionDiffusionPair(n=cfg.grid_n)
     if cfg.problem == "thermal":
-        return problems.make_coupled_problem(problems.ThermalFlowSurrogate())
-    return problems.make_coupled_problem(
-        problems.ScalarToy(), exact_constants=cfg.exact_constants)
+        return problems.ThermalFlowSurrogate()
+    return problems.ScalarToy()
+
+
+def build_problem(cfg: ExperimentConfig) -> CoupledProblem:
+    """The coupled problem of :func:`problem_spec`; ``cfg.exact_constants``
+    applies to the linear demos and is ignored for thermal."""
+    spec = problem_spec(cfg)
+    exact = cfg.exact_constants and not isinstance(spec, problems.ThermalFlowSurrogate)
+    return problems.make_coupled_problem(spec, exact_constants=exact)
 
 
 def _rom_set(cfg: ExperimentConfig, p: int) -> frozenset[int]:

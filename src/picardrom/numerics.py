@@ -20,14 +20,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, SvdFailure
 
 # Library tolerances (read-only).
-SOLVE_RTOL = 1e-10      # backward residual target for well-conditioned solves
-SVD_RTOL = 1e-10        # reconstruction target for the SVD kernel
 PIVOT_RTOL = 1e-14      # pivot magnitude below this (relative) is singular
 RANK_RTOL = 1e-13       # singular values below this (relative) count as zero
-ORTHO_TOL = 1e-10       # orthonormality tolerance for computed factors
 
 
 def as_vector(data) -> np.ndarray:
@@ -185,12 +182,12 @@ def solve_dense(a, b) -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin SVD; raises ConvergenceFailure if the LAPACK kernel fails."""
+    """Thin SVD; raises SvdFailure if the LAPACK kernel fails."""
     a = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+        raise SvdFailure(f"SVD did not converge: {exc}") from exc
     return SvdResult(left=u, singular_values=s, right=vh)
 
 

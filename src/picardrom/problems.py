@@ -209,42 +209,17 @@ def _diffusion_stencil(grid: Grid2D, d: np.ndarray, bc: dict):
     return stencil, f.ravel()
 
 
-def upwind_advection(grid: Grid2D, u: np.ndarray, inflow_value: float = 0.0):
-    """First-order upwind discretization of ``u * dtheta/dy``.
-
-    Vertical velocity only. Returns (A_adv, F_adv), A_adv as a sparse CSC
-    matrix; the Dirichlet inlet value at the south boundary contributes to
-    F_adv for upward flow, and the outlet uses a zero-gradient ghost for
-    downward flow.
-    """
-    stencil, f = _upwind_stencil(grid, u, inflow_value)
-    return _stencil_matrix(grid, **stencil), f
-
-
 def _upwind_split(grid: Grid2D, u: np.ndarray):
-    """``max(u/hy, 0)`` and ``min(u/hy, 0)`` as ``(ny, nx)`` arrays, the
-    latter zero on the outlet row, where the zero-gradient ghost cancels the
-    term. Upward flow adds the first to the diagonal and subtracts it from
-    the south coefficient; downward flow subtracts the second from the
-    diagonal and adds it to the north coefficient."""
+    """First-order upwind coefficients of ``u * dtheta/dy`` (vertical
+    velocity only): ``max(u/hy, 0)`` and ``min(u/hy, 0)`` as ``(ny, nx)``
+    arrays, the latter zero on the outlet row, where the zero-gradient ghost
+    cancels the term. Upward flow adds the first to the diagonal and
+    subtracts it from the south coefficient; downward flow subtracts the
+    second from the diagonal and adds it to the north coefficient."""
     c = _node_field(grid, u) / grid.hy
     down = np.minimum(c, 0.0)
     down[-1, :] = 0.0
     return np.maximum(c, 0.0), down
-
-
-def _upwind_stencil(grid: Grid2D, u: np.ndarray, inflow_value: float):
-    """Stencil coefficients (keyword arguments of :func:`_stencil_matrix`)
-    and F_adv of :func:`upwind_advection`."""
-    up, down = _upwind_split(grid, u)
-    south = -up
-    south[0, :] = 0.0    # the inlet value enters F_adv instead
-    f = np.zeros_like(up)
-    f[0, :] += up[0, :] * inflow_value
-    zero = np.zeros_like(up)
-    stencil = {"diag": up - down, "west": zero, "east": zero, "south": south,
-               "north": down}
-    return stencil, f.ravel()
 
 
 @dataclass(frozen=True)

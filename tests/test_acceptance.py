@@ -19,7 +19,6 @@ from picardrom.driver import (
     exact_step,
     inexact_step,
     lockstep_verify,
-    propagation_bound,
 )
 
 
@@ -82,7 +81,7 @@ def test_acceptance_04_path_combinatorics():
             g = coupling.make_graph(
                 p, {(i, j): kappa for i in range(1, p + 1) for j in range(i)})
             total = sum(
-                sum(coupling.path_weight(g, s)
+                sum(math.prod(g.k(a, b) for a, b in zip(s, s[1:]))
                     for s in coupling.enumerate_paths(g, 0, j))
                 for j in range(1, p + 1))
             expected = (kappa + 1.0) ** p - 1.0
@@ -174,18 +173,56 @@ def test_acceptance_05_delta_bound_exactness():
                     f"(error - bound) = {worst_margin:.3e}")
 
 
-def test_acceptance_06_propagation_bound_arithmetic():
-    """propagation_bound equals the direct sum over L^i delta^(k-i)."""
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for _ in range(200):
-        l_val = float(rng.uniform(0.0, 1.5))
-        deltas = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 15)))
-        direct = sum(l_val ** i * deltas[len(deltas) - 1 - i]
-                     for i in range(len(deltas)))
-        worst = max(worst, abs(propagation_bound(l_val, deltas) - direct))
-    ok = worst <= 1e-14
-    _verdict(6, ok, f"max |bound - direct sum| = {worst:.2e} <= 1e-14")
+def _err_recurrence_runs():
+    """rd with certified constants (frozen L) and thermal (online L), under
+    every criterion and every ROM choice."""
+    for problem, exact in (("rd", True), ("thermal", False)):
+        for criterion in driver.CRITERIA:
+            for rom in ("1", "2", "both"):
+                cfg = harness.ExperimentConfig(problem=problem, rom=rom, eps=1e-8,
+                                               criterion=criterion,
+                                               exact_constants=exact)
+                prob = harness.build_problem(cfg)
+                yield exact, accelerated_run(prob, harness.build_run_config(cfg, prob.p))
+
+
+def test_acceptance_06_err_recurrence():
+    """The run's err column follows its recurrence bitwise, row by row; with
+    L frozen it equals sum_i L^i delta_(k-i) since the last fresh start."""
+    mismatches, worst, runs = 0, 0.0, 0
+    seen = set()
+    for exact, report in _err_recurrence_runs():
+        runs += 1
+        err_prev, deltas = math.inf, None   # deltas: steps since the fresh start
+        for row in report.trace:
+            seen.add(row.event)
+            if row.event == "validate-ok":
+                break   # the last row; its err is that of the step it validated
+            if row.event == "rom":
+                expected = row.delta + row.l_est * err_prev
+            elif row.event == "refine":
+                expected = row.l_est * err_prev
+            elif row.event == "reject":
+                expected = err_prev
+            elif row.event == "fom":
+                expected = math.inf if row.delta is None else row.delta
+            else:   # validate-fail
+                expected = math.inf
+            mismatches += row.err != expected
+            err_prev = row.err
+            if row.event == "fom":
+                deltas = None if row.delta is None else [row.delta]
+            elif row.event == "validate-fail":
+                deltas = None
+            elif row.event != "reject" and deltas is not None:
+                deltas.append(row.delta if row.event == "rom" else 0.0)
+            if exact and deltas is not None:
+                closed = sum(row.l_est ** i * d for i, d in enumerate(reversed(deltas)))
+                worst = max(worst, abs(row.err - closed) / closed if closed else row.err)
+    ok = (runs == 24 and mismatches == 0 and worst <= 1e-14
+          and {"fom", "rom", "reject", "refine"} <= seen)
+    _verdict(6, ok, f"{runs} runs, {mismatches} err mismatches, closed form worst "
+                    f"rel err {worst:.2e} <= 1e-14, events {sorted(seen)}")
 
 
 def test_acceptance_07_pod_properties():

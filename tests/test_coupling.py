@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from picardrom import coupling
+from picardrom import coupling, driver, pod
 from picardrom.errors import InvalidRange, MissingConstants
+
+
+def path_weight(graph, path):
+    """Product of K along consecutive path pairs; empty product is 1."""
+    w = 1.0
+    for a, b in zip(path, path[1:]):
+        w *= graph.k(a, b)
+    return w
 
 
 def uniform_graph(p, kappa, lam=None):
@@ -29,18 +37,20 @@ def test_enumerate_paths_unique_and_decreasing():
         assert all(a > b for a, b in zip(p, p[1:]))
 
 
-def test_path_count():
-    assert coupling.path_count(3, 3) == 1
-    assert coupling.path_count(0, 5) == 16
-    with pytest.raises(InvalidRange):
-        coupling.path_count(2, 1)
-
-
 def test_path_weight():
     g = coupling.make_graph(2, {(2, 1): 0.4, (1, 0): 0.3})
-    assert coupling.path_weight(g, (2, 1, 0)) == pytest.approx(0.12, abs=1e-15)
-    assert coupling.path_weight(g, (1, 0)) == 0.3
-    assert coupling.path_weight(g, (1,)) == 1.0
+    assert path_weight(g, (2, 1, 0)) == pytest.approx(0.12, abs=1e-15)
+    assert path_weight(g, (1, 0)) == 0.3
+    assert path_weight(g, (1,)) == 1.0
+    # the library's path sum agrees with the enumerated weights
+    rng = np.random.default_rng(4)
+    for p in (1, 2, 3, 5):
+        g = coupling.make_graph(p, {(i, j): rng.uniform(0.0, 1.0) * (rng.random() < 0.7)
+                                    for i in range(1, p + 1) for j in range(i)})
+        for i in range(p):
+            for j in range(i + 1, p + 1):
+                direct = sum(path_weight(g, s) for s in coupling.enumerate_paths(g, i, j))
+                assert coupling._path_sum(g, i, j) == pytest.approx(direct, rel=1e-14)
 
 
 def test_contraction_bound_example():
@@ -64,7 +74,7 @@ def test_contraction_bound_uniform_identity():
             # cross-check against explicit enumeration
             total = lam
             for j in range(1, p + 1):
-                total += lam * sum(coupling.path_weight(g, s)
+                total += lam * sum(path_weight(g, s)
                                    for s in coupling.enumerate_paths(g, 0, j))
             assert total == pytest.approx(expected, rel=1e-12)
 
@@ -74,7 +84,7 @@ def test_linear_structure_single_path():
     k = {(i, i - 1): 0.5 + 0.1 * i for i in range(1, p + 1)}
     g = coupling.make_graph(p, k)
     for j in range(1, p + 1):
-        weights = [coupling.path_weight(g, s) for s in coupling.enumerate_paths(g, 0, j)]
+        weights = [path_weight(g, s) for s in coupling.enumerate_paths(g, 0, j)]
         expected = np.prod([k[(m, m - 1)] for m in range(1, j + 1)])
         assert sum(weights) == pytest.approx(expected, rel=1e-14)
 
@@ -95,11 +105,23 @@ def test_delta_single_and_multi():
     g = coupling.make_graph(2, {(2, 1): 0.4}, l_consts=[0.0, 1.0, 1.0])
     assert coupling.delta_single(g, 1, 2.0, 0.1) == pytest.approx(0.28, abs=1e-15)
     assert coupling.delta_single(g, 1, 2.0, 0.0) == 0.0
-    per = {1: (2.0, 0.1), 2: (2.0, 0.05)}
-    expected = 1.4 * 2.0 * 0.1 + 1.0 * 2.0 * 0.05
-    assert coupling.delta_multi(g, {1, 2}, per) == pytest.approx(expected, abs=1e-15)
-    assert coupling.delta_multi(g, set(), {}) == 0.0
-    assert coupling.delta_multi(g, {1}, per) == coupling.delta_single(g, 1, 2.0, 0.1)
+    # the run sums one term per reduced system, in topological order
+    rng = np.random.default_rng(2)
+    report, residuals, total = driver.RunReport(p=2), {}, 0.0
+    expected = 0.0
+    for i, amplification in ((1, 1.4), (2, 1.0)):
+        a = np.diag(rng.uniform(1.0, 2.0, 4))
+        f = rng.standard_normal(4)
+        basis = pod.ReducedBasis(basis=np.eye(4)[:, :2], mean=np.zeros(4),
+                                 singular_values=np.ones(2), source_size=2)
+        y, term = driver._reduced_solve(i, basis, a, f, {1: 2.0, 2: 3.0}, g, report,
+                                        residuals)
+        assert residuals[i] == pytest.approx(np.linalg.norm(a @ y - f))
+        assert residuals[i] > 0.0
+        total += term
+        expected += amplification * (2.0 if i == 1 else 3.0) * residuals[i]
+    assert list(residuals) == [1, 2] and report.rom_solves == 2
+    assert total == pytest.approx(expected, rel=1e-15)
 
 
 def test_graph_validation():

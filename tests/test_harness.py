@@ -247,6 +247,29 @@ def test_cli_reference_rd(tmp_path):
     assert (tmp_path / "reference_field1.txt").exists()
 
 
+def test_cli_reference_dumps_fields_on_the_configured_grid(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\ngrid_n = 8\n")
+    rc = cli.main(["reference", "--config", str(ini), "--problem", "rd", "--eps", "1e-6",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    for name in ("reference_field1.txt", "reference_field2.txt"):
+        values, (nx, ny, _, _) = harness.load_field(tmp_path / name)
+        assert (nx, ny) == (8, 8) and values.size == 64
+
+
+def test_problem_spec_names_the_demo_the_problem_is_built_from():
+    for problem, kind in (("rd", problems.ReactionDiffusionPair),
+                          ("thermal", problems.ThermalFlowSurrogate),
+                          ("scalar", problems.ScalarToy)):
+        cfg = harness.ExperimentConfig(problem=problem, grid_n=8)
+        assert type(harness.problem_spec(cfg)) is kind
+    spec = harness.problem_spec(harness.ExperimentConfig(problem="rd", grid_n=8))
+    assert spec.grid == problems.Grid2D(8, 8)
+    built = harness.build_problem(harness.ExperimentConfig(problem="rd", grid_n=8))
+    assert built.block_dims == (64, 64)
+
+
 def test_cli_kmax_exit_code(tmp_path):
     rc = cli.main(["run", "--problem", "scalar", "--rom", "none",
                    "--eps", "1e-300", "--kmax", "50", "--out", str(tmp_path)])

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardrom import numerics
-from picardrom.errors import DimensionMismatch, SingularMatrix
+from picardrom.errors import DimensionMismatch, SingularMatrix, SvdFailure
+
+# Accuracy the kernels are held to.
+SOLVE_RTOL = 1e-10      # backward residual of well-conditioned solves
+SVD_RTOL = 1e-10        # relative reconstruction error of the SVD
+ORTHO_TOL = 1e-10       # orthonormality of computed factors
 
 
 def test_solve_identity():
@@ -27,7 +32,7 @@ def test_solve_spd_backward_residual():
         a = b_mat @ b_mat.T + 20.0 * np.eye(20)
         b = rng.standard_normal(20)
         x = numerics.solve_dense(a, b)
-        assert numerics.norm2(a @ x - b) <= numerics.SOLVE_RTOL * numerics.norm2(b)
+        assert numerics.norm2(a @ x - b) <= SOLVE_RTOL * numerics.norm2(b)
 
 
 def test_solve_deterministic():
@@ -85,16 +90,25 @@ def test_svd_rank_one():
     assert np.all(res.singular_values[1:] <= 1e-13 * res.singular_values[0])
 
 
+def test_svd_failure_is_reported(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SvdFailure, match="did not converge"):
+        numerics.svd(np.eye(3))
+
+
 def test_svd_reconstruction_and_orthonormality():
     rng = np.random.default_rng(5)
     for rows, cols in ((200, 50), (17, 23), (6, 6)):
         a = rng.standard_normal((rows, cols))
         res = numerics.svd(a)
         recon = res.left @ np.diag(res.singular_values) @ res.right
-        assert numerics.frobenius(recon - a) <= numerics.SVD_RTOL * numerics.frobenius(a)
+        assert numerics.frobenius(recon - a) <= SVD_RTOL * numerics.frobenius(a)
         r = res.singular_values.size
-        assert numerics.frobenius(res.left.T @ res.left - np.eye(r)) <= numerics.ORTHO_TOL
-        assert numerics.frobenius(res.right @ res.right.T - np.eye(r)) <= numerics.ORTHO_TOL
+        assert numerics.frobenius(res.left.T @ res.left - np.eye(r)) <= ORTHO_TOL
+        assert numerics.frobenius(res.right @ res.right.T - np.eye(r)) <= ORTHO_TOL
         assert np.all(np.diff(res.singular_values) <= 0)
         assert np.all(res.singular_values >= 0)
 
@@ -183,7 +197,7 @@ def test_sparse_backward_residual():
         b = rng.standard_normal(60)
         factors = numerics.lu_factorize(a)
         x = numerics.lu_apply(factors, b)
-        assert numerics.norm2(a @ x - b) <= numerics.SOLVE_RTOL * numerics.norm2(b)
+        assert numerics.norm2(a @ x - b) <= SOLVE_RTOL * numerics.norm2(b)
 
 
 @st.composite
@@ -244,7 +258,7 @@ def test_banded_lu_solves_random_band_matrices(system):
         return
     assert (factors.kl, factors.ku) == (kl, ku)
     x = numerics.lu_apply(factors, b)
-    assert backward_error(dense, x, b) <= numerics.SOLVE_RTOL
+    assert backward_error(dense, x, b) <= SOLVE_RTOL
     if dominant:
         x_dense = numerics.solve_dense(dense, b)
         assert numerics.norm2(x - x_dense) <= 1e-12 * max(1.0, numerics.norm2(x_dense))

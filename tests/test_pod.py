@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from picardrom import numerics, pod
+from picardrom import coupling, numerics, pod
 from picardrom.errors import DimensionMismatch, TooFewSnapshots
 
 
@@ -144,8 +144,10 @@ def test_rom_solve_full_basis_matches_direct():
 
 
 def test_rom_error_bound():
-    assert pod.rom_error_bound(2.0, 0.5) == 1.0
-    assert pod.rom_error_bound(3.0, 0.0) == 0.0
+    # with one system and L_1 = 1 the step bound is ||A^{-1}|| * ||r||
+    g = coupling.make_graph(1, l_consts=[0.0, 1.0])
+    assert coupling.delta_single(g, 1, 2.0, 0.5) == 1.0
+    assert coupling.delta_single(g, 1, 3.0, 0.0) == 0.0
     rng = np.random.default_rng(8)
     for _ in range(25):
         b = rng.standard_normal((10, 10))
@@ -155,4 +157,4 @@ def test_rom_error_bound():
         u_exact = numerics.solve_dense(a, f)
         u_rb = u_exact + 0.1 * rng.standard_normal(10)
         r = numerics.norm2(a @ u_rb - f)
-        assert numerics.norm2(u_exact - u_rb) <= pod.rom_error_bound(inv_norm, r) + 1e-9
+        assert numerics.norm2(u_exact - u_rb) <= coupling.delta_single(g, 1, inv_norm, r) + 1e-9

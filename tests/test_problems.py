@@ -28,7 +28,6 @@ from picardrom.problems import (
     diffusion_operator,
     kappa_analytic,
     make_coupled_problem,
-    upwind_advection,
 )
 
 DIRICHLET0 = {s: ("dirichlet", 0.0) for s in ("south", "north", "west", "east")}
@@ -116,7 +115,9 @@ def reference_diffusion_operator(grid, d, bc):
 
 
 def reference_upwind_advection(grid, u, inflow_value=0.0):
-    """Node-by-node dense assembly of upwind_advection (the former code)."""
+    """Node-by-node dense first-order upwind assembly of ``u * dtheta/dy``
+    (the former code): the Dirichlet inlet value enters F for upward flow,
+    and a zero-gradient ghost cancels the term at the outlet."""
     u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n,))
     nx, ny = grid.nx, grid.ny
     hy = grid.hy
@@ -215,19 +216,29 @@ def test_diffusion_operator_matches_node_loop(nx, ny):
             assert np.array_equal(f, f_ref)
 
 
+def heat_bc(surrogate):
+    """The heat equation's side conditions, as assemble_heat applies them."""
+    return {"south": ("dirichlet", surrogate.theta_in), "north": ("neumann", 0.0),
+            "west": ("neumann", surrogate.theta_wall),
+            "east": ("neumann", surrogate.theta_wall)}
+
+
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
 def test_upwind_advection_matches_node_loop(nx, ny):
+    """The heat assembly's upwind terms, on upward, downward, mixed and zero
+    velocities, with and without an inflow temperature."""
     grid = Grid2D(nx, ny, width=1.5, height=2.5)
     rng = np.random.default_rng(nx * 100 + ny)
     u = rng.uniform(-2.0, 2.0, grid.n)
     u[rng.random(grid.n) < 0.2] = 0.0
-    for vel in (u, np.abs(u), -np.abs(u), 0.0):
-        for inflow in (0.0, 0.4):
-            a, f = upwind_advection(grid, vel, inflow_value=inflow)
+    for inflow in (0.0, 0.4):
+        surrogate = ThermalFlowSurrogate(grid=grid, theta_in=inflow)
+        k_ref, k_f_ref = reference_diffusion_operator(grid, surrogate.k_t, heat_bc(surrogate))
+        for vel in (u, np.abs(u), -np.abs(u), 0.0):
+            a, f = assemble_heat(surrogate, vel)
             a_ref, f_ref = reference_upwind_advection(grid, vel, inflow_value=inflow)
-            assert_same_csc(a, scipy.sparse.coo_array(a_ref).tocsc())
-            assert np.array_equal(a.toarray(), a_ref)
-            assert np.array_equal(f, f_ref)
+            assert_same_csc(a, scipy.sparse.coo_array(k_ref + a_ref).tocsc())
+            assert np.array_equal(f, k_f_ref + f_ref)
 
 
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
@@ -254,7 +265,16 @@ def stencil_cases(grid, rng):
     full["south"][0, :] = full["north"][-1, :] = 0.0
     mixed = rng.uniform(-2.0, 2.0, grid.n)
     mixed[rng.random(grid.n) < 0.2] = 0.0
-    return [full] + [problems._upwind_stencil(grid, u, 0.4)[0] for u in (0.0, mixed)]
+    return [full] + [upwind_stencil(grid, u) for u in (0.0, mixed)]
+
+
+def upwind_stencil(grid, u):
+    """The upwind terms of assemble_heat alone, as stencil coefficients."""
+    up, down = problems._upwind_split(grid, u)
+    south = -up
+    south[0, :] = 0.0   # no neighbour below the inlet row
+    zero = np.zeros_like(up)
+    return {"diag": up - down, "west": zero, "east": zero, "south": south, "north": down}
 
 
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
@@ -364,10 +384,7 @@ def test_thermal_assemblies_match_node_loop_bitwise(theta_in):
     rng = np.random.default_rng(int(theta_in * 10) + 3)
     flow_bc = {"south": ("dirichlet", surrogate.inlet_profile()), "north": ("neumann", 0.0),
                "west": ("dirichlet", 0.0), "east": ("dirichlet", 0.0)}
-    heat_bc = {"south": ("dirichlet", surrogate.theta_in), "north": ("neumann", 0.0),
-               "west": ("neumann", surrogate.theta_wall),
-               "east": ("neumann", surrogate.theta_wall)}
-    k_ref, k_f_ref = reference_diffusion_operator(grid, surrogate.k_t, heat_bc)
+    k_ref, k_f_ref = reference_diffusion_operator(grid, surrogate.k_t, heat_bc(surrogate))
     stencil, f_bc = problems._heat_diffusion(surrogate)
     assert_same_sparse(problems._stencil_matrix(grid, **stencil),
                        scipy.sparse.coo_array(k_ref).tocsc())
@@ -448,10 +465,7 @@ def test_heat_assembly_matches_summed_operators():
     """One stencil build equals the sum of the diffusion and upwind matrices."""
     surrogate = ThermalFlowSurrogate(theta_in=0.3)
     grid = surrogate.grid
-    bc = {"south": ("dirichlet", surrogate.theta_in), "north": ("neumann", 0.0),
-          "west": ("neumann", surrogate.theta_wall),
-          "east": ("neumann", surrogate.theta_wall)}
-    a_diff, f_bc = diffusion_operator(grid, surrogate.k_t, bc)
+    a_diff, f_bc = diffusion_operator(grid, surrogate.k_t, heat_bc(surrogate))
     diffusion = problems._heat_diffusion(surrogate)
     rng = np.random.default_rng(41)
     for trial in range(50):
@@ -459,23 +473,25 @@ def test_heat_assembly_matches_summed_operators():
         u[rng.random(grid.n) < 0.2] = 0.0
         if trial % 10 == 0:
             u = np.abs(u) if trial % 20 == 0 else -np.abs(u)
-        a_adv, f_adv = upwind_advection(grid, u, inflow_value=surrogate.theta_in)
+        a_adv, f_adv = reference_upwind_advection(grid, u, inflow_value=surrogate.theta_in)
+        expected = scipy.sparse.coo_array(a_diff.toarray() + a_adv).tocsc()
         for shared in (None, diffusion):
             a, f = assemble_heat(surrogate, u, shared)
-            assert_same_csc(a, a_diff + a_adv)
+            assert_same_csc(a, expected)
             assert a.data.dtype == np.float64
             assert np.array_equal(f, f_bc + f_adv)
 
 
 def test_upwind_is_m_matrix():
-    grid = Grid2D(5, 7)
+    """Upwinding keeps the heat matrix a Z-matrix with nonnegative row sums."""
+    surrogate = ThermalFlowSurrogate(grid=Grid2D(5, 7))
     rng = np.random.default_rng(0)
-    u = rng.uniform(-2.0, 2.0, grid.n)
-    a_adv, _ = upwind_advection(grid, u)
-    a_adv = a_adv.toarray()
-    off = a_adv - np.diag(np.diag(a_adv))
-    assert np.all(off <= 1e-14)
-    assert np.all(a_adv.sum(axis=1) >= -1e-12)
+    u = rng.uniform(-2.0, 2.0, surrogate.grid.n)
+    a, _ = assemble_heat(surrogate, u)
+    a = a.toarray()
+    off = a - np.diag(np.diag(a))
+    assert np.all(off <= 0.0)
+    assert np.all(a.sum(axis=1) >= -1e-12)
 
 
 def test_viscosity_law():
