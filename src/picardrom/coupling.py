@@ -210,14 +210,36 @@ def sufficient_conditions(graph: DependenceGraph) -> SufficientConditionsReport:
     )
 
 
+@dataclass(frozen=True)
+class Constants:
+    """The constants every bound and criterion of a run reads.
+
+    ``inv_norms[i-1]`` bounds system i's ``||A_i^{-1}||`` and M is their
+    maximum; ``graph`` weights each system's term of the step bound and holds
+    K_{2,1}; ``lipschitz`` is L, the Lipschitz constant of the combined map,
+    and ``k12`` is K_{1,2}, the dependence of the next y_1 on y_2.
+    """
+
+    inv_norms: tuple[float, ...]
+    graph: DependenceGraph
+    lipschitz: float
+    k12: float
+
+    @property
+    def m(self) -> float:
+        return max(self.inv_norms)
+
+    @property
+    def k21(self) -> float:
+        return self.graph.k(2, 1) if self.graph.p >= 2 else 0.0
+
+
 class ConstantsLedger:
     """Online estimates of M, K_{2,1}, K_{1,2}, L and L'_2.
 
     Each estimate is the running maximum of per-iteration ratios over a
     sliding window (single ratios tend to underestimate the true constants).
-    Ratios with near-zero denominators are skipped. A frozen ledger returns
-    preset values and ignores observations (used when exact constants are
-    supplied for linear problems).
+    Ratios with near-zero denominators are skipped.
     """
 
     def __init__(self):
@@ -228,16 +250,6 @@ class ConstantsLedger:
         self._l2p = deque(maxlen=LEDGER_WINDOW)
         self._x_hist = deque(maxlen=3)
         self._y_hist = deque(maxlen=3)
-        self.frozen = False
-        self._preset: dict[str, float] = {}
-
-    @classmethod
-    def fixed(cls, *, m: float = 0.0, k21: float = 0.0, k12: float = 0.0,
-              l: float = 0.0, l2prime: float = 0.0) -> "ConstantsLedger":
-        ledger = cls()
-        ledger.frozen = True
-        ledger._preset = {"m": m, "k21": k21, "k12": k12, "l": l, "l2prime": l2prime}
-        return ledger
 
     @staticmethod
     def _ratio(num: float, den: float) -> float | None:
@@ -245,35 +257,28 @@ class ConstantsLedger:
             return None
         return num / den
 
-    def _est(self, key: str, samples: deque) -> float:
-        if self.frozen:
-            return self._preset.get(key, 0.0)
-        return max(samples) if samples else 0.0
-
     @property
     def m_est(self) -> float:
-        return self._est("m", self._m)
+        return max(self._m, default=0.0)
 
     @property
     def k21_est(self) -> float:
-        return self._est("k21", self._k21)
+        return max(self._k21, default=0.0)
 
     @property
     def k12_est(self) -> float:
-        return self._est("k12", self._k12)
+        return max(self._k12, default=0.0)
 
     @property
     def l_est(self) -> float:
-        return self._est("l", self._l)
+        return max(self._l, default=0.0)
 
     @property
     def l2prime_est(self) -> float:
-        return self._est("l2prime", self._l2p)
+        return max(self._l2p, default=0.0)
 
     def observe(self, x, ys, rhs_norms) -> "ConstantsLedger":
         """Record a full-order iterate and update all ratio estimates."""
-        if self.frozen:
-            return self
         x = np.asarray(x, dtype=float)
         ys = [np.asarray(y, dtype=float) for y in ys]
         # M: solution norm over right-hand-side norm, maximized over systems
@@ -305,13 +310,13 @@ class ConstantsLedger:
         return self
 
 
-def asymptotic_residual_budget(ledger: ConstantsLedger, eps: float) -> float:
+def asymptotic_residual_budget(constants: Constants, eps: float) -> float:
     """Residual budget for the asymptotic quality criterion.
 
     Returns ``(1 - K21*K12) / (K21*(1+K21)*M) * eps``; nonpositive when the
-    estimated product K21*K12 reaches 1 (caller must then refine).
+    product K21*K12 reaches 1 (caller must then refine).
     """
-    k21, k12, m = ledger.k21_est, ledger.k12_est, ledger.m_est
+    k21, k12, m = constants.k21, constants.k12, constants.m
     if k21 <= 0.0 or m <= 0.0 or k12 <= 0.0:
         raise MissingConstants("asymptotic criterion needs K21, K12 and M estimates")
     return (1.0 - k21 * k12) / (k21 * (1.0 + k21) * m) * eps

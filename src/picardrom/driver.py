@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from . import coupling, numerics, pod
-from .coupling import ConstantsLedger, DependenceGraph
+from .coupling import Constants, ConstantsLedger, DependenceGraph
 from .errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
 
 log = logging.getLogger(__name__)
@@ -272,8 +272,8 @@ def _relax(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
     return gx if lam == 1.0 else (1.0 - lam) * x + lam * gx
 
 
-def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, inv_norms: dict[int, float],
-                   graph: DependenceGraph, report: RunReport | None,
+def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, constants: Constants,
+                   report: RunReport | None,
                    residuals: dict[int, float]) -> tuple[np.ndarray, float]:
     """Reduced solve of system ``i`` and its term of the step's error bound.
 
@@ -290,13 +290,14 @@ def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, inv_norms: dict[int, f
     if report is not None:
         report.rom_solves += 1
     residuals[i] = sol.residual_norm
-    return sol.full_field, coupling.delta_single(graph, i, inv_norms[i], sol.residual_norm)
+    term = coupling.delta_single(constants.graph, i, constants.inv_norms[i - 1],
+                                 sol.residual_norm)
+    return sol.full_field, term
 
 
 def inexact_step(problem: CoupledProblem, x: np.ndarray,
                  bases: dict[int, pod.ReducedBasis], rom_set: frozenset[int],
-                 inv_norms: dict[int, float], graph: DependenceGraph,
-                 report: RunReport | None = None, lam: float = 1.0,
+                 constants: Constants, report: RunReport | None = None, lam: float = 1.0,
                  factors: FactorCache | None = None,
                  accept: Callable[[float, dict[int, float]], bool] | None = None,
                  systems: list | None = None):
@@ -329,7 +330,7 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
         if systems is not None:
             systems.append((a, f))
         if i in rom_set:
-            y, term = _reduced_solve(i, bases[i], a, f, inv_norms, graph, report, residuals)
+            y, term = _reduced_solve(i, bases[i], a, f, constants, report, residuals)
             total += term
             if accept is not None and not accept(lam * total, residuals):
                 return None, lam * total, residuals
@@ -341,12 +342,11 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
     return _relax(x, problem.combiner(x, ys), lam), lam * total, residuals
 
 
-def evaluate_criterion(kind: str, *, delta_k: float, err: float, l_est: float,
-                       ledger: ConstantsLedger, eps: float,
-                       residuals: dict[int, float] | None = None) -> bool:
+def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Constants,
+                       eps: float, residuals: dict[int, float] | None = None) -> bool:
     """Accept (True) or refine (False) the current reduced step."""
     if kind == "propagation":
-        return delta_k + l_est * err <= eps
+        return delta_k + constants.lipschitz * err <= eps
     if kind == "upper_bound":
         return delta_k <= eps
     if kind == "residual":
@@ -356,7 +356,7 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, l_est: float,
     if kind == "asymptotic":
         if not residuals:
             return False
-        budget = coupling.asymptotic_residual_budget(ledger, eps)
+        budget = coupling.asymptotic_residual_budget(constants, eps)
         if budget <= 0.0:
             return False
         r1 = residuals[min(residuals)]
@@ -399,27 +399,30 @@ class _RomState:
         return {i: self.basis_for(i) for i in self.windows}
 
 
-def _bound_constants(problem: CoupledProblem, ledger: ConstantsLedger,
-                     rom_set: frozenset[int]) -> tuple[dict[int, float], DependenceGraph]:
-    """``||A_i^{-1}||`` per reduced system and the graph for amplification factors.
+def _constants(problem: CoupledProblem, ledger: ConstantsLedger | None,
+               rom_set: frozenset[int]) -> Constants | None:
+    """The constants of a run's bounds and criteria.
 
-    Exact constants when the problem supplies them; otherwise the ledger's M
-    for every system, and its online K_{2,1} estimate filled into the graph.
+    The problem's fixed constants when it supplies them, whatever ``ledger``
+    is; otherwise ``ledger``'s current estimates, or ``None`` without a
+    ledger. Online estimates give every system the ledger's M, and K_{2,1}
+    enters the graph only when the run reduces a system. Fixed constants for
+    p >= 2 take K_{1,2} = K[1,0] * L_2 from the graph: y_2 reaches the next
+    y_1 only through the combiner's output x. Under the Picard combiner
+    ``x = (y_1, y_2)``, so L_2 = 1 and K_{1,2} = K[1,0].
     """
-    fc = problem.fixed_constants
+    fc, graph = problem.fixed_constants, problem.graph
     if fc is not None:
-        return {i: fc.inv_norms[i - 1] for i in rom_set}, problem.graph
-    inv_norms = {i: ledger.m_est for i in rom_set}
-    if problem.p == 2:
-        return inv_norms, problem.graph.with_k({(2, 1): ledger.k21_est})
-    if problem.p > 2 and any(i < problem.p for i in rom_set):
-        raise MissingConstants(
-            "online estimation only covers K_{2,1}; supply fixed constants for p > 2"
-        )
-    return inv_norms, problem.graph
+        k12 = graph.k(1, 0) * float(graph.l_consts[2]) if problem.p >= 2 else 0.0
+        return Constants(fc.inv_norms, graph, fc.lipschitz, k12)
+    if ledger is None:
+        return None
+    if rom_set and problem.p >= 2:
+        graph = graph.with_k({(2, 1): ledger.k21_est})
+    return Constants((ledger.m_est,) * problem.p, graph, ledger.l_est, ledger.k12_est)
 
 
-def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
+def _probe_delta(state: _RomState, systems, constants: Constants, lam, report):
     """Evaluate the fresh ROM on the systems just solved by FOM.
 
     Returns (delta, residuals); delta is +inf when a reduced solve fails.
@@ -429,30 +432,12 @@ def _probe_delta(state: _RomState, systems, inv_norms, graph, lam, report):
     for i in sorted(state.windows):
         a, f = systems[i - 1]
         try:
-            _, term = _reduced_solve(i, state.basis_for(i), a, f, inv_norms, graph,
-                                     report, residuals)
+            _, term = _reduced_solve(i, state.basis_for(i), a, f, constants, report,
+                                     residuals)
         except SingularReducedSystem:
             return math.inf, {}
         total += term
     return lam * total, residuals
-
-
-def _ledger(problem: CoupledProblem) -> ConstantsLedger:
-    """Online ledger, or one frozen at the problem's fixed constants.
-
-    A frozen ledger for p >= 2 presets K_{2,1} = K[2,1] and K_{1,2} =
-    K[1,0] * L_2 from the graph: y_2 reaches the next y_1 only through the
-    combiner's output x. Under the Picard combiner ``x = (y_1, y_2)``, so
-    L_2 = 1 and K_{1,2} = K[1,0].
-    """
-    fc = problem.fixed_constants
-    if fc is None:
-        return ConstantsLedger()
-    k = {}
-    if problem.p >= 2:
-        graph = problem.graph
-        k = {"k21": graph.k(2, 1), "k12": graph.k(1, 0) * float(graph.l_consts[2])}
-    return ConstantsLedger.fixed(m=max(fc.inv_norms), l=fc.lipschitz, **k)
 
 
 def accelerated_run(problem: CoupledProblem, config: RunConfig,
@@ -477,24 +462,30 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     one exact step at the new iterate if ``validation_loop`` is set
     (``validate-ok``, or ``validate-fail``, which clears ``err`` and
     ``rom_ok``). ``observer`` receives one event dict per iteration.
+
+    Every bound and criterion reads one :class:`coupling.Constants`: the
+    problem's fixed constants, or the online ledger's estimates, rebuilt
+    after each full-order step. Online estimates cover K_{2,1} only, so for
+    p > 2 a run that reduces any system but the last raises MissingConstants
+    before its first step.
     """
     if any(not 1 <= i <= problem.p for i in config.rom_set):
         raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
+    constants = _constants(problem, None, config.rom_set)
+    ledger = None   # online estimates, kept only without fixed constants
+    if constants is None:
+        if problem.p > 2 and any(i < problem.p for i in config.rom_set):
+            raise MissingConstants(
+                "online estimation only covers K_{2,1}; supply fixed constants for p > 2")
+        ledger = ConstantsLedger()
+        constants = _constants(problem, ledger, config.rom_set)
     report = RunReport(p=problem.p)
     factors = FactorCache(report.factorizations)   # per run: each run factors afresh
     rom = _RomState(config, report) if config.rom_set else None
-    ledger = _ledger(problem)
-    bounds = None   # _bound_constants, built on first use after each observation
-
-    def bound_constants():
-        nonlocal bounds
-        if bounds is None:
-            bounds = _bound_constants(problem, ledger, config.rom_set)
-        return bounds
 
     def holds(delta, residuals, err):
         return evaluate_criterion(
-            config.criterion, delta_k=delta, err=err, l_est=l_est, ledger=ledger,
+            config.criterion, delta_k=delta, err=err, constants=constants,
             eps=config.eps, residuals=residuals)
 
     x = problem.x0.copy()
@@ -504,27 +495,24 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     k = 0
     while k < config.k_max and not report.converged:
         lam = _relaxation_factor(config.relaxation, k)
-        l_est = ledger.l_est
-        if l_est >= 1.0 and not report.expansive_warning:
+        if constants.lipschitz >= 1.0 and not report.expansive_warning:
             log.warning("estimated Lipschitz constant %.3g >= 1; propagation "
-                        "guarantees void", l_est)
+                        "guarantees void", constants.lipschitz)
             report.expansive_warning = True
         delta_k, fresh_start = None, False
 
         if rom_ok:
-            inv_norms, graph = bound_constants()
             assembled: list[tuple] = []
             try:
                 x_t, delta_k, residuals = inexact_step(
-                    problem, x, rom.all_bases(), config.rom_set, inv_norms, graph, report,
+                    problem, x, rom.all_bases(), config.rom_set, constants, report,
                     lam, factors, accept=lambda d, r: holds(d, r, err), systems=assembled)
-                accepted = x_t is not None and holds(delta_k, residuals, err)
                 report.final_residual = sum(residuals.values())
             except SingularReducedSystem:
-                accepted = False
-            if accepted:
+                x_t = None
+            if x_t is not None:
                 x_next, event = x_t, "rom"
-                err = delta_k + l_est * err
+                err = delta_k + constants.lipschitz * err
             else:
                 x_next, event = x.copy(), "reject"
                 rejected, rom_ok = assembled[0], False
@@ -537,16 +525,15 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             event = "refine" if refine else "fom"
             if rom is not None:
                 rom.push(step.solutions)
-            ledger.observe(x_next, step.solutions, step.rhs_norms)
-            bounds = None
-            l_est = ledger.l_est
+            if ledger is not None:
+                ledger.observe(x_next, step.solutions, step.rhs_norms)
+                constants = _constants(problem, ledger, config.rom_set)
             fresh_start = not refine and math.isinf(err)
-            err = l_est * err if refine else math.inf
+            err = constants.lipschitz * err if refine else math.inf
             rom_ok = refine and err <= config.eps
             if (rom is not None and rom.ready()
                     and not (refine and config.criterion == "propagation")):
-                delta_k, residuals = _probe_delta(
-                    rom, step.systems, *bound_constants(), lam, report)
+                delta_k, residuals = _probe_delta(rom, step.systems, constants, lam, report)
                 rom_ok = not math.isinf(delta_k) and holds(delta_k, residuals, 0.0)
                 if residuals:
                     report.final_residual = sum(residuals.values())
@@ -570,7 +557,8 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
 
         report.trace.append(TraceRow(
             k=k, err=err, delta=delta_k, step_norm=step_norm,
-            event=validation or event, x_hash=_hash_state(x_next), l_est=l_est))
+            event=validation or event, x_hash=_hash_state(x_next),
+            l_est=constants.lipschitz))
         if observer is not None:
             observer({"k": k, "event": event, "x_prev": x, "x_next": x_next,
                       "err": err, "delta": delta_k, "fresh_start": fresh_start,

@@ -110,10 +110,10 @@ def problem_spec(cfg: ExperimentConfig):
 
 def build_problem(cfg: ExperimentConfig) -> CoupledProblem:
     """The coupled problem of :func:`problem_spec`; ``cfg.exact_constants``
-    applies to the linear demos and is ignored for thermal."""
-    spec = problem_spec(cfg)
-    exact = cfg.exact_constants and not isinstance(spec, problems.ThermalFlowSurrogate)
-    return problems.make_coupled_problem(spec, exact_constants=exact)
+    attaches certified constants, which only the linear demos have (ConfigError
+    for thermal)."""
+    return problems.make_coupled_problem(problem_spec(cfg),
+                                         exact_constants=cfg.exact_constants)
 
 
 def _rom_set(cfg: ExperimentConfig, p: int) -> frozenset[int]:

@@ -159,11 +159,10 @@ def test_acceptance_05_delta_bound_exactness():
         rom_set = frozenset(
             i for i in range(1, problem.p + 1) if rng.random() < 0.6) or frozenset({1})
         bases = {i: _random_basis(rng, dims[i - 1]) for i in rom_set}
-        inv_norms = {i: problem.fixed_constants.inv_norms[i - 1] for i in rom_set}
+        constants = driver._constants(problem, None, rom_set)
         x = rng.standard_normal(nx)
         gx = exact_step(problem, x).x_next
-        gkx, delta, _ = inexact_step(problem, x, bases, rom_set, inv_norms,
-                                     problem.graph)
+        gkx, delta, _ = inexact_step(problem, x, bases, rom_set, constants)
         gap = numerics.norm2(gx - gkx) - delta
         worst_margin = max(worst_margin, gap)
         if gap > 1e-12 * max(1.0, delta):
@@ -174,7 +173,7 @@ def test_acceptance_05_delta_bound_exactness():
 
 
 def _err_recurrence_runs():
-    """rd with certified constants (frozen L) and thermal (online L), under
+    """rd with certified constants (fixed L) and thermal (online L), under
     every criterion and every ROM choice."""
     for problem, exact in (("rd", True), ("thermal", False)):
         for criterion in driver.CRITERIA:
@@ -188,7 +187,7 @@ def _err_recurrence_runs():
 
 def test_acceptance_06_err_recurrence():
     """The run's err column follows its recurrence bitwise, row by row; with
-    L frozen it equals sum_i L^i delta_(k-i) since the last fresh start."""
+    L fixed it equals sum_i L^i delta_(k-i) since the last fresh start."""
     mismatches, worst, runs = 0, 0.0, 0
     seen = set()
     for exact, report in _err_recurrence_runs():

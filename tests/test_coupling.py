@@ -107,6 +107,7 @@ def test_delta_single_and_multi():
     assert coupling.delta_single(g, 1, 2.0, 0.0) == 0.0
     # the run sums one term per reduced system, in topological order
     rng = np.random.default_rng(2)
+    constants = coupling.Constants((2.0, 3.0), g, lipschitz=0.0, k12=0.0)
     report, residuals, total = driver.RunReport(p=2), {}, 0.0
     expected = 0.0
     for i, amplification in ((1, 1.4), (2, 1.0)):
@@ -114,8 +115,7 @@ def test_delta_single_and_multi():
         f = rng.standard_normal(4)
         basis = pod.ReducedBasis(basis=np.eye(4)[:, :2], mean=np.zeros(4),
                                  singular_values=np.ones(2), source_size=2)
-        y, term = driver._reduced_solve(i, basis, a, f, {1: 2.0, 2: 3.0}, g, report,
-                                        residuals)
+        y, term = driver._reduced_solve(i, basis, a, f, constants, report, residuals)
         assert residuals[i] == pytest.approx(np.linalg.norm(a @ y - f))
         assert residuals[i] > 0.0
         total += term
@@ -200,18 +200,25 @@ def test_ledger_skips_tiny_denominators():
     assert ledger.l_est == 0.0  # stagnating iterates skipped
 
 
-def test_frozen_ledger_ignores_observations():
-    ledger = coupling.ConstantsLedger.fixed(m=2.0, k21=0.3, k12=0.1, l=0.5)
-    ledger.observe(np.ones(2), [np.ones(2)], [1e-6])
-    assert (ledger.m_est, ledger.k21_est, ledger.k12_est, ledger.l_est) == \
-        (2.0, 0.3, 0.1, 0.5)
+def constants_with(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
+    """Two-system constants with M = ``m`` and K_{2,1} = ``k21``."""
+    graph = coupling.make_graph(2, {(2, 1): k21}, l_consts=[0.0, 1.0, 1.0])
+    return coupling.Constants((m / 2, m), graph, lipschitz, k12)
+
+
+def test_constants_read_m_and_k21_from_their_parts():
+    constants = constants_with(m=2.0, k21=0.5)
+    assert (constants.m, constants.k21) == (2.0, 0.5)
+    # a single system has no K_{2,1}
+    single = coupling.Constants((1.0,), coupling.make_graph(1), 0.5, 0.0)
+    assert (single.m, single.k21) == (1.0, 0.0)
 
 
 def test_asymptotic_budget():
-    ledger = coupling.ConstantsLedger.fixed(m=2.0, k21=0.5, k12=0.4)
-    budget = coupling.asymptotic_residual_budget(ledger, 1e-6)
+    budget = coupling.asymptotic_residual_budget(constants_with(), 1e-6)
     assert budget == pytest.approx((1 - 0.2) / (0.5 * 1.5 * 2.0) * 1e-6, rel=1e-12)
-    degenerate = coupling.ConstantsLedger.fixed(m=2.0, k21=2.0, k12=0.6)
+    degenerate = constants_with(k21=2.0, k12=0.6)
     assert coupling.asymptotic_residual_budget(degenerate, 1e-6) <= 0.0
-    with pytest.raises(MissingConstants):
-        coupling.asymptotic_residual_budget(coupling.ConstantsLedger(), 1e-6)
+    for missing in (constants_with(m=0.0), constants_with(k21=0.0), constants_with(k12=0.0)):
+        with pytest.raises(MissingConstants):
+            coupling.asymptotic_residual_budget(missing, 1e-6)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardrom import coupling, driver, numerics, pod, problems
-from picardrom.coupling import ConstantsLedger
 from picardrom.driver import (
     CoupledProblem,
     FactorCache,
@@ -22,7 +21,7 @@ from picardrom.driver import (
     exact_step,
     inexact_step,
 )
-from picardrom.errors import ConfigError, SingularReducedSystem, SvdFailure
+from picardrom.errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
 
 
 def scalar_problem(rate=0.5, source=0.0, x0=1.0):
@@ -105,31 +104,36 @@ def test_relaxation_outside_unit_interval_is_rejected(relaxation):
         accelerated_run(scalar_problem(), cfg)
 
 
+def two_system_constants(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
+    graph = coupling.make_graph(2, {(2, 1): k21}, l_consts=[0.0, 1.0, 1.0])
+    return coupling.Constants((m, m), graph, lipschitz, k12)
+
+
 def test_evaluate_criterion_propagation_and_upper():
-    ledger = ConstantsLedger()
-    assert evaluate_criterion("propagation", delta_k=0.0, err=1e-7, l_est=0.5,
-                              ledger=ledger, eps=1e-6)
-    assert not evaluate_criterion("propagation", delta_k=1e-6, err=1e-6, l_est=1.0,
-                                  ledger=ledger, eps=1e-6)
+    half, one = two_system_constants(lipschitz=0.5), two_system_constants(lipschitz=1.0)
+    assert evaluate_criterion("propagation", delta_k=0.0, err=1e-7, constants=half,
+                              eps=1e-6)
+    assert not evaluate_criterion("propagation", delta_k=1e-6, err=1e-6, constants=one,
+                                  eps=1e-6)
     # tie accepted (<= comparison)
-    assert evaluate_criterion("propagation", delta_k=5e-7, err=1e-6, l_est=0.5,
-                              ledger=ledger, eps=1e-6)
-    assert evaluate_criterion("upper_bound", delta_k=1e-6, err=math.inf, l_est=2.0,
-                              ledger=ledger, eps=1e-6)
+    assert evaluate_criterion("propagation", delta_k=5e-7, err=1e-6, constants=half,
+                              eps=1e-6)
+    assert evaluate_criterion("upper_bound", delta_k=1e-6, err=math.inf,
+                              constants=two_system_constants(lipschitz=2.0), eps=1e-6)
 
 
 def test_evaluate_criterion_residual_and_asymptotic():
-    ledger = ConstantsLedger.fixed(m=2.0, k21=0.5, k12=0.4)
-    assert evaluate_criterion("residual", delta_k=1.0, err=1.0, l_est=1.0,
-                              ledger=ledger, eps=1e-6, residuals={1: 5e-7})
-    assert not evaluate_criterion("residual", delta_k=0.0, err=0.0, l_est=0.0,
-                                  ledger=ledger, eps=1e-6, residuals={1: 2e-6})
-    budget = coupling.asymptotic_residual_budget(ledger, 1e-6)
-    assert evaluate_criterion("asymptotic", delta_k=0.0, err=0.0, l_est=0.0,
-                              ledger=ledger, eps=1e-6, residuals={1: budget * 0.9})
-    degenerate = ConstantsLedger.fixed(m=2.0, k21=2.0, k12=0.6)
-    assert not evaluate_criterion("asymptotic", delta_k=0.0, err=0.0, l_est=0.0,
-                                  ledger=degenerate, eps=1e-6, residuals={1: 0.0})
+    constants = two_system_constants()
+    assert evaluate_criterion("residual", delta_k=1.0, err=1.0, constants=constants,
+                              eps=1e-6, residuals={1: 5e-7})
+    assert not evaluate_criterion("residual", delta_k=0.0, err=0.0, constants=constants,
+                                  eps=1e-6, residuals={1: 2e-6})
+    budget = coupling.asymptotic_residual_budget(constants, 1e-6)
+    assert evaluate_criterion("asymptotic", delta_k=0.0, err=0.0, constants=constants,
+                              eps=1e-6, residuals={1: budget * 0.9})
+    degenerate = two_system_constants(k21=2.0, k12=0.6)
+    assert not evaluate_criterion("asymptotic", delta_k=0.0, err=0.0, constants=degenerate,
+                                  eps=1e-6, residuals={1: 0.0})
 
 
 def test_run_config_validation():
@@ -545,15 +549,19 @@ def thermal_problem():
 def disable_reuse(monkeypatch):
     """Switch off early rejection and assembly reuse.
 
-    Returns call counts of the patched entry points, so a test can check
-    that the plain paths really ran.
+    The plain reduced step solves every system and checks the criterion once,
+    on the whole step's bound. Returns call counts of the patched entry
+    points, so a test can check that the plain paths really ran.
     """
     calls = {"inexact_step": 0, "exact_step": 0}
     inexact, exact = driver.inexact_step, driver.exact_step
 
     def plain_inexact(*args, accept=None, **kwargs):
         calls["inexact_step"] += 1
-        return inexact(*args, **kwargs)
+        x_next, delta, residuals = inexact(*args, **kwargs)
+        if accept is not None and not accept(delta, residuals):
+            x_next = None
+        return x_next, delta, residuals
 
     def plain_exact(*args, first_system=None, **kwargs):
         calls["exact_step"] += 1
@@ -614,12 +622,12 @@ def test_inexact_step_stops_at_the_first_failing_reduced_system():
         state.push(step.solutions)
         x = step.x_next
     bases = state.all_bases()
-    inv_norms = {1: 1.0, 2: 1.0}
-    full = inexact_step(prob, x, bases, cfg.rom_set, inv_norms, prob.graph)
+    constants = coupling.Constants((1.0, 1.0), prob.graph, 0.5, 0.0)
+    full = inexact_step(prob, x, bases, cfg.rom_set, constants)
     seen, systems = [], []
     report = RunReport(p=2)
     x_next, delta, residuals = inexact_step(
-        prob, x, bases, cfg.rom_set, inv_norms, prob.graph, report,
+        prob, x, bases, cfg.rom_set, constants, report,
         accept=lambda d, r: seen.append((d, dict(r))) or False, systems=systems)
     assert x_next is None
     assert seen == [(delta, residuals)] and list(residuals) == [1]
@@ -628,8 +636,7 @@ def test_inexact_step_stops_at_the_first_failing_reduced_system():
     assert report.assemblies == [1, 0] and report.rom_solves == 1
     assert len(systems) == 1
     # a predicate that always accepts changes nothing
-    always = inexact_step(prob, x, bases, cfg.rom_set, inv_norms, prob.graph,
-                          accept=lambda d, r: True)
+    always = inexact_step(prob, x, bases, cfg.rom_set, constants, accept=lambda d, r: True)
     assert np.array_equal(always[0], full[0]) and always[1:] == full[1:]
 
 
@@ -703,8 +710,9 @@ def test_exact_step_uses_a_given_first_system():
 def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
     pair = problems.ReactionDiffusionPair(n=16)
     prob = problems.make_coupled_problem(pair, exact_constants=True)
-    ledger = driver._ledger(prob)
-    assert (ledger.k21_est, ledger.k12_est) == (prob.graph.k(2, 1), prob.graph.k(1, 0))
+    constants = driver._constants(prob, None, rom_set)
+    assert (constants.k21, constants.k12) == (prob.graph.k(2, 1), prob.graph.k(1, 0))
+    assert constants.m == max(prob.fixed_constants.inv_norms)
     cfg = RunConfig(eps=1e-8, rom_set=rom_set, criterion="asymptotic")
     report = accelerated_run(prob, cfg)
     assert report.converged
@@ -712,3 +720,79 @@ def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
     reference = accelerated_run(prob, RunConfig(eps=1e-12, validation_loop=False)).x
     assert numerics.norm2(report.x - reference) <= 10 * cfg.eps
     assert driver.lockstep_verify(prob, cfg) <= cfg.eps
+
+
+def test_fixed_constants_keep_no_ledger(monkeypatch):
+    """A run with certified constants reads them once and estimates nothing."""
+    prob = problems.make_coupled_problem(problems.ReactionDiffusionPair(n=8),
+                                         exact_constants=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixed-constant run built a ledger")
+
+    monkeypatch.setattr(coupling.ConstantsLedger, "__init__", refuse)
+    report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
+    assert report.converged and any(row.event == "rom" for row in report.trace)
+    assert {row.l_est for row in report.trace} == {prob.fixed_constants.lipschitz}
+
+
+@pytest.mark.parametrize("rom_set", [frozenset(), frozenset({1})], ids=["none", "rom1"])
+def test_online_graph_is_built_once_per_observation_and_only_with_a_reduced_system(
+        monkeypatch, rom_set):
+    with_k, builds = coupling.DependenceGraph.with_k, []
+
+    def counted(graph, updates):
+        builds.append(updates)
+        return with_k(graph, updates)
+
+    observe, observed = coupling.ConstantsLedger.observe, []
+
+    def counted_observe(ledger, *args):
+        observed.append(args)
+        return observe(ledger, *args)
+
+    monkeypatch.setattr(coupling.DependenceGraph, "with_k", counted)
+    monkeypatch.setattr(coupling.ConstantsLedger, "observe", counted_observe)
+    report = accelerated_run(thermal_problem(), RunConfig(eps=1e-8, rom_set=rom_set))
+    assert report.converged and observed
+    assert len(builds) == (1 + len(observed) if rom_set else 0)
+
+
+def diagonal_chain(coupling_strength, n=3):
+    """Three diagonal systems in a chain without fixed constants.
+
+    System 1 reads the outer iterate's last block and system i > 1 reads y_{i-1},
+    each scaled by ``coupling_strength``; the combiner stacks the solutions.
+    """
+    a = np.diag(np.linspace(0.5, 1.0, n))
+
+    def assembler(i):
+        def assemble(x, ys):
+            upstream = x[2 * n:] if i == 0 else ys[i - 1]
+            return a, np.ones(n) + coupling_strength * upstream
+        return assemble
+
+    return CoupledProblem(p=3, block_dims=(n, n, n),
+                          assemblers=tuple(assembler(i) for i in range(3)),
+                          combiner=lambda x, ys: np.concatenate(ys),
+                          graph=coupling.make_graph(3), x0=np.zeros(3 * n))
+
+
+@pytest.mark.parametrize("coupling_strength", [0.3, 0.0])
+def test_online_constants_refuse_a_reduced_upstream_system_before_the_first_step(
+        coupling_strength):
+    steps = []
+    cfg = RunConfig(eps=1e-8, n_b=3, rom_set=frozenset({1}))
+    with pytest.raises(MissingConstants, match="p > 2"):
+        accelerated_run(diagonal_chain(coupling_strength), cfg, observer=steps.append)
+    assert steps == []
+
+
+def test_online_constants_reduce_the_last_system_of_a_three_system_chain():
+    report = accelerated_run(diagonal_chain(0.3),
+                             RunConfig(eps=1e-8, n_b=3, rom_set=frozenset({3})))
+    assert report.converged and report.iterations == 19
+    assert [row.event for row in report.trace] == (
+        ["fom"] * 3 + ["reject", "refine"] * 3 + ["rom", "reject", "refine"]
+        + ["rom"] * 6 + ["validate-ok"])
+    assert report.fom_solves == [20, 20, 8] and report.rejected == 4

@@ -2,7 +2,8 @@
 
 Every case runs one demo problem from its unperturbed ``x0`` under one
 criterion and one ROM selection, with the harness defaults and
-``eps = 1e-8``, and compares the event sequence, ``fom_solves``,
+``eps = 1e-8``, the linear demos once more with their certified constants
+(case suffix ``/exact``), and compares the event sequence, ``fom_solves``,
 ``factorizations``, ``iterations``, ``rejected`` and ``converged`` with the
 recorded fixture; a run that stops with a library error records the error's
 class instead.
@@ -26,18 +27,22 @@ FIXTURE = Path(__file__).parent / "data" / "golden_traces.json"
 EPS = 1e-8
 ROM_CHOICES = {"rd": ("none", "1", "both"), "thermal": ("none", "1", "both"),
                "scalar": ("none", "1")}
+# the linear demos again with their certified constants, case suffix "/exact"
+EXACT_ROM_CHOICES = {"rd": ("none", "1", "both"), "scalar": ("none", "1")}
 
 
 def cases() -> list[str]:
-    return [f"{problem}/{criterion}/{rom}"
-            for problem, roms in ROM_CHOICES.items()
+    return [f"{problem}/{criterion}/{rom}{suffix}"
+            for choices, suffix in ((ROM_CHOICES, ""), (EXACT_ROM_CHOICES, "/exact"))
+            for problem, roms in choices.items()
             for criterion in CRITERIA for rom in roms]
 
 
 def record(case: str) -> dict:
-    problem, criterion, rom = case.split("/")
+    problem, criterion, rom, *exact = case.split("/")
     cfg = harness.ExperimentConfig(problem=problem, grid_n=16, rom=rom,
-                                   criterion=criterion, eps=EPS)
+                                   criterion=criterion, eps=EPS,
+                                   exact_constants=bool(exact))
     prob = harness.build_problem(cfg)
     try:
         report = accelerated_run(prob, harness.build_run_config(cfg, prob.p))

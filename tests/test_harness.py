@@ -309,3 +309,13 @@ def test_cli_config_file_values_survive_without_flags(tmp_path):
     assert cli._experiment_config(args) == saved
     args = cli.build_parser().parse_args(["run", "--config", str(path), "--eps", "1e-4"])
     assert cli._experiment_config(args) == dataclasses.replace(saved, eps=1e-4)
+
+
+def test_thermal_refuses_exact_constants(tmp_path):
+    cfg = harness.ExperimentConfig(problem="thermal", exact_constants=True)
+    with pytest.raises(ConfigError, match="exact constants"):
+        harness.build_problem(cfg)
+    rc = cli.main(["run", "--problem", "thermal", "--exact-constants",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "run_report.json").exists()
