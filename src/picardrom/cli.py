@@ -89,8 +89,8 @@ def _report_exit(converged: bool) -> int:
 
 
 def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     problem = harness.build_problem(cfg)
+    out = _out_dir(cfg)
     try:
         report = harness.run_reference(cfg, problem)
     except MaxIterationsExceeded as exc:
@@ -109,8 +109,8 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_run(cfg: harness.ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     problem = harness.build_problem(cfg)
+    out = _out_dir(cfg)
     result = harness.run_accelerated(cfg, problem)
     rep = result.report
     harness.emit_report(rep, out / "run_report.json",
@@ -123,8 +123,8 @@ def _cmd_run(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_compare(cfg: harness.ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     rows = harness.compare_criteria(cfg)
+    out = _out_dir(cfg)
     harness.write_comparison_csv(rows, out / "criteria_comparison.csv")
     for row in rows:
         print(f"{row['criterion']:<12} validation={str(row['validation']):<5} "
@@ -134,9 +134,9 @@ def _cmd_compare(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     reps = max(cfg.repetitions, 5)
     problem = harness.build_problem(cfg)
+    out = _out_dir(cfg)
     reference = harness.run_reference(cfg, problem)
     run_cfg = harness.build_run_config(cfg, problem.p)
     base_cfg = dataclasses.replace(cfg, rom="none")

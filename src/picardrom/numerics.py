@@ -6,9 +6,10 @@ throughout the package. Full-order operators are sparse CSC 5-point stencils
 in natural order, hence band matrices of half-width ``nx``; they factor with
 LAPACK banded LU. Where a band matrix reappears with the same pattern and
 new values, :func:`lu_factorize` takes the earlier factors' band layout and
-only scatters the new values. Reduced systems and other small matrices stay
-dense and factor with LAPACK dense LU, called directly. Both kinds go through
-the same :func:`lu_factorize` / :func:`lu_apply` pair.
+only scatters the new values; factors without row swaps solve with two BLAS
+triangular band solves. Reduced systems and other small matrices stay dense
+and factor with LAPACK dense LU, called directly. Both kinds go through the
+same :func:`lu_factorize` / :func:`lu_apply` pair.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ class BandFactors:
     """LAPACK banded LU (``dgbtrf``) of a square matrix, and its band layout."""
 
     lub: np.ndarray   # (2*kl + ku + 1, n) band storage of L and U, Fortran order
-    ipiv: np.ndarray  # row interchanges
+    ipiv: np.ndarray  # row interchanges, 0-based
     layout: BandLayout
+    lower: np.ndarray | None = None  # without row swaps: dtbsv band of unit-lower L,
+    upper: np.ndarray | None = None  # and of U; views into lub's buffer
 
     @property
     def kl(self) -> int:
@@ -96,11 +99,13 @@ class BandFactors:
 
 
 def _band(a, layout: BandLayout | None = None) -> tuple[np.ndarray, BandLayout]:
-    """LAPACK band storage of the CSC matrix ``a``, duplicate entries summed.
+    """Flat LAPACK band storage of the CSC matrix ``a``, duplicates summed.
 
     Entry ``a[i, j]`` goes to row ``kl + ku + i - j`` of column ``j``; the
     top ``kl`` rows are left free for the fill-in of partial pivoting. The
-    layout is derived from ``a``'s pattern unless one is given.
+    band is followed by ``kl + ku`` spare zeros that keep views offset by up
+    to that many entries inside. The layout is derived from ``a``'s pattern
+    unless one is given.
     """
     n = a.shape[1]
     if layout is None:
@@ -109,9 +114,16 @@ def _band(a, layout: BandLayout | None = None) -> tuple[np.ndarray, BandLayout]:
         kl = max(int(offsets.max(initial=0)), 0)
         ku = max(int(-offsets.min(initial=0)), 0)
         layout = BandLayout(cols * (2 * kl + ku + 1) + (kl + ku) + offsets, kl, ku)
-    ldab = 2 * layout.kl + layout.ku + 1
-    flat = np.bincount(layout.index, weights=a.data, minlength=ldab * n)
-    return flat.reshape(n, ldab).T, layout
+    kl, ku = layout.kl, layout.ku
+    flat = np.bincount(layout.index, weights=a.data,
+                       minlength=(2 * kl + ku + 1) * n + kl + ku)
+    return flat, layout
+
+
+def _band_view(flat: np.ndarray, offset: int, shape: tuple[int, int]) -> np.ndarray:
+    """Fortran-order ``shape`` view of ``flat`` from element ``offset`` on."""
+    ldab, n = shape
+    return flat[offset:offset + ldab * n].reshape(n, ldab).T
 
 
 def lu_factorize(a, layout: BandLayout | None = None):
@@ -121,26 +133,33 @@ def lu_factorize(a, layout: BandLayout | None = None):
     Dense input factors with LAPACK ``dgetrf``. Sparse input factors with
     LAPACK banded LU (``dgbtrf``, partial pivoting) over the band its pattern
     spans, ``kl = max(i - j)`` below and ``ku = max(j - i)`` above the
-    diagonal. The band array holds ``(2*kl + ku + 1) * n`` doubles: cheap for
-    the narrow bands of the stencil operators (half-width ``nx`` in natural
-    order), but up to about 3x dense storage when entries lie far from the
-    diagonal. ``layout``, the ``layout`` of earlier factors of a CSC matrix
-    with the same shape, ``indptr`` and ``indices``, skips deriving it again;
-    the caller vouches for the equal pattern.
+    diagonal, in place. The band array holds ``(2*kl + ku + 1) * n`` doubles:
+    cheap for the narrow bands of the stencil operators (half-width ``nx`` in
+    natural order), but up to about 3x dense storage when entries lie far
+    from the diagonal; factors without row swaps also carry views of it.
+    ``layout``, the ``layout`` of earlier factors of a CSC matrix with the
+    same shape, ``indptr`` and ``indices``, skips deriving it again; the
+    caller vouches for the equal pattern.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if scipy.sparse.issparse(a):
         scale = np.abs(a.data).max(initial=0.0)
-        ab, layout = _band(a, layout)
+        flat, layout = _band(a, layout)
         kl, ku = layout.kl, layout.ku
+        ab = _band_view(flat, 0, (2 * kl + ku + 1, a.shape[1]))
         lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         if info > 0:
             raise SingularMatrix(f"numerically singular matrix (zero pivot {info})")
-        factors = BandFactors(lub, ipiv, layout)
+        # Factored in place without row swaps, U has ku superdiagonals (its kl
+        # fill rows stay zero) and L kl subdiagonals: views from offset kl + ku
+        # and kl put L's diagonal in row 0 and U's in row ku.
+        no_swaps = lub is ab and (ipiv == np.arange(ipiv.size, dtype=ipiv.dtype)).all()
+        views = [_band_view(flat, k, lub.shape) for k in (kl + ku, kl)] if no_swaps else []
+        factors = BandFactors(lub, ipiv, layout, *views)
         pivots = np.abs(lub[kl + ku])
     else:
         scale = np.abs(a).max()
@@ -156,12 +175,17 @@ def lu_factorize(a, layout: BandLayout | None = None):
 
 
 def lu_apply(factors, b: np.ndarray) -> np.ndarray:
-    """Solve with a handle from :func:`lu_factorize`."""
+    """Solve with a handle from :func:`lu_factorize`: BLAS ``dtbsv`` on L, then
+    on U, for banded factors without row swaps, else ``dgbtrs`` or ``dgetrs``."""
     banded = isinstance(factors, BandFactors)
     n = factors.lub.shape[1] if banded else factors[0].shape[0]
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionMismatch("right-hand side length does not match matrix")
+    if banded and factors.lower is not None:
+        dtbsv = scipy.linalg.blas.dtbsv
+        y = dtbsv(factors.kl, factors.lower, b, lower=1, diag=1)
+        return dtbsv(factors.ku, factors.upper, y, overwrite_x=1)
     if banded:
         x, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
                                              factors.ipiv)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class ReducedBasis:
     @property
     def size(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``[basis | mean]``, built once, so one sparse product projects both."""
+        return np.column_stack([self.basis, self.mean])
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
     With V the basis and u_mean the mean snapshot, solves
     ``(V^T A V) v = V^T f - V^T A u_mean`` and returns
     ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``. A sparse
-    ``A`` keeps the projection at O(nnz(A) * M).
+    ``A`` keeps the projection at O(nnz(A) * M), one product ``A [V | u_mean]``.
     """
     a = numerics.as_matrix(a)
     f = numerics.as_vector(f)
@@ -160,9 +166,9 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
         full = basis.mean.copy()
         coords = np.zeros(0)
     else:
-        a_v = a @ v_mat
-        reduced_a = v_mat.T @ a_v
-        reduced_rhs = v_mat.T @ f - v_mat.T @ (a @ basis.mean)
+        a_cols = a @ basis.columns  # contiguous slices: strided ones round differently
+        reduced_a = v_mat.T @ np.ascontiguousarray(a_cols[:, :-1])
+        reduced_rhs = v_mat.T @ f - v_mat.T @ np.ascontiguousarray(a_cols[:, -1])
         try:
             coords = numerics.solve_dense(reduced_a, reduced_rhs)
         except SingularMatrix as exc:

@@ -294,15 +294,22 @@ class ThermalFlowSurrogate:
         return 1.8 * x * (2.0 - x)
 
 
-def assemble_flow(surrogate: ThermalFlowSurrogate, theta: np.ndarray):
-    """Vertical-velocity equation: -div(nu(theta) grad u) = beta*g*theta."""
-    nu = surrogate.viscosity(theta)
-    bc = {
+def _flow_bc(surrogate: ThermalFlowSurrogate) -> dict:
+    """Boundary data of the flow equation: parabolic inflow at the bottom."""
+    return {
         "south": ("dirichlet", surrogate.inlet_profile()),
         "north": ("neumann", 0.0),
         "west": ("dirichlet", 0.0),
         "east": ("dirichlet", 0.0),
     }
+
+
+def assemble_flow(surrogate: ThermalFlowSurrogate, theta: np.ndarray, bc=None):
+    """Vertical-velocity equation: -div(nu(theta) grad u) = beta*g*theta.
+
+    ``bc``, :func:`_flow_bc` of the same surrogate, can be shared."""
+    nu = surrogate.viscosity(theta)
+    bc = _flow_bc(surrogate) if bc is None else bc
     a, f_bc = diffusion_operator(surrogate.grid, nu, bc)
     forcing = surrogate.beta * GRAVITY * np.asarray(theta, dtype=float)
     return a, forcing + f_bc
@@ -490,15 +497,16 @@ def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProb
 def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
     n = surrogate.grid.n
     dims = (n, n)
-    diffusion = []
+    flow_bc, diffusion = [], []
 
+    # Inflow data and k_T stencil: built on first use and shared, like the rd operators.
     def assemble_1(x, ys):
         _, theta = _split(x, dims)
-        return assemble_flow(surrogate, theta)
+        if not flow_bc:
+            flow_bc.append(_flow_bc(surrogate))
+        return assemble_flow(surrogate, theta, flow_bc[0])
 
     def assemble_2(x, ys):
-        # The k_T stencil is built on first use and shared afterwards, like
-        # the rd operators.
         if not diffusion:
             diffusion.append(_heat_diffusion(surrogate))
         return assemble_heat(surrogate, ys[0], diffusion[0])

@@ -332,6 +332,23 @@ def test_rd_run_factors_each_operator_once(factorizations, rom_set):
     assert report.factorizations == [1, 0]
 
 
+def test_rd_run_solves_its_one_factorization_with_triangle_views(monkeypatch):
+    # the rd operator is an M-matrix, so banded LU swaps no rows
+    made = []
+    original = numerics.lu_factorize
+
+    def spy(a, **kwargs):
+        made.append(original(a, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(numerics, "lu_factorize", spy)
+    prob, _ = rd_problem()
+    report = accelerated_run(prob, RunConfig(eps=1e-8))
+    assert report.converged
+    assert len(made) == 1
+    assert made[0].lower is not None and made[0].upper is not None
+
+
 def test_each_run_pays_for_its_own_factorizations(factorizations):
     prob, n = rd_problem()
     cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}))

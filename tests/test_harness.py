@@ -319,3 +319,10 @@ def test_thermal_refuses_exact_constants(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 1
     assert not (tmp_path / "run_report.json").exists()
+
+
+def test_refused_cli_run_leaves_no_output_directory(tmp_path):
+    out = tmp_path / "refused"
+    rc = cli.main(["run", "--problem", "thermal", "--exact-constants", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +287,69 @@ def test_banded_lu_raises_on_singular_band_matrices(system, data):
         dense[other + (other >= k)] = dense[k]
     with pytest.raises(SingularMatrix):
         numerics.lu_factorize(scipy.sparse.csc_array(dense))
+
+
+def assert_views_inside_band_buffer(factors):
+    """Both triangle views read the buffer ``dgbtrf`` factored in place, at
+    element offsets ``kl + ku`` (L) and ``kl`` (U), and end inside it."""
+    buffer = factors.lub.base
+    start, end = buffer.ctypes.data, buffer.ctypes.data + buffer.nbytes
+    assert factors.lub.ctypes.data == start
+    for view, offset in ((factors.lower, factors.kl + factors.ku), (factors.upper, factors.kl)):
+        assert view.base is buffer and view.shape == factors.lub.shape
+        assert view.ctypes.data == start + offset * buffer.itemsize
+        assert view.ctypes.data + view.nbytes <= end
+
+
+@settings(deadline=None, max_examples=200)
+@given(banded_systems())
+def test_banded_lu_solves_with_triangle_views_exactly_when_no_row_was_swapped(system):
+    a, _, _, _, b = system
+    dense = a.toarray()
+    try:
+        factors = numerics.lu_factorize(a)
+    except SingularMatrix:
+        return
+    n = dense.shape[0]
+    no_swaps = np.array_equal(factors.ipiv, np.arange(n))
+    assert (factors.lower is not None) == no_swaps
+    assert (factors.upper is not None) == no_swaps
+    if no_swaps:
+        assert_views_inside_band_buffer(factors)
+    x = numerics.lu_apply(factors, b)
+    x_ref, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
+                                             factors.ipiv)
+    assert info == 0
+    # the two solutions differ by no more than a backward error allows
+    scale = np.linalg.norm(dense, 2) * numerics.norm2(x_ref) + numerics.norm2(b)
+    assert numerics.norm2(dense @ (x - x_ref)) <= SOLVE_RTOL * scale
+    assert backward_error(dense, x, b) <= SOLVE_RTOL
+
+
+def test_column_dominant_band_matrix_solves_with_triangle_views():
+    n = 12
+    dense = (np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), -1)
+             + np.diag(np.full(n - 2, -1.5), 2))
+    factors = numerics.lu_factorize(scipy.sparse.csc_array(dense))
+    assert (factors.kl, factors.ku) == (1, 2)
+    assert np.array_equal(factors.ipiv, np.arange(n))
+    assert_views_inside_band_buffer(factors)
+    b = np.linspace(-1.0, 2.0, n)
+    b_before = b.copy()
+    x = numerics.lu_apply(factors, b)
+    assert np.array_equal(b, b_before)
+    assert backward_error(dense, x, b) <= SOLVE_RTOL
+
+
+def test_band_matrix_that_needs_a_row_swap_solves_with_dgbtrs():
+    dense = np.array([[1e-3, 1.0], [1.0, 1.0]])
+    factors = numerics.lu_factorize(scipy.sparse.csc_array(dense))
+    assert not np.array_equal(factors.ipiv, np.arange(2))
+    assert factors.lower is None and factors.upper is None
+    b = np.array([1.0, 2.0])
+    x = numerics.lu_apply(factors, b)
+    assert backward_error(dense, x, b) <= SOLVE_RTOL
+    assert numerics.norm2(x - np.linalg.solve(dense, b)) <= 1e-14 * numerics.norm2(x)
 
 
 def factor_or_error(a, layout=None):

@@ -546,6 +546,16 @@ def test_flow_unforced_zero():
     assert numerics.norm2(u) <= 1e-12
 
 
+def test_flow_assembly_with_prebuilt_boundary_data_is_bitwise_the_same():
+    s = ThermalFlowSurrogate()
+    theta = np.random.default_rng(5).uniform(-0.5, 1.0, s.grid.n)
+    bc = problems._flow_bc(s)
+    a, f = assemble_flow(s, theta)
+    a_shared, f_shared = assemble_flow(s, theta, bc)
+    assert_same_sparse(a_shared, a)
+    assert_bitwise(f_shared, f)
+
+
 def test_flow_symmetry_for_constant_theta():
     s = ThermalFlowSurrogate()
     theta = 0.05 * np.ones(s.grid.n)
