@@ -138,16 +138,14 @@ def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
     problem = harness.build_problem(cfg)
     out = _out_dir(cfg)
     reference = harness.run_reference(cfg, problem)
-    run_cfg = harness.build_run_config(cfg, problem.p)
     base_cfg = dataclasses.replace(cfg, rom="none")
-    base_run_cfg = harness.build_run_config(base_cfg, problem.p)
     accel, base = [], []
     for _ in range(reps):
         t0 = time.perf_counter()
-        harness.run_accelerated(cfg, problem, reference, run_cfg)
+        harness.run_accelerated(cfg, problem, reference)
         accel.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        harness.run_accelerated(base_cfg, problem, reference, base_run_cfg)
+        harness.run_accelerated(base_cfg, problem, reference)
         base.append(time.perf_counter() - t0)
     stats = harness.bench_stats(accel, base)
     payload = dataclasses.asdict(stats)

@@ -110,19 +110,16 @@ def _path_sum(graph: DependenceGraph, i: int, j: int) -> float:
 
 
 def contraction_bound(graph: DependenceGraph) -> float:
-    """Upper estimate of the Lipschitz constant of the combined map G."""
-    total = float(graph.l_consts[0])
-    for j in range(1, graph.p + 1):
-        lj = float(graph.l_consts[j])
-        if lj != 0.0:
-            total += lj * _path_sum(graph, 0, j)
-    return total
+    """Upper estimate of the Lipschitz constant of the combined map G: the
+    amplification of a perturbation of the outer iterate (index 0)."""
+    return amplification_factor(graph, 0)
 
 
 def amplification_factor(graph: DependenceGraph, i: int) -> float:
-    """Coefficient multiplying the ROM error of system i in the delta bound."""
-    if not 1 <= i <= graph.p:
-        raise InvalidRange(f"system index {i} outside 1..{graph.p}")
+    """Coefficient multiplying the ROM error of system i in the delta bound;
+    at ``i = 0``, the contraction bound."""
+    if not 0 <= i <= graph.p:
+        raise InvalidRange(f"system index {i} outside 0..{graph.p}")
     total = float(graph.l_consts[i])
     for j in range(i + 1, graph.p + 1):
         lj = float(graph.l_consts[j])

@@ -3,13 +3,13 @@
 The accelerated run keeps a running bound ``err`` on the distance between the
 inexact sequence and the exact sequence restarted at the last full-order
 point: a full-order refinement step contracts it (``err <- L*err``), an
-accepted reduced step accumulates it (``err <- delta + L*err``), and a step
-whose tentative bound exceeds the solver tolerance is rejected and triggers a
-basis refinement. A reduced step is rejected as soon as its partial bound
-fails the criterion, before any downstream assembly or full-order solve, and
-the refinement step that follows reuses the rejected step's assembly of
-system 1. An optional outer validation loop applies the exact map once at
-apparent convergence.
+accepted reduced step accumulates it (``err <- delta + L*err``), L being the
+relaxed map's Lipschitz constant, and a step whose tentative bound exceeds
+the solver tolerance is rejected and triggers a basis refinement. A reduced
+step is rejected as soon as its partial bound fails the criterion, before any
+downstream assembly or full-order solve, and the refinement step that follows
+reuses the rejected step's assembly of system 1. An optional outer
+validation loop applies the exact map once at apparent convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import coupling, numerics, pod
 from .coupling import Constants, ConstantsLedger, DependenceGraph
@@ -79,8 +78,6 @@ class CoupledProblem:
             raise ConfigError("assemblers/block_dims must match p")
         if self.p != self.graph.p:
             raise ConfigError("dependence graph order must match p")
-        if self.p > 6:
-            raise ConfigError("p > 6 not supported (path sets grow as 2**p)")
         self.x0 = np.asarray(self.x0, dtype=float)
 
 
@@ -176,14 +173,6 @@ def _hash_state(x: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(x).data).hexdigest()[:12]
 
 
-def _same_pattern(cached, a) -> bool:
-    """CSC matrices of equal shape with bitwise-equal ``indptr`` and ``indices``."""
-    return (scipy.sparse.issparse(a) and scipy.sparse.issparse(cached)
-            and a.format == cached.format == "csc" and a.shape == cached.shape
-            and np.array_equal(a.indptr, cached.indptr)
-            and np.array_equal(a.indices, cached.indices))
-
-
 class FactorCache:
     """Full-order factorizations kept for one run, one entry per system.
 
@@ -191,10 +180,8 @@ class FactorCache:
     object, and shared with any other system whose entry holds that object.
     Matrices are matched by identity only, never by value: any other matrix
     is factored afresh and replaces the system's entry. Full-order matrices
-    factor by LAPACK banded LU (see :func:`numerics.lu_factorize`). A CSC
-    matrix with the replaced entry's pattern (shape, ``indptr`` and
-    ``indices``) but new values reuses that entry's band layout, so its
-    factorization only scatters the new values.
+    factor by LAPACK banded LU (see :func:`numerics.lu_factorize`, which
+    caches band layouts per pattern).
 
     ``counts``, if given, receives one increment at index ``i`` per
     factorization of system ``i``.
@@ -209,9 +196,7 @@ class FactorCache:
         f = numerics.as_vector(f)
         entry = next((e for e in self._entries.values() if e[0] is a), None)
         if entry is None:
-            old = self._entries.get(i)
-            layout = old[1].layout if old is not None and _same_pattern(old[0], a) else None
-            entry = (a, numerics.lu_factorize(a, layout=layout))
+            entry = (a, numerics.lu_factorize(a))
             if self._counts is not None:
                 self._counts[i] += 1
         self._entries[i] = entry
@@ -270,6 +255,13 @@ def _relaxation_factor(relaxation: float | Callable[[int], float], k: int) -> fl
 def _relax(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
     """Relaxed update ``(1 - lam)*x + lam*gx``; ``gx`` itself at ``lam == 1``."""
     return gx if lam == 1.0 else (1.0 - lam) * x + lam * gx
+
+
+def _relaxed_lipschitz(lipschitz: float, lam: float) -> float:
+    """Lipschitz constant ``(1 - lam) + lam*L`` of the relaxed map
+    ``(1 - lam)*x + lam*G(x)`` when ``lipschitz`` is G's L; L itself at
+    ``lam == 1``."""
+    return (1.0 - lam) + lam * lipschitz
 
 
 def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, constants: Constants,
@@ -343,10 +335,12 @@ def inexact_step(problem: CoupledProblem, x: np.ndarray,
 
 
 def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Constants,
-                       eps: float, residuals: dict[int, float] | None = None) -> bool:
-    """Accept (True) or refine (False) the current reduced step."""
+                       eps: float, residuals: dict[int, float] | None = None,
+                       lam: float = 1.0) -> bool:
+    """Accept (True) or refine (False) the current reduced step of weight
+    ``lam``; propagation carries ``err`` by :func:`_relaxed_lipschitz`."""
     if kind == "propagation":
-        return delta_k + constants.lipschitz * err <= eps
+        return delta_k + _relaxed_lipschitz(constants.lipschitz, lam) * err <= eps
     if kind == "upper_bound":
         return delta_k <= eps
     if kind == "residual":
@@ -461,7 +455,8 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     A step shorter than ``eps``, other than a rejection, ends the run, after
     one exact step at the new iterate if ``validation_loop`` is set
     (``validate-ok``, or ``validate-fail``, which clears ``err`` and
-    ``rom_ok``). ``observer`` receives one event dict per iteration.
+    ``rom_ok``). ``observer`` receives one event dict per iteration. Each
+    row's ``l_est`` is the L of its step: :func:`_relaxed_lipschitz`.
 
     Every bound and criterion reads one :class:`coupling.Constants`: the
     problem's fixed constants, or the online ledger's estimates, rebuilt
@@ -486,7 +481,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     def holds(delta, residuals, err):
         return evaluate_criterion(
             config.criterion, delta_k=delta, err=err, constants=constants,
-            eps=config.eps, residuals=residuals)
+            eps=config.eps, residuals=residuals, lam=lam)
 
     x = problem.x0.copy()
     err = math.inf
@@ -499,6 +494,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             log.warning("estimated Lipschitz constant %.3g >= 1; propagation "
                         "guarantees void", constants.lipschitz)
             report.expansive_warning = True
+        l_step = _relaxed_lipschitz(constants.lipschitz, lam)
         delta_k, fresh_start = None, False
 
         if rom_ok:
@@ -512,7 +508,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
                 x_t = None
             if x_t is not None:
                 x_next, event = x_t, "rom"
-                err = delta_k + constants.lipschitz * err
+                err = delta_k + l_step * err
             else:
                 x_next, event = x.copy(), "reject"
                 rejected, rom_ok = assembled[0], False
@@ -528,8 +524,9 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             if ledger is not None:
                 ledger.observe(x_next, step.solutions, step.rhs_norms)
                 constants = _constants(problem, ledger, config.rom_set)
+                l_step = _relaxed_lipschitz(constants.lipschitz, lam)
             fresh_start = not refine and math.isinf(err)
-            err = constants.lipschitz * err if refine else math.inf
+            err = l_step * err if refine else math.inf
             rom_ok = refine and err <= config.eps
             if (rom is not None and rom.ready()
                     and not (refine and config.criterion == "propagation")):
@@ -558,7 +555,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         report.trace.append(TraceRow(
             k=k, err=err, delta=delta_k, step_norm=step_norm,
             event=validation or event, x_hash=_hash_state(x_next),
-            l_est=constants.lipschitz))
+            l_est=l_step))
         if observer is not None:
             observer({"k": k, "event": event, "x_prev": x, "x_next": x_next,
                       "err": err, "delta": delta_k, "fresh_start": fresh_start,

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,17 +127,16 @@ def _rom_set(cfg: ExperimentConfig, p: int) -> frozenset[int]:
     return frozenset({idx})
 
 
-def build_run_config(cfg: ExperimentConfig, p: int, *,
-                     criterion: str | None = None,
-                     validation: bool | None = None) -> RunConfig:
+def build_run_config(cfg: ExperimentConfig, p: int) -> RunConfig:
+    """The driver settings of ``cfg`` for a problem of ``p`` systems."""
     return RunConfig(
         eps=cfg.eps,
         k_max=cfg.k_max,
         n_b=cfg.n_b,
         eps_rb=cfg.eps_rb,
         rom_set=_rom_set(cfg, p),
-        criterion=criterion or cfg.criterion,
-        validation_loop=cfg.validation if validation is None else validation,
+        criterion=cfg.criterion,
+        validation_loop=cfg.validation,
     )
 
 
@@ -148,8 +147,7 @@ def run_reference(cfg: ExperimentConfig,
     The reference solution is the report's final iterate ``x``.
     """
     problem = problem or build_problem(cfg)
-    run_cfg = RunConfig(eps=cfg.eps, k_max=cfg.k_max, n_b=cfg.n_b,
-                        rom_set=frozenset(), validation_loop=False)
+    run_cfg = build_run_config(replace(cfg, rom="none", validation=False), problem.p)
     report = accelerated_run(problem, run_cfg)
     if not report.converged:
         raise MaxIterationsExceeded(
@@ -165,14 +163,12 @@ class AcceleratedResult:
 
 def run_accelerated(cfg: ExperimentConfig,
                     problem: CoupledProblem | None = None,
-                    reference: RunReport | None = None,
-                    run_cfg: RunConfig | None = None) -> AcceleratedResult:
+                    reference: RunReport | None = None) -> AcceleratedResult:
     """Accelerated run plus Euclidean error against the reference solution."""
     problem = problem or build_problem(cfg)
     if reference is None:
         reference = run_reference(cfg, problem)
-    run_cfg = run_cfg or build_run_config(cfg, problem.p)
-    report = accelerated_run(problem, run_cfg)
+    report = accelerated_run(problem, build_run_config(cfg, problem.p))
     return AcceleratedResult(report=report,
                              error_vs_reference=numerics.norm2(report.x - reference.x))
 
@@ -205,9 +201,8 @@ def compare_criteria(cfg: ExperimentConfig, validation_modes=(True, False)) -> l
     rows = []
     for criterion in cfg.criteria:
         for validation in validation_modes:
-            run_cfg = build_run_config(cfg, problem.p, criterion=criterion,
-                                       validation=validation)
-            result = run_accelerated(cfg, problem, reference, run_cfg)
+            cell = replace(cfg, criterion=criterion, validation=validation)
+            result = run_accelerated(cell, problem, reference)
             rep = result.report
             fom_iters = max((rep.fom_solves[i - 1] for i in rom), default=rep.iterations)
             rows.append({

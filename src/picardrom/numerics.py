@@ -4,9 +4,9 @@ Everything here is a thin, contract-checked layer over LAPACK (via numpy and
 scipy): direct solve with singularity detection, SVD, and the two norms used
 throughout the package. Full-order operators are sparse CSC 5-point stencils
 in natural order, hence band matrices of half-width ``nx``; they factor with
-LAPACK banded LU. Where a band matrix reappears with the same pattern and
-new values, :func:`lu_factorize` takes the earlier factors' band layout and
-only scatters the new values; factors without row swaps solve with two BLAS
+LAPACK banded LU. The band layout of a pattern is cached by the exact
+pattern, so a matrix that repeats an earlier pattern with new values only
+scatters the values; factors without row swaps solve with two BLAS
 triangular band solves. Reduced systems and other small matrices stay dense
 and factor with LAPACK dense LU, called directly. Both kinds go through the
 same :func:`lu_factorize` / :func:`lu_apply` pair.
@@ -14,6 +14,7 @@ same :func:`lu_factorize` / :func:`lu_apply` pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,25 +99,35 @@ class BandFactors:
         return self.layout.ku
 
 
-def _band(a, layout: BandLayout | None = None) -> tuple[np.ndarray, BandLayout]:
+@functools.lru_cache(maxsize=8)
+def _band_layout(shape: tuple[int, int], dtype: np.dtype, indptr: bytes,
+                 indices: bytes) -> BandLayout:
+    """Band layout of the CSC pattern whose ``indptr`` and ``indices`` hold
+    these bytes of index ``dtype``, cached by that exact pattern; its
+    ``index`` is read-only."""
+    cols = np.repeat(np.arange(shape[1]), np.diff(np.frombuffer(indptr, dtype)))
+    offsets = np.frombuffer(indices, dtype) - cols
+    kl = max(int(offsets.max(initial=0)), 0)
+    ku = max(int(-offsets.min(initial=0)), 0)
+    index = cols * (2 * kl + ku + 1) + (kl + ku) + offsets
+    index.setflags(write=False)
+    return BandLayout(index, kl, ku)
+
+
+def _band(a) -> tuple[np.ndarray, BandLayout]:
     """Flat LAPACK band storage of the CSC matrix ``a``, duplicates summed.
 
     Entry ``a[i, j]`` goes to row ``kl + ku + i - j`` of column ``j``; the
     top ``kl`` rows are left free for the fill-in of partial pivoting. The
     band is followed by ``kl + ku`` spare zeros that keep views offset by up
-    to that many entries inside. The layout is derived from ``a``'s pattern
-    unless one is given.
+    to that many entries inside. The layout comes from :func:`_band_layout`.
     """
-    n = a.shape[1]
-    if layout is None:
-        cols = np.repeat(np.arange(n), np.diff(a.indptr))
-        offsets = a.indices - cols
-        kl = max(int(offsets.max(initial=0)), 0)
-        ku = max(int(-offsets.min(initial=0)), 0)
-        layout = BandLayout(cols * (2 * kl + ku + 1) + (kl + ku) + offsets, kl, ku)
+    dtype = a.indices.dtype
+    layout = _band_layout(a.shape, dtype, a.indptr.astype(dtype, copy=False).tobytes(),
+                          a.indices.tobytes())
     kl, ku = layout.kl, layout.ku
     flat = np.bincount(layout.index, weights=a.data,
-                       minlength=(2 * kl + ku + 1) * n + kl + ku)
+                       minlength=(2 * kl + ku + 1) * a.shape[1] + kl + ku)
     return flat, layout
 
 
@@ -126,7 +137,7 @@ def _band_view(flat: np.ndarray, offset: int, shape: tuple[int, int]) -> np.ndar
     return flat[offset:offset + ldab * n].reshape(n, ldab).T
 
 
-def lu_factorize(a, layout: BandLayout | None = None):
+def lu_factorize(a):
     """LU-factor a square matrix, raising SingularMatrix on tiny pivots.
 
     Returns an opaque handle for :func:`lu_apply`; factor once, solve often.
@@ -137,16 +148,16 @@ def lu_factorize(a, layout: BandLayout | None = None):
     cheap for the narrow bands of the stencil operators (half-width ``nx`` in
     natural order), but up to about 3x dense storage when entries lie far
     from the diagonal; factors without row swaps also carry views of it.
-    ``layout``, the ``layout`` of earlier factors of a CSC matrix with the
-    same shape, ``indptr`` and ``indices``, skips deriving it again; the
-    caller vouches for the equal pattern.
+    The band layout is cached per exact pattern (shape, index dtype,
+    ``indptr`` and ``indices``), so a matrix that repeats a recent pattern
+    with new values only scatters its values.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if scipy.sparse.issparse(a):
         scale = np.abs(a.data).max(initial=0.0)
-        flat, layout = _band(a, layout)
+        flat, layout = _band(a)
         kl, ku = layout.kl, layout.ku
         ab = _band_view(flat, 0, (2 * kl + ku + 1, a.shape[1]))
         lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)

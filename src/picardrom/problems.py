@@ -261,14 +261,15 @@ def kappa_analytic(pair: ReactionDiffusionPair) -> float:
     return c_p**2 * (abs(pair.s12) + abs(pair.s21)) / min(pair.d1, pair.d2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThermalFlowSurrogate:
     """Scalar vertical-velocity / temperature coupling on a heated channel.
 
     The velocity equation keeps the exponential viscosity law and the
     Boussinesq forcing of the mixed formulation it replaces; the temperature
     equation advects with the computed velocity. Flow enters at the bottom
-    with a parabolic profile and leaves at the top.
+    with a parabolic profile and leaves at the top. :attr:`flow_bc` and
+    :attr:`heat_diffusion` are built at first use and kept, arrays read-only.
     """
 
     grid: Grid2D = field(default_factory=lambda: Grid2D(16, 48, width=2.0, height=6.0))
@@ -293,53 +294,55 @@ class ThermalFlowSurrogate:
         x = self.grid.xcoords()
         return 1.8 * x * (2.0 - x)
 
+    @functools.cached_property
+    def flow_bc(self) -> dict:
+        """Boundary data of the flow equation: parabolic inflow at the bottom."""
+        inlet = self.inlet_profile()
+        inlet.setflags(write=False)
+        return {
+            "south": ("dirichlet", inlet),
+            "north": ("neumann", 0.0),
+            "west": ("dirichlet", 0.0),
+            "east": ("dirichlet", 0.0),
+        }
 
-def _flow_bc(surrogate: ThermalFlowSurrogate) -> dict:
-    """Boundary data of the flow equation: parabolic inflow at the bottom."""
-    return {
-        "south": ("dirichlet", surrogate.inlet_profile()),
-        "north": ("neumann", 0.0),
-        "west": ("dirichlet", 0.0),
-        "east": ("dirichlet", 0.0),
-    }
+    @functools.cached_property
+    def heat_diffusion(self) -> tuple[dict, np.ndarray]:
+        """Stencil coefficients and F_bc of ``-k_T lap`` with the heat
+        equation's walls; independent of the iterate."""
+        bc = {
+            "south": ("dirichlet", self.theta_in),
+            "north": ("neumann", 0.0),
+            "west": ("neumann", self.theta_wall),
+            "east": ("neumann", self.theta_wall),
+        }
+        stencil, f_bc = _diffusion_stencil(self.grid, self.k_t, bc)
+        for arr in (*stencil.values(), f_bc):
+            arr.setflags(write=False)
+        return stencil, f_bc
 
 
-def assemble_flow(surrogate: ThermalFlowSurrogate, theta: np.ndarray, bc=None):
-    """Vertical-velocity equation: -div(nu(theta) grad u) = beta*g*theta.
-
-    ``bc``, :func:`_flow_bc` of the same surrogate, can be shared."""
+def assemble_flow(surrogate: ThermalFlowSurrogate, theta: np.ndarray):
+    """Vertical-velocity equation: -div(nu(theta) grad u) = beta*g*theta,
+    with the surrogate's :attr:`~ThermalFlowSurrogate.flow_bc`."""
     nu = surrogate.viscosity(theta)
-    bc = _flow_bc(surrogate) if bc is None else bc
-    a, f_bc = diffusion_operator(surrogate.grid, nu, bc)
+    a, f_bc = diffusion_operator(surrogate.grid, nu, surrogate.flow_bc)
     forcing = surrogate.beta * GRAVITY * np.asarray(theta, dtype=float)
     return a, forcing + f_bc
 
 
-def _heat_diffusion(surrogate: ThermalFlowSurrogate):
-    """Stencil coefficients and F_bc of ``-k_T lap`` with the heat equation's
-    walls; independent of the iterate."""
-    bc = {
-        "south": ("dirichlet", surrogate.theta_in),
-        "north": ("neumann", 0.0),
-        "west": ("neumann", surrogate.theta_wall),
-        "east": ("neumann", surrogate.theta_wall),
-    }
-    return _diffusion_stencil(surrogate.grid, surrogate.k_t, bc)
-
-
-def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray, diffusion=None):
+def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray):
     """Temperature equation: -k_T lap(theta) + u dtheta/dy = 0, heated walls.
 
-    ``diffusion`` is the result of :func:`_heat_diffusion` for the same
-    surrogate; it does not depend on u, so repeated assemblies can share it.
-    The upwind terms (see :func:`_upwind_split`) are added to the diffusion
-    stencil's diagonal, south and north coefficients; its west and east
+    The upwind terms (see :func:`_upwind_split`) are added to the diagonal,
+    south and north coefficients of the surrogate's ``k_T`` stencil,
+    :attr:`~ThermalFlowSurrogate.heat_diffusion`; its west and east
     coefficients are used as they are, and the matrix is built once.
     """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("velocity field must be finite")
-    diff, f_bc = _heat_diffusion(surrogate) if diffusion is None else diffusion
+    diff, f_bc = surrogate.heat_diffusion
     grid = surrogate.grid
     up, down = _upwind_split(grid, u)
     stencil = dict(diff, diag=diff["diag"] + up - down, south=diff["south"] - up, north=diff["north"] + down)
@@ -497,19 +500,13 @@ def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProb
 def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
     n = surrogate.grid.n
     dims = (n, n)
-    flow_bc, diffusion = [], []
 
-    # Inflow data and k_T stencil: built on first use and shared, like the rd operators.
     def assemble_1(x, ys):
         _, theta = _split(x, dims)
-        if not flow_bc:
-            flow_bc.append(_flow_bc(surrogate))
-        return assemble_flow(surrogate, theta, flow_bc[0])
+        return assemble_flow(surrogate, theta)
 
     def assemble_2(x, ys):
-        if not diffusion:
-            diffusion.append(_heat_diffusion(surrogate))
-        return assemble_heat(surrogate, ys[0], diffusion[0])
+        return assemble_heat(surrogate, ys[0])
 
     def combiner(x, ys):
         return np.concatenate(ys)

@@ -352,9 +352,9 @@ def test_band_matrix_that_needs_a_row_swap_solves_with_dgbtrs():
     assert numerics.norm2(x - np.linalg.solve(dense, b)) <= 1e-14 * numerics.norm2(x)
 
 
-def factor_or_error(a, layout=None):
+def factor_or_error(a):
     try:
-        return numerics.lu_factorize(a, layout=layout)
+        return numerics.lu_factorize(a)
     except SingularMatrix:
         return SingularMatrix
 
@@ -366,15 +366,18 @@ def test_banded_lu_with_a_reused_layout_matches_a_fresh_one(system, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     layout = numerics._band(a)[1]
     assert (layout.kl, layout.ku) == (kl, ku)
+    assert not layout.index.flags.writeable
     # same indptr and indices, duplicates and row order included; new values
     renewed = a.copy()
     renewed.data = rng.standard_normal(a.nnz)
+    reused = factor_or_error(renewed)
+    numerics._band_layout.cache_clear()
     fresh = factor_or_error(renewed)
-    reused = factor_or_error(renewed, layout)
     if fresh is SingularMatrix:
         assert reused is SingularMatrix
         return
-    assert reused.layout is layout
+    assert reused.layout is layout and fresh.layout is not layout
+    assert np.array_equal(fresh.layout.index, layout.index)
     assert np.array_equal(reused.lub, fresh.lub)
     assert np.array_equal(reused.ipiv, fresh.ipiv)
     assert np.array_equal(numerics.lu_apply(reused, b), numerics.lu_apply(fresh, b))

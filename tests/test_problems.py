@@ -385,7 +385,7 @@ def test_thermal_assemblies_match_node_loop_bitwise(theta_in):
     flow_bc = {"south": ("dirichlet", surrogate.inlet_profile()), "north": ("neumann", 0.0),
                "west": ("dirichlet", 0.0), "east": ("dirichlet", 0.0)}
     k_ref, k_f_ref = reference_diffusion_operator(grid, surrogate.k_t, heat_bc(surrogate))
-    stencil, f_bc = problems._heat_diffusion(surrogate)
+    stencil, f_bc = surrogate.heat_diffusion
     assert_same_sparse(problems._stencil_matrix(grid, **stencil),
                        scipy.sparse.coo_array(k_ref).tocsc())
     assert_bitwise(f_bc, k_f_ref)
@@ -397,7 +397,7 @@ def test_thermal_assemblies_match_node_loop_bitwise(theta_in):
         assert_bitwise(f, surrogate.beta * problems.GRAVITY * theta + f_ref)
         u = rng.uniform(-2.0, 2.0, grid.n)
         u[rng.random(grid.n) < 0.2] = 0.0
-        a, f = assemble_heat(surrogate, u, (stencil, f_bc))
+        a, f = assemble_heat(surrogate, u)
         up_ref, up_f_ref = reference_upwind_advection(grid, u, theta_in)
         assert_same_sparse(a, scipy.sparse.coo_array(k_ref + up_ref).tocsc())
         assert_bitwise(f, k_f_ref + up_f_ref)
@@ -466,7 +466,6 @@ def test_heat_assembly_matches_summed_operators():
     surrogate = ThermalFlowSurrogate(theta_in=0.3)
     grid = surrogate.grid
     a_diff, f_bc = diffusion_operator(grid, surrogate.k_t, heat_bc(surrogate))
-    diffusion = problems._heat_diffusion(surrogate)
     rng = np.random.default_rng(41)
     for trial in range(50):
         u = rng.uniform(-2.0, 2.0, grid.n) * 10.0 ** rng.uniform(-3.0, 1.0)
@@ -475,11 +474,10 @@ def test_heat_assembly_matches_summed_operators():
             u = np.abs(u) if trial % 20 == 0 else -np.abs(u)
         a_adv, f_adv = reference_upwind_advection(grid, u, inflow_value=surrogate.theta_in)
         expected = scipy.sparse.coo_array(a_diff.toarray() + a_adv).tocsc()
-        for shared in (None, diffusion):
-            a, f = assemble_heat(surrogate, u, shared)
-            assert_same_csc(a, expected)
-            assert a.data.dtype == np.float64
-            assert np.array_equal(f, f_bc + f_adv)
+        a, f = assemble_heat(surrogate, u)
+        assert_same_csc(a, expected)
+        assert a.data.dtype == np.float64
+        assert np.array_equal(f, f_bc + f_adv)
 
 
 def test_upwind_is_m_matrix():
@@ -547,13 +545,32 @@ def test_flow_unforced_zero():
 
 
 def test_flow_assembly_with_prebuilt_boundary_data_is_bitwise_the_same():
+    """Repeated flow and heat assemblies, which reuse the surrogate's cached
+    boundary data and k_T stencil, equal the first assembly of a fresh
+    equal surrogate."""
+    s = ThermalFlowSurrogate(theta_in=0.3)
+    rng = np.random.default_rng(5)
+    fields = [rng.uniform(-0.5, 1.0, s.grid.n) for _ in range(3)]
+    for assemble in (assemble_flow, assemble_heat):
+        repeated = [assemble(s, v) for v in fields]
+        for v, (a, f) in zip(fields, repeated):
+            a_fresh, f_fresh = assemble(ThermalFlowSurrogate(theta_in=0.3), v)
+            assert_same_sparse(a, a_fresh)
+            assert_bitwise(f, f_fresh)
+
+
+def test_thermal_surrogate_is_frozen_and_its_cached_arrays_are_read_only():
     s = ThermalFlowSurrogate()
-    theta = np.random.default_rng(5).uniform(-0.5, 1.0, s.grid.n)
-    bc = problems._flow_bc(s)
-    a, f = assemble_flow(s, theta)
-    a_shared, f_shared = assemble_flow(s, theta, bc)
-    assert_same_sparse(a_shared, a)
-    assert_bitwise(f_shared, f)
+    assemble_flow(s, np.zeros(s.grid.n))
+    assemble_heat(s, np.zeros(s.grid.n))
+    stencil, f_bc = s.heat_diffusion
+    assert s.heat_diffusion is s.__dict__["heat_diffusion"]
+    assert s.flow_bc is s.__dict__["flow_bc"]
+    for arr in (s.flow_bc["south"][1], *stencil.values(), f_bc):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.k_t = 1.0
 
 
 def test_flow_symmetry_for_constant_theta():
