@@ -1,14 +1,17 @@
 """Fixed-point engine: exact, relaxed and ROM-accelerated Picard iterations.
 
-The accelerated run keeps a running bound ``err`` on the distance between the
-inexact sequence and the exact sequence restarted at the last full-order
-point: a full-order refinement step contracts it (``err <- L*err``), an
-accepted reduced step accumulates it (``err <- delta + L*err``), L being the
-relaxed map's Lipschitz constant, and a step whose tentative bound exceeds
-the solver tolerance is rejected and triggers a basis refinement. A reduced
-step is rejected as soon as its partial bound fails the criterion, before any
-downstream assembly or full-order solve, and the refinement step that follows
-reuses the rejected step's assembly of system 1. An optional outer
+Every step is one step function with a per-system solver plan: system i is
+solved with its reduced basis when the plan has one, and in full order
+otherwise, so an exact step is the step with an empty plan. The accelerated
+run keeps a running bound ``err`` on the distance between the inexact
+sequence and the exact sequence restarted at the last full-order point: a
+full-order refinement step contracts it (``err <- L*err``), an accepted
+reduced step accumulates it (``err <- delta + L*err``), L being the relaxed
+map's Lipschitz constant, and a step whose tentative bound exceeds the
+solver tolerance is rejected and triggers a basis refinement. A reduced step
+is rejected as soon as its partial bound fails the criterion, before any
+downstream assembly or full-order solve, and the refinement step that
+follows reuses the rejected step's assembly of system 1. An optional outer
 validation loop applies the exact map once at apparent convergence.
 """
 
@@ -203,47 +206,6 @@ class FactorCache:
         return numerics.lu_apply(entry[1], f)
 
 
-@dataclass
-class StepResult:
-    x_next: np.ndarray
-    solutions: list[np.ndarray]
-    rhs_norms: list[float]
-    systems: list[tuple[np.ndarray, np.ndarray]]
-
-
-def exact_step(problem: CoupledProblem, x: np.ndarray,
-               report: RunReport | None = None,
-               factors: FactorCache | None = None,
-               first_system: tuple | None = None) -> StepResult:
-    """One full-order step: solve all p systems in order, then combine.
-
-    ``factors`` carries factorizations over from earlier steps of the same
-    run; without it every system is factored afresh. ``first_system`` is an
-    ``(A_1, F_1)`` pair already assembled at ``x``, used instead of calling
-    the first assembler again.
-    """
-    if factors is None:
-        factors = FactorCache()
-    ys: list[np.ndarray] = []
-    rhs_norms: list[float] = []
-    systems: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(problem.p):
-        if i == 0 and first_system is not None:
-            a, f = first_system
-        else:
-            a, f = problem.assemblers[i](x, ys)
-            if report is not None:
-                report.assemblies[i] += 1
-        y = factors.solve(i, a, f)
-        if report is not None:
-            report.fom_solves[i] += 1
-        ys.append(y)
-        rhs_norms.append(numerics.norm2(f))
-        systems.append((a, f))
-    x_next = problem.combiner(x, ys)
-    return StepResult(x_next=x_next, solutions=ys, rhs_norms=rhs_norms, systems=systems)
-
-
 def _relaxation_factor(relaxation: float | Callable[[int], float], k: int) -> float:
     """Step weight of iteration ``k``: the constant, or the schedule at ``k``."""
     lam = relaxation(k) if callable(relaxation) else relaxation
@@ -265,7 +227,7 @@ def _relaxed_lipschitz(lipschitz: float, lam: float) -> float:
 
 
 def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, constants: Constants,
-                   report: RunReport | None,
+                   report: RunReport,
                    residuals: dict[int, float]) -> tuple[np.ndarray, float]:
     """Reduced solve of system ``i`` and its term of the step's error bound.
 
@@ -273,65 +235,76 @@ def _reduced_solve(i: int, basis: pod.ReducedBasis, a, f, constants: Constants,
     records that residual in ``residuals[i]`` and counts the solve in
     ``report``. ``(A_i, F_i)`` must be assembled at the mixed parameters: the
     reduced solutions of earlier systems substituted downstream where they were
-    computed. A step's bound is the sum of these terms over its reduced
-    systems in topological order, times the step weight. Raises
-    SingularReducedSystem, counting nothing, when the projected system is
-    singular.
+    computed. Raises SingularReducedSystem, counting nothing, when the
+    projected system is singular.
     """
     sol = pod.rom_solve(basis, a, f)
-    if report is not None:
-        report.rom_solves += 1
+    report.rom_solves += 1
     residuals[i] = sol.residual_norm
     term = coupling.delta_single(constants.graph, i, constants.inv_norms[i - 1],
                                  sol.residual_norm)
     return sol.full_field, term
 
 
-def inexact_step(problem: CoupledProblem, x: np.ndarray,
-                 bases: dict[int, pod.ReducedBasis], rom_set: frozenset[int],
-                 constants: Constants, report: RunReport | None = None, lam: float = 1.0,
-                 factors: FactorCache | None = None,
-                 accept: Callable[[float, dict[int, float]], bool] | None = None,
-                 systems: list | None = None):
-    """One mixed FOM/ROM step at the mixed parameters.
+@dataclass
+class StepResult:
+    """What :func:`step` did: ``x_next`` is ``G(x)`` without relaxation, or
+    ``None`` when the step stopped early; ``systems`` holds each ``(A_i, F_i)``
+    assembled so far; ``delta`` is the unweighted sum of the reduced terms so
+    far, ``None`` when a reduced system was singular."""
 
-    Systems in ``rom_set`` are solved with their reduced bases; every
-    downstream assembler receives the perturbed solutions. The others are
-    solved in full order, through ``factors`` as in :func:`exact_step`.
-    Returns the next iterate, the summed error bound delta_k and the
-    per-system residuals.
+    x_next: np.ndarray | None
+    solutions: list[np.ndarray]
+    systems: list[tuple]
+    delta: float | None
+    residuals: dict[int, float]
 
-    ``accept(delta, residuals)``, if given, is the quality criterion. It is
-    checked after each reduced system on the partial bound and residuals;
-    delta_k is a sum of nonnegative per-system terms in topological order,
-    and every criterion is monotone in these partial sums, so a partial
-    failure is final. The step then stops before any downstream assembly or
-    full-order solve and returns ``None`` as the next iterate, with the
-    partial bound and residuals. ``systems``, if given, receives each
-    ``(A_i, F_i)`` as it is assembled.
+
+def step(problem: CoupledProblem, x: np.ndarray, report: RunReport, factors: FactorCache,
+         plan: dict[int, pod.ReducedBasis] | None = None, constants: Constants | None = None,
+         accept: Callable[[float, dict[int, float]], bool] | None = None,
+         first_system: tuple | None = None) -> StepResult:
+    """One Picard step: assemble and solve the p systems in order, then combine.
+
+    System i is solved with its reduced basis ``plan[i]`` (its bound term from
+    ``constants``) if the plan has one, else in full order through the run's
+    ``factors``, so an empty plan makes an exact step. Each assembler receives
+    the solutions so far, reduced ones included. ``first_system`` is an
+    ``(A_1, F_1)`` pair already assembled at ``x``, used instead of calling
+    the first assembler again.
+
+    ``accept(delta, residuals)``, if given, is the quality criterion, checked
+    after each reduced system on the partial bound and residuals. delta sums
+    nonnegative per-system terms in topological order, and every criterion is
+    monotone in these partial sums, so a partial failure is final: the step
+    stops before any downstream assembly or full-order solve. A singular
+    reduced system stops it too, with ``delta=None``.
     """
-    if factors is None:
-        factors = FactorCache()
+    plan = plan or {}
     ys: list[np.ndarray] = []
+    systems: list[tuple] = []
     residuals: dict[int, float] = {}
     total = 0.0
     for i in range(1, problem.p + 1):
-        a, f = problem.assemblers[i - 1](x, ys)
-        if report is not None:
-            report.assemblies[i - 1] += 1
-        if systems is not None:
-            systems.append((a, f))
-        if i in rom_set:
-            y, term = _reduced_solve(i, bases[i], a, f, constants, report, residuals)
-            total += term
-            if accept is not None and not accept(lam * total, residuals):
-                return None, lam * total, residuals
-            ys.append(y)
+        if i == 1 and first_system is not None:
+            a, f = first_system
         else:
-            ys.append(factors.solve(i - 1, a, f))
-            if report is not None:
-                report.fom_solves[i - 1] += 1
-    return _relax(x, problem.combiner(x, ys), lam), lam * total, residuals
+            a, f = problem.assemblers[i - 1](x, ys)
+            report.assemblies[i - 1] += 1
+        systems.append((a, f))
+        if i in plan:
+            try:
+                y, term = _reduced_solve(i, plan[i], a, f, constants, report, residuals)
+            except SingularReducedSystem:
+                return StepResult(None, ys, systems, None, residuals)
+            total += term
+            if accept is not None and not accept(total, residuals):
+                return StepResult(None, ys, systems, total, residuals)
+        else:
+            y = factors.solve(i - 1, a, f)
+            report.fom_solves[i - 1] += 1
+        ys.append(y)
+    return StepResult(problem.combiner(x, ys), ys, systems, total, residuals)
 
 
 def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Constants,
@@ -344,17 +317,12 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Cons
     if kind == "upper_bound":
         return delta_k <= eps
     if kind == "residual":
-        if not residuals:
-            return False
-        return sum(residuals.values()) <= eps
+        return bool(residuals) and sum(residuals.values()) <= eps
     if kind == "asymptotic":
         if not residuals:
             return False
         budget = coupling.asymptotic_residual_budget(constants, eps)
-        if budget <= 0.0:
-            return False
-        r1 = residuals[min(residuals)]
-        return r1 <= budget
+        return budget > 0.0 and residuals[min(residuals)] <= budget
     raise ConfigError(f"unknown criterion {kind!r}")
 
 
@@ -363,28 +331,26 @@ class _RomState:
 
     def __init__(self, config: RunConfig, report: RunReport):
         self.windows = {i: pod.SnapshotWindow(config.n_b) for i in config.rom_set}
-        self.bases: dict[int, pod.ReducedBasis] = {}
-        self.dirty = {i: True for i in config.rom_set}
+        self.bases: dict[int, pod.ReducedBasis] = {}   # dropped when a push moves the window
         self.config = config
         self.report = report
 
     def push(self, solutions: list[np.ndarray]) -> None:
         for i in self.windows:
             self.windows[i].push(solutions[i - 1])
-            self.dirty[i] = True
+            self.bases.pop(i, None)
 
     def ready(self) -> bool:
         return all(len(w) >= w.capacity for w in self.windows.values())
 
     def basis_for(self, i: int) -> pod.ReducedBasis:
-        if self.dirty[i]:
+        if i not in self.bases:
             window = self.windows[i]
             try:
                 basis = pod.build_basis_svd(window, self.config.eps_rb)
             except SvdFailure:
                 basis = pod.build_basis_gs(window)
             self.bases[i] = basis
-            self.dirty[i] = False
             self.report.svds += 1
             self.report.basis_sizes[i] = basis.size
         return self.bases[i]
@@ -455,8 +421,14 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     A step shorter than ``eps``, other than a rejection, ends the run, after
     one exact step at the new iterate if ``validation_loop`` is set
     (``validate-ok``, or ``validate-fail``, which clears ``err`` and
-    ``rom_ok``). ``observer`` receives one event dict per iteration. Each
-    row's ``l_est`` is the L of its step: :func:`_relaxed_lipschitz`.
+    ``rom_ok``). Each row's ``l_est`` is the L of its step:
+    :func:`_relaxed_lipschitz`. Every step is one :func:`step`: a ``rom``
+    step's plan holds every reduced system's basis, the others' plan is empty.
+
+    ``observer`` receives one dict per iteration with the keys ``k``,
+    ``event`` (``fom``, ``refine``, ``rom`` or ``reject``), ``x_prev``,
+    ``x_next``, ``err`` and ``delta`` (the row's values) and ``validation``
+    (``None``, ``validate-ok`` or ``validate-fail``).
 
     Every bound and criterion reads one :class:`coupling.Constants`: the
     problem's fixed constants, or the online ledger's estimates, rebuilt
@@ -495,42 +467,38 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
                         "guarantees void", constants.lipschitz)
             report.expansive_warning = True
         l_step = _relaxed_lipschitz(constants.lipschitz, lam)
-        delta_k, fresh_start = None, False
+        delta_k = None
 
         if rom_ok:
-            assembled: list[tuple] = []
-            try:
-                x_t, delta_k, residuals = inexact_step(
-                    problem, x, rom.all_bases(), config.rom_set, constants, report,
-                    lam, factors, accept=lambda d, r: holds(d, r, err), systems=assembled)
-                report.final_residual = sum(residuals.values())
-            except SingularReducedSystem:
-                x_t = None
-            if x_t is not None:
-                x_next, event = x_t, "rom"
+            s = step(problem, x, report, factors, rom.all_bases(), constants,
+                     accept=lambda d, r: holds(lam * d, r, err))
+            if s.delta is not None:
+                delta_k = lam * s.delta
+                report.final_residual = sum(s.residuals.values())
+            if s.x_next is not None:
+                x_next, event = _relax(x, s.x_next, lam), "rom"
                 err = delta_k + l_step * err
             else:
                 x_next, event = x.copy(), "reject"
-                rejected, rom_ok = assembled[0], False
+                rejected, rom_ok = s.systems[0], False
                 report.rejected += 1
         else:
             refine = rejected is not None
-            step = exact_step(problem, x, report, factors, first_system=rejected)
+            s = step(problem, x, report, factors, first_system=rejected)
             rejected = None
-            x_next = _relax(x, step.x_next, lam)
+            x_next = _relax(x, s.x_next, lam)
             event = "refine" if refine else "fom"
             if rom is not None:
-                rom.push(step.solutions)
+                rom.push(s.solutions)
             if ledger is not None:
-                ledger.observe(x_next, step.solutions, step.rhs_norms)
+                ledger.observe(x_next, s.solutions, [numerics.norm2(f) for _, f in s.systems])
                 constants = _constants(problem, ledger, config.rom_set)
                 l_step = _relaxed_lipschitz(constants.lipschitz, lam)
-            fresh_start = not refine and math.isinf(err)
             err = l_step * err if refine else math.inf
             rom_ok = refine and err <= config.eps
             if (rom is not None and rom.ready()
                     and not (refine and config.criterion == "propagation")):
-                delta_k, residuals = _probe_delta(rom, step.systems, constants, lam, report)
+                delta_k, residuals = _probe_delta(rom, s.systems, constants, lam, report)
                 rom_ok = not math.isinf(delta_k) and holds(delta_k, residuals, 0.0)
                 if residuals:
                     report.final_residual = sum(residuals.values())
@@ -545,7 +513,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             if not config.validation_loop:
                 report.converged = True
             else:
-                gx = _relax(x_next, exact_step(problem, x_next, report, factors).x_next, lam)
+                gx = _relax(x_next, step(problem, x_next, report, factors).x_next, lam)
                 if numerics.norm2(gx - x_next) < config.eps:
                     report.converged, validation = True, "validate-ok"
                 else:
@@ -558,8 +526,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             l_est=l_step))
         if observer is not None:
             observer({"k": k, "event": event, "x_prev": x, "x_next": x_next,
-                      "err": err, "delta": delta_k, "fresh_start": fresh_start,
-                      "validation": validation})
+                      "err": err, "delta": delta_k, "validation": validation})
         x = x_next
         k += 1
 
@@ -573,8 +540,8 @@ def lockstep_verify(problem: CoupledProblem, config: RunConfig) -> float:
     """Max true distance between accepted inexact iterates and the exact sequence.
 
     The exact companion sequence advances whenever the accelerated iterate
-    advances and is restarted at the current point whenever the propagated
-    error bound is restarted from a fresh delta (the bound assumes a common
+    advances, and restarts at the current point at every ``fom`` step, where
+    the run restarts its error bound ``err`` (the bound assumes a common
     starting point). Returns 0.0 when no reduced step is ever accepted.
     """
     state = {"z": problem.x0.copy(), "max_dist": 0.0}
@@ -583,18 +550,16 @@ def lockstep_verify(problem: CoupledProblem, config: RunConfig) -> float:
 
     def advance(z: np.ndarray, k: int) -> np.ndarray:
         lam = _relaxation_factor(config.relaxation, k)
-        return _relax(z, exact_step(problem, z, scratch, factors).x_next, lam)
+        return _relax(z, step(problem, z, scratch, factors).x_next, lam)
 
     def observer(ev: dict) -> None:
-        if ev["event"] in ("fom", "refine"):
-            if ev["fresh_start"]:
-                state["z"] = ev["x_prev"].copy()
+        if ev["event"] == "fom":
+            state["z"] = ev["x_prev"].copy()
+        if ev["event"] != "reject":   # rejected steps advance neither sequence
             state["z"] = advance(state["z"], ev["k"])
-        elif ev["event"] == "rom":
-            state["z"] = advance(state["z"], ev["k"])
+        if ev["event"] == "rom":
             dist = numerics.norm2(ev["x_next"] - state["z"])
             state["max_dist"] = max(state["max_dist"], dist)
-        # rejected steps advance neither sequence
 
     accelerated_run(problem, config, observer=observer)
     return state["max_dist"]

@@ -52,7 +52,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown rom selection {self.rom!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        for c in self.criteria:
+        for c in (self.criterion, *self.criteria):
             if c not in CRITERIA:
                 raise ConfigError(f"unknown criterion {c!r}")
 

@@ -33,14 +33,9 @@ class SnapshotWindow:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._columns: deque[np.ndarray] = deque(maxlen=capacity)
-        self.insertion_count = 0
 
     def __len__(self) -> int:
         return len(self._columns)
-
-    @property
-    def columns(self) -> list[np.ndarray]:
-        return list(self._columns)
 
     @property
     def dim(self) -> int | None:
@@ -53,7 +48,6 @@ class SnapshotWindow:
                 f"snapshot length {u.size} != window dimension {self.dim}"
             )
         self._columns.append(u.copy())
-        self.insertion_count += 1
         return self
 
     def matrix(self) -> np.ndarray:
@@ -67,7 +61,6 @@ class ReducedBasis:
     basis: np.ndarray            # (N, M), orthonormal columns
     mean: np.ndarray             # (N,)
     singular_values: np.ndarray  # centered singular values (empty for GS)
-    source_size: int             # snapshots used to build the basis
 
     @property
     def size(self) -> int:
@@ -81,8 +74,7 @@ class ReducedBasis:
 
 @dataclass(frozen=True)
 class RomSolution:
-    reduced_coords: np.ndarray  # (M,)
-    full_field: np.ndarray      # basis @ reduced_coords + mean
+    full_field: np.ndarray      # basis @ reduced coordinates + mean
     residual_norm: float
 
 
@@ -119,7 +111,6 @@ def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
         basis=dec.left[:, :m].copy(),
         mean=mean,
         singular_values=s.copy(),
-        source_size=len(window),
     )
 
 
@@ -144,7 +135,6 @@ def build_basis_gs(window: SnapshotWindow) -> ReducedBasis:
         basis=basis,
         mean=mean,
         singular_values=np.zeros(0),
-        source_size=len(window),
     )
 
 
@@ -164,7 +154,6 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
     v_mat = basis.basis
     if basis.size == 0:
         full = basis.mean.copy()
-        coords = np.zeros(0)
     else:
         a_cols = a @ basis.columns  # contiguous slices: strided ones round differently
         reduced_a = v_mat.T @ np.ascontiguousarray(a_cols[:, :-1])
@@ -175,5 +164,5 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
             raise SingularReducedSystem(str(exc)) from exc
         full = v_mat @ coords + basis.mean
     residual = numerics.norm2(a @ full - f)
-    return RomSolution(reduced_coords=coords, full_field=full, residual_norm=residual)
+    return RomSolution(full_field=full, residual_norm=residual)
 

@@ -114,7 +114,7 @@ def test_delta_single_and_multi():
         a = np.diag(rng.uniform(1.0, 2.0, 4))
         f = rng.standard_normal(4)
         basis = pod.ReducedBasis(basis=np.eye(4)[:, :2], mean=np.zeros(4),
-                                 singular_values=np.ones(2), source_size=2)
+                                 singular_values=np.ones(2))
         y, term = driver._reduced_solve(i, basis, a, f, constants, report, residuals)
         assert residuals[i] == pytest.approx(np.linalg.norm(a @ y - f))
         assert residuals[i] > 0.0

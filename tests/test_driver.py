@@ -18,8 +18,7 @@ from picardrom.driver import (
     RunReport,
     accelerated_run,
     evaluate_criterion,
-    exact_step,
-    inexact_step,
+    step,
 )
 from picardrom.errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
 
@@ -50,27 +49,35 @@ def decoupled_problem():
                           graph=graph, x0=np.zeros(3))
 
 
+def full_order(problem, x, factors=None):
+    """One step with an empty plan, on fresh factors unless given."""
+    return step(problem, x, RunReport(p=problem.p), factors or FactorCache())
+
+
 def test_exact_step_scalar_contraction():
     prob = scalar_problem()
-    res = exact_step(prob, np.array([1.0]))
+    report = RunReport(p=1)
+    res = step(prob, np.array([1.0]), report, FactorCache())
     assert res.x_next == pytest.approx([0.5])
+    assert (res.delta, res.residuals) == (0.0, {})
+    assert report.fom_solves == [1] and report.rom_solves == 0
 
 
 def test_exact_step_decoupled_matches_independent_solves():
-    res = exact_step(decoupled_problem(), np.zeros(3))
+    res = full_order(decoupled_problem(), np.zeros(3))
     assert np.allclose(res.x_next, [1.0, 2.0, 2.0], atol=1e-14)
 
 
 def relaxed_step(problem, x, scheme, k=0):
     """Averaged step ``(1 - lam) x + lam G(x)``."""
     lam = driver._relaxation_factor(scheme, k)
-    return (1.0 - lam) * x + lam * exact_step(problem, x).x_next
+    return (1.0 - lam) * x + lam * full_order(problem, x).x_next
 
 
 def test_relaxed_step_identity_at_lambda_one():
     prob = scalar_problem()
     x = np.array([0.8])
-    plain = exact_step(prob, x).x_next
+    plain = full_order(prob, x).x_next
     relaxed = relaxed_step(prob, x, 1.0)
     assert np.array_equal(plain, relaxed)
 
@@ -211,7 +218,7 @@ def test_validation_soundness():
     report = accelerated_run(prob, cfg)
     assert report.converged
     # re-apply the exact map at the final iterate
-    gx = exact_step(prob, report.x).x_next
+    gx = full_order(prob, report.x).x_next
     assert numerics.norm2(gx - report.x) < cfg.eps
 
 
@@ -251,7 +258,7 @@ def test_relaxed_plain_run_is_the_averaged_picard_sequence():
     assert report.converged and report.iterations > 1
     x, hashes = prob.x0.copy(), []
     for _ in report.trace:
-        x = 0.5 * x + 0.5 * exact_step(prob, x).x_next
+        x = 0.5 * x + 0.5 * full_order(prob, x).x_next
         hashes.append(driver._hash_state(x))
     assert [row.x_hash for row in report.trace] == hashes
 
@@ -466,7 +473,7 @@ def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
                           combiner=lambda x, ys: ys[0].copy(), graph=graph,
                           x0=np.zeros(2))
     cache = FactorCache()
-    steps = [exact_step(prob, prob.x0, factors=cache).x_next for _ in range(4)]
+    steps = [full_order(prob, prob.x0, cache).x_next for _ in range(4)]
     assert factorizations[2] == 4
     for k, y in enumerate(steps):
         expected = [1.0, 2.0] if k % 2 == 0 else [0.5, 1.0]
@@ -618,25 +625,21 @@ def disable_reuse(monkeypatch):
     """Switch off early rejection and assembly reuse.
 
     The plain reduced step solves every system and checks the criterion once,
-    on the whole step's bound. Returns call counts of the patched entry
-    points, so a test can check that the plain paths really ran.
+    on the whole step's bound, and no step reuses a given first system.
+    Returns call counts of the patched step, reduced and full-order apart, so
+    a test can check that the plain paths really ran.
     """
-    calls = {"inexact_step": 0, "exact_step": 0}
-    inexact, exact = driver.inexact_step, driver.exact_step
+    calls = {"reduced": 0, "full": 0}
+    reuse = driver.step
 
-    def plain_inexact(*args, accept=None, **kwargs):
-        calls["inexact_step"] += 1
-        x_next, delta, residuals = inexact(*args, **kwargs)
-        if accept is not None and not accept(delta, residuals):
-            x_next = None
-        return x_next, delta, residuals
+    def plain(*args, accept=None, first_system=None, **kwargs):
+        calls["full" if accept is None else "reduced"] += 1
+        s = reuse(*args, **kwargs)
+        if s.x_next is not None and accept is not None and not accept(s.delta, s.residuals):
+            s = dataclasses.replace(s, x_next=None)
+        return s
 
-    def plain_exact(*args, first_system=None, **kwargs):
-        calls["exact_step"] += 1
-        return exact(*args, **kwargs)
-
-    monkeypatch.setattr(driver, "inexact_step", plain_inexact)
-    monkeypatch.setattr(driver, "exact_step", plain_exact)
+    monkeypatch.setattr(driver, "step", plain)
     return calls
 
 
@@ -680,32 +683,39 @@ def test_reuse_leaves_every_iterate_unchanged(monkeypatch, name, criterion):
         assert trace_signature(fast) == trace_signature(plain)
 
 
-def test_inexact_step_stops_at_the_first_failing_reduced_system():
+def thermal_bases(rom_set):
+    """The thermal problem at its ``n_b``-th Picard iterate, the bases of
+    ``rom_set`` built from the iterates before it, and unit constants."""
     prob = thermal_problem()
-    cfg = RunConfig(eps=1e-8, rom_set=frozenset({1, 2}))
+    cfg = RunConfig(eps=1e-8, rom_set=rom_set)
     state = driver._RomState(cfg, RunReport(p=2))
     x = prob.x0.copy()
     for _ in range(cfg.n_b):
-        step = exact_step(prob, x)
-        state.push(step.solutions)
-        x = step.x_next
-    bases = state.all_bases()
+        s = full_order(prob, x)
+        state.push(s.solutions)
+        x = s.x_next
     constants = coupling.Constants((1.0, 1.0), prob.graph, 0.5, 0.0)
-    full = inexact_step(prob, x, bases, cfg.rom_set, constants)
-    seen, systems = [], []
+    return prob, x, state.all_bases(), constants
+
+
+def test_inexact_step_stops_at_the_first_failing_reduced_system():
+    prob, x, bases, constants = thermal_bases(frozenset({1, 2}))
+    full = step(prob, x, RunReport(p=2), FactorCache(), bases, constants)
+    seen = []
     report = RunReport(p=2)
-    x_next, delta, residuals = inexact_step(
-        prob, x, bases, cfg.rom_set, constants, report,
-        accept=lambda d, r: seen.append((d, dict(r))) or False, systems=systems)
-    assert x_next is None
-    assert seen == [(delta, residuals)] and list(residuals) == [1]
-    assert residuals[1] == full[2][1]
-    assert 0.0 <= delta <= full[1]
+    stopped = step(prob, x, report, FactorCache(), bases, constants,
+                   accept=lambda d, r: seen.append((d, dict(r))) or False)
+    assert stopped.x_next is None
+    assert seen == [(stopped.delta, stopped.residuals)] and list(stopped.residuals) == [1]
+    assert stopped.residuals[1] == full.residuals[1]
+    assert 0.0 <= stopped.delta <= full.delta
     assert report.assemblies == [1, 0] and report.rom_solves == 1
-    assert len(systems) == 1
+    assert len(stopped.systems) == 1 and stopped.solutions == []
     # a predicate that always accepts changes nothing
-    always = inexact_step(prob, x, bases, cfg.rom_set, constants, accept=lambda d, r: True)
-    assert np.array_equal(always[0], full[0]) and always[1:] == full[1:]
+    always = step(prob, x, RunReport(p=2), FactorCache(), bases, constants,
+                  accept=lambda d, r: True)
+    assert np.array_equal(always.x_next, full.x_next)
+    assert (always.delta, always.residuals) == (full.delta, full.residuals)
 
 
 def singular_every(monkeypatch, period, now=lambda: None):
@@ -767,10 +777,29 @@ def test_exact_step_uses_a_given_first_system():
     x = np.full(prob.x0.size, 0.05)
     report = RunReport(p=2)
     first = prob.assemblers[0](x, [])
-    reused = exact_step(prob, x, report, first_system=first)
+    reused = step(prob, x, report, FactorCache(), first_system=first)
     assert report.assemblies == [0, 1]
     assert reused.systems[0][0] is first[0]
-    assert np.array_equal(reused.x_next, exact_step(prob, x).x_next)
+    assert np.array_equal(reused.x_next, full_order(prob, x).x_next)
+
+
+def test_a_singular_reduced_system_stops_the_step_and_its_refinement_reuses_system_1(
+        monkeypatch):
+    prob, x, bases, constants = thermal_bases(frozenset({1, 2}))
+    singular_every(monkeypatch, 1)
+    report = RunReport(p=2)
+    stopped = step(prob, x, report, FactorCache(), bases, constants,
+                   accept=lambda d, r: True)
+    assert stopped.x_next is None and stopped.delta is None
+    assert len(stopped.systems) == 1 and stopped.solutions == []
+    a1, f1 = prob.assemblers[0](x, [])
+    assert (stopped.systems[0][0] != a1).nnz == 0
+    assert np.array_equal(stopped.systems[0][1], f1)
+    assert report.assemblies == [1, 0] and report.fom_solves == [0, 0]
+    assert report.rom_solves == 0
+    refined = step(prob, x, report, FactorCache(), first_system=stopped.systems[0])
+    assert report.assemblies == [1, 1] and report.fom_solves == [1, 1]
+    assert np.array_equal(refined.x_next, full_order(prob, x).x_next)
 
 
 @pytest.mark.parametrize("rom_set", [frozenset({1}), frozenset({2}), frozenset({1, 2})],

@@ -1,0 +1,56 @@
+"""The bitwise-equivalence tool on a slice of its grid, in-process.
+
+The cross-tree use (``python tests/equivalence.py --against <tree>``) is a
+step of every refactor; these tests keep the tool itself working.
+"""
+
+import equivalence
+from picardrom import driver
+
+SLICE = ("thermal/propagation/1/val/1.0", "rd/asymptotic/both/noval/0.7",
+         "rd+exact/upper_bound/2/val/mann", "scalar/residual/1/noval/1.0",
+         "scalar+exact/asymptotic/1/val/1.0")
+
+
+def test_the_slice_names_configurations_of_the_grid():
+    grid = equivalence.configurations()
+    assert len(grid) == len(set(grid)) == 384
+    assert set(SLICE) <= set(grid)
+
+
+def test_a_tree_agrees_with_itself():
+    first = equivalence.records(SLICE)
+    assert "error" in first["scalar+exact/asymptotic/1/val/1.0"]
+    assert all("rows" in first[name] for name in SLICE[:-1])
+    assert equivalence.compare(first, equivalence.records(SLICE)) == []
+
+
+def flip_first_verdict(monkeypatch):
+    """Invert the criterion's first verdict on a reduced step."""
+    plain, flipped = driver.step, []
+
+    def flipping(*args, accept=None, **kwargs):
+        def once(delta, residuals):
+            verdict = accept(delta, residuals)
+            if flipped:
+                return verdict
+            flipped.append(verdict)
+            return not verdict
+        return plain(*args, accept=None if accept is None else once, **kwargs)
+
+    monkeypatch.setattr(driver, "step", flipping)
+    return flipped
+
+
+def test_one_flipped_verdict_is_reported_at_its_configuration_and_row(monkeypatch):
+    name = SLICE[0]
+    before = equivalence.records(SLICE)
+    flipped = flip_first_verdict(monkeypatch)
+    after = dict(before, **{name: equivalence.record(name)})
+    # the first reduced step, its verdict flipped between rom and reject
+    k = next(k for k, row in enumerate(before[name]["rows"]) if row[4] in ("rom", "reject"))
+    event = before[name]["rows"][k][4]
+    assert flipped == [event == "rom"]
+    assert equivalence.compare(before, after) == [
+        (name, f"row {k}", before[name]["rows"][k], after[name]["rows"][k])]
+    assert after[name]["rows"][k][4] == {"rom": "reject", "reject": "rom"}[event]

@@ -64,6 +64,13 @@ def test_config_rejects_unknown_key(tmp_path):
         harness.load_config(tmp_path / "missing.ini")
 
 
+def test_config_file_with_an_unknown_criterion_is_refused_on_load(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[experiment]\nproblem = thermal\ncriterion = bogus\n")
+    with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
+        harness.load_config(path)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(problem="nope")
@@ -71,6 +78,10 @@ def test_config_validation():
         harness.ExperimentConfig(rom="3")
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(repetitions=0)
+    with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
+        harness.ExperimentConfig(criterion="bogus")
+    with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
+        harness.ExperimentConfig(criteria=("residual", "bogus"))
 
 
 def test_reference_scalar_geometric_iterations():

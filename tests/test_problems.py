@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from picardrom import coupling, numerics, problems
-from picardrom.driver import RunConfig, accelerated_run, exact_step, lockstep_verify
+from picardrom.driver import (
+    FactorCache,
+    RunConfig,
+    RunReport,
+    accelerated_run,
+    lockstep_verify,
+    step,
+)
 from picardrom.errors import (
     ConfigError,
     NonPositiveDiffusion,
@@ -808,6 +815,6 @@ def test_make_problem_rejects_unknown_spec():
 
 def test_scalar_toy_problem():
     prob = make_coupled_problem(ScalarToy(rate=0.5), exact_constants=True)
-    step = exact_step(prob, np.array([1.0]))
-    assert step.x_next == pytest.approx([0.5])
+    res = step(prob, np.array([1.0]), RunReport(p=1), FactorCache())
+    assert res.x_next == pytest.approx([0.5])
     assert prob.fixed_constants.lipschitz == 0.5
