@@ -36,6 +36,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+# The grid is fixed here, not read from either tree, so both trees run the same grid.
 EPS = 1e-8
 CRITERIA = ("residual", "upper_bound", "asymptotic", "propagation")
 PROBLEMS = (("rd", False), ("rd", True), ("thermal", False),
