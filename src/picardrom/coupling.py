@@ -232,79 +232,72 @@ class Constants:
 
 
 class ConstantsLedger:
-    """Online estimates of M, K_{2,1}, K_{1,2}, L and L'_2.
+    """Online estimates of a run's :class:`Constants` from full-order iterates.
 
-    Each estimate is the running maximum of per-iteration ratios over a
-    sliding window (single ratios tend to underestimate the true constants).
-    Ratios with near-zero denominators are skipped.
+    Each observation samples five ratios of norms: M, the largest
+    ``||y_i|| / ||F_i||``; L, ``||dx|| / ||dx'||``; K_{2,1},
+    ``||dy_2|| / ||dy_1||``; L'_2, ``||dy_2|| / ||dy_2'||``; and K_{1,2}, the
+    L'_2 estimate times ``||dy_1|| / ||dy_2'||``. ``d`` is the change since the
+    previous observation and ``d'`` the change before it. A ratio whose
+    denominator is not above zero or is below ``RATIO_GUARD`` times its
+    numerator is skipped. Each estimate is the maximum of its last
+    ``LEDGER_WINDOW`` samples, 0.0 before the first (single ratios tend to
+    underestimate the true constants).
+
+    Every system gets the estimated M, and K_{2,1} enters ``graph`` only when
+    ``rom_set`` is not empty. No other K is estimated, so for p > 2 a
+    ``rom_set`` with any system but the last raises MissingConstants.
     """
 
-    def __init__(self):
-        self._m = deque(maxlen=LEDGER_WINDOW)
-        self._k21 = deque(maxlen=LEDGER_WINDOW)
-        self._k12 = deque(maxlen=LEDGER_WINDOW)
-        self._l = deque(maxlen=LEDGER_WINDOW)
-        self._l2p = deque(maxlen=LEDGER_WINDOW)
-        self._x_hist = deque(maxlen=3)
-        self._y_hist = deque(maxlen=3)
+    def __init__(self, graph: DependenceGraph, rom_set=frozenset()):
+        if graph.p > 2 and any(i < graph.p for i in rom_set):
+            raise MissingConstants(
+                "online estimation only covers K_{2,1}; supply fixed constants for p > 2")
+        self._graph = graph
+        self._fills_k21 = bool(rom_set) and graph.p >= 2
+        self._windows = {name: deque(maxlen=LEDGER_WINDOW)
+                         for name in ("m", "k21", "k12", "l", "l2p")}
+        self._last = None   # (x, [y_1, y_2], ||dx||, ||dy_2||) of the last observation
 
-    @staticmethod
-    def _ratio(num: float, den: float) -> float | None:
-        if den <= 0.0 or den < RATIO_GUARD * num:
-            return None
-        return num / den
+    def _sample(self, name: str, pairs, scale: float = 1.0) -> None:
+        """Append ``scale`` times the largest unskipped ``num / den`` over
+        ``pairs`` to the ``name`` window; nothing when every ratio is skipped."""
+        ratios = [num / den for num, den in pairs
+                  if not (den <= 0.0 or den < RATIO_GUARD * num)]
+        if ratios:
+            self._windows[name].append(scale * max(ratios))
 
-    @property
-    def m_est(self) -> float:
-        return max(self._m, default=0.0)
-
-    @property
-    def k21_est(self) -> float:
-        return max(self._k21, default=0.0)
-
-    @property
-    def k12_est(self) -> float:
-        return max(self._k12, default=0.0)
-
-    @property
-    def l_est(self) -> float:
-        return max(self._l, default=0.0)
-
-    @property
-    def l2prime_est(self) -> float:
-        return max(self._l2p, default=0.0)
+    def _estimate(self, name: str) -> float:
+        return max(self._windows[name], default=0.0)
 
     def observe(self, x, ys, rhs_norms) -> "ConstantsLedger":
-        """Record a full-order iterate and update all ratio estimates."""
-        x = np.asarray(x, dtype=float)
+        """Record a full-order iterate, its solutions and their rhs norms."""
+        x = np.array(x, dtype=float)
         ys = [np.asarray(y, dtype=float) for y in ys]
-        # M: solution norm over right-hand-side norm, maximized over systems
-        ratios = [r for y, f in zip(ys, rhs_norms)
-                  if (r := self._ratio(numerics.norm2(y), float(f))) is not None]
-        if ratios:
-            self._m.append(max(ratios))
-        if self._x_hist:
-            x_prev = self._x_hist[-1]
-            y_prev = self._y_hist[-1]
-            if len(self._x_hist) >= 2:
-                dx_new = numerics.norm2(x - x_prev)
-                dx_old = numerics.norm2(x_prev - self._x_hist[-2])
-                if (r := self._ratio(dx_new, dx_old)) is not None:
-                    self._l.append(r)
+        self._sample("m", [(numerics.norm2(y), float(f)) for y, f in zip(ys, rhs_norms)])
+        dx = dy2 = None
+        if self._last is not None:
+            x_prev, y_prev, dx_prev, dy2_prev = self._last
+            dx = numerics.norm2(x - x_prev)
+            if dx_prev is not None:
+                self._sample("l", [(dx, dx_prev)])
             if len(ys) >= 2:
                 dy1 = numerics.norm2(ys[0] - y_prev[0])
                 dy2 = numerics.norm2(ys[1] - y_prev[1])
-                if (r := self._ratio(dy2, dy1)) is not None:
-                    self._k21.append(r)
-                if len(self._y_hist) >= 2:
-                    dy2_old = numerics.norm2(y_prev[1] - self._y_hist[-2][1])
-                    if (r := self._ratio(dy2, dy2_old)) is not None:
-                        self._l2p.append(r)
-                    if (r := self._ratio(dy1, dy2_old)) is not None:
-                        self._k12.append(self.l2prime_est * r)
-        self._x_hist.append(x.copy())
-        self._y_hist.append([y.copy() for y in ys])
+                self._sample("k21", [(dy2, dy1)])
+                if dy2_prev is not None:
+                    self._sample("l2p", [(dy2, dy2_prev)])
+                    self._sample("k12", [(dy1, dy2_prev)], scale=self._estimate("l2p"))
+        self._last = (x, [y.copy() for y in ys[:2]], dx, dy2)
         return self
+
+    def constants(self) -> Constants:
+        """The current estimates as the constants of a run's bounds."""
+        graph = self._graph
+        if self._fills_k21:
+            graph = graph.with_k({(2, 1): self._estimate("k21")})
+        return Constants((self._estimate("m"),) * graph.p, graph, self._estimate("l"),
+                         self._estimate("k12"))
 
 
 def asymptotic_residual_budget(constants: Constants, eps: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coupling, numerics, pod
 from .coupling import Constants, ConstantsLedger, DependenceGraph
-from .errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
+from .errors import ConfigError, SingularReducedSystem, SvdFailure
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +45,13 @@ class FixedConstants:
 
     inv_norms: tuple[float, ...]  # upper bound on ||A_i^{-1}|| per system, index i-1
     lipschitz: float              # Lipschitz constant of G (or an upper bound)
+
+    def constants(self, graph: DependenceGraph) -> Constants:
+        """These bounds with ``graph``'s K. For p >= 2, K_{1,2} = K[1,0] * L_2:
+        y_2 reaches the next y_1 only through the combiner's output x. Under
+        the Picard combiner ``x = (y_1, y_2)``, so L_2 = 1 and K_{1,2} = K[1,0]."""
+        k12 = graph.k(1, 0) * float(graph.l_consts[2]) if graph.p >= 2 else 0.0
+        return Constants(self.inv_norms, graph, self.lipschitz, k12)
 
 
 @dataclass
@@ -98,10 +105,14 @@ class RunConfig:
     validation_loop: bool = True
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:   # NaN too: no step norm is ever below it
             raise ConfigError("eps must be positive")
+        if self.k_max < 1:
+            raise ConfigError("k_max must be >= 1")
         if self.n_b < 2:
             raise ConfigError("n_b must be >= 2")
+        if not 0.0 < self.eps_rb < 1.0:
+            raise ConfigError("eps_rb must lie in (0, 1)")
         if self.criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
         self.rom_set = frozenset(self.rom_set)
@@ -359,29 +370,6 @@ class _RomState:
         return {i: self.basis_for(i) for i in self.windows}
 
 
-def _constants(problem: CoupledProblem, ledger: ConstantsLedger | None,
-               rom_set: frozenset[int]) -> Constants | None:
-    """The constants of a run's bounds and criteria.
-
-    The problem's fixed constants when it supplies them, whatever ``ledger``
-    is; otherwise ``ledger``'s current estimates, or ``None`` without a
-    ledger. Online estimates give every system the ledger's M, and K_{2,1}
-    enters the graph only when the run reduces a system. Fixed constants for
-    p >= 2 take K_{1,2} = K[1,0] * L_2 from the graph: y_2 reaches the next
-    y_1 only through the combiner's output x. Under the Picard combiner
-    ``x = (y_1, y_2)``, so L_2 = 1 and K_{1,2} = K[1,0].
-    """
-    fc, graph = problem.fixed_constants, problem.graph
-    if fc is not None:
-        k12 = graph.k(1, 0) * float(graph.l_consts[2]) if problem.p >= 2 else 0.0
-        return Constants(fc.inv_norms, graph, fc.lipschitz, k12)
-    if ledger is None:
-        return None
-    if rom_set and problem.p >= 2:
-        graph = graph.with_k({(2, 1): ledger.k21_est})
-    return Constants((ledger.m_est,) * problem.p, graph, ledger.l_est, ledger.k12_est)
-
-
 def _probe_delta(state: _RomState, systems, constants: Constants, lam, report):
     """Evaluate the fresh ROM on the systems just solved by FOM.
 
@@ -431,21 +419,18 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     (``None``, ``validate-ok`` or ``validate-fail``).
 
     Every bound and criterion reads one :class:`coupling.Constants`: the
-    problem's fixed constants, or the online ledger's estimates, rebuilt
-    after each full-order step. Online estimates cover K_{2,1} only, so for
-    p > 2 a run that reduces any system but the last raises MissingConstants
-    before its first step.
+    problem's fixed constants, or the estimates of a
+    :class:`coupling.ConstantsLedger`, rebuilt after each full-order step
+    (its constructor refuses what it cannot estimate, before the first step).
     """
     if any(not 1 <= i <= problem.p for i in config.rom_set):
         raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
-    constants = _constants(problem, None, config.rom_set)
-    ledger = None   # online estimates, kept only without fixed constants
-    if constants is None:
-        if problem.p > 2 and any(i < problem.p for i in config.rom_set):
-            raise MissingConstants(
-                "online estimation only covers K_{2,1}; supply fixed constants for p > 2")
-        ledger = ConstantsLedger()
-        constants = _constants(problem, ledger, config.rom_set)
+    fixed, ledger = problem.fixed_constants, None
+    if fixed is not None:
+        constants = fixed.constants(problem.graph)
+    else:
+        ledger = ConstantsLedger(problem.graph, config.rom_set)
+        constants = ledger.constants()
     report = RunReport(p=problem.p)
     factors = FactorCache(report.factorizations)   # per run: each run factors afresh
     rom = _RomState(config, report) if config.rom_set else None
@@ -492,7 +477,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
                 rom.push(s.solutions)
             if ledger is not None:
                 ledger.observe(x_next, s.solutions, [numerics.norm2(f) for _, f in s.systems])
-                constants = _constants(problem, ledger, config.rom_set)
+                constants = ledger.constants()
                 l_step = _relaxed_lipschitz(constants.lipschitz, lam)
             err = l_step * err if refine else math.inf
             rom_ok = refine and err <= config.eps

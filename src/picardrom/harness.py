@@ -52,7 +52,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown rom selection {self.rom!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        for c in (self.criterion, *self.criteria):
+        # the run settings' own checks, before any run or output exists
+        RunConfig(self.eps, self.k_max, self.n_b, self.eps_rb, criterion=self.criterion)
+        for c in self.criteria:
             if c not in CRITERIA:
                 raise ConfigError(f"unknown criterion {c!r}")
 

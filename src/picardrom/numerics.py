@@ -226,22 +226,10 @@ def svd(a) -> SvdResult:
     return SvdResult(left=u, singular_values=s, right=vh)
 
 
-def _root_sum_squares(a) -> float:
-    """``sqrt(x . x)`` over the float entries of ``a`` raveled in memory
-    order: what ``np.linalg.norm`` computes for real input, bit for bit,
-    without its dispatch."""
-    x = np.asarray(a, dtype=float).ravel(order="K")
-    return math.sqrt(x.dot(x))
-
-
 def norm2(v) -> float:
-    """Euclidean norm of the entries (the Frobenius norm, for a matrix)."""
-    return _root_sum_squares(v)
-
-
-def frobenius(a) -> float:
-    """Frobenius norm of a 2-D array."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    return _root_sum_squares(a)
+    """Euclidean norm of the entries (the Frobenius norm, for a matrix):
+    ``sqrt(x . x)`` over the float entries raveled in memory order, what
+    ``np.linalg.norm`` computes for real input, bit for bit, without its
+    dispatch."""
+    x = np.asarray(v, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))

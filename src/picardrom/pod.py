@@ -99,7 +99,7 @@ def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
     phi, mean, centered = _centered(window)
     dec = numerics.svd(centered)
     s = dec.singular_values
-    scale = max(1.0, numerics.frobenius(phi))
+    scale = max(1.0, numerics.norm2(phi))
     if s.size == 0 or s[0] <= numerics.RANK_RTOL * scale:
         m = 0
     else:

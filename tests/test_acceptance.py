@@ -160,7 +160,7 @@ def test_acceptance_05_delta_bound_exactness():
         rom_set = frozenset(
             i for i in range(1, problem.p + 1) if rng.random() < 0.6) or frozenset({1})
         bases = {i: _random_basis(rng, dims[i - 1]) for i in rom_set}
-        constants = driver._constants(problem, None, rom_set)
+        constants = problem.fixed_constants.constants(problem.graph)
         x = rng.standard_normal(nx)
         report = RunReport(p=problem.p)
         gx = step(problem, x, report, FactorCache()).x_next

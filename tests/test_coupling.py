@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from picardrom import coupling, driver, pod
+from picardrom import coupling, driver, numerics, pod
 from picardrom.errors import InvalidRange, MissingConstants
 
 
@@ -166,38 +168,117 @@ def test_conditions_not_applicable():
 
 
 def test_ledger_geometric_sequence():
-    ledger = coupling.ConstantsLedger()
+    ledger = coupling.ConstantsLedger(coupling.make_graph(2))
     y = np.ones(3)
     for k in range(12):
         x = (0.9 ** k) * np.ones(3)
         ledger.observe(x, [x.copy(), x.copy()], [1.0, 1.0])
-    assert ledger.l_est == pytest.approx(0.9, abs=1e-12)
+    assert ledger.constants().lipschitz == pytest.approx(0.9, abs=1e-12)
 
 
 def test_ledger_k21_ratio():
-    ledger = coupling.ConstantsLedger()
+    ledger = coupling.ConstantsLedger(coupling.make_graph(2), {1})
     rng = np.random.default_rng(0)
     for k in range(10):
         y1 = (0.5 ** k) * np.ones(4) + k
         y2 = 2.0 * y1
         ledger.observe(np.concatenate([y1, y2]), [y1, y2], [1.0, 1.0])
-    assert ledger.k21_est == pytest.approx(2.0, rel=1e-12)
+    assert ledger.constants().k21 == pytest.approx(2.0, rel=1e-12)
 
 
 def test_ledger_m_estimate():
-    ledger = coupling.ConstantsLedger()
+    ledger = coupling.ConstantsLedger(coupling.make_graph(1))
     y = np.array([3.0, 4.0])
     ledger.observe(y, [y], [2.0])
-    assert ledger.m_est == pytest.approx(2.5, abs=1e-14)
+    assert ledger.constants().m == pytest.approx(2.5, abs=1e-14)
 
 
 def test_ledger_skips_tiny_denominators():
-    ledger = coupling.ConstantsLedger()
+    ledger = coupling.ConstantsLedger(coupling.make_graph(2))
     y = np.ones(2)
     for _ in range(5):
         ledger.observe(y, [y, y], [0.0, 0.0])  # zero rhs norms -> no M update
-    assert ledger.m_est == 0.0
-    assert ledger.l_est == 0.0  # stagnating iterates skipped
+    constants = ledger.constants()
+    assert constants.m == 0.0
+    assert constants.lipschitz == 0.0  # stagnating iterates skipped
+
+
+def reference_ledger_estimates(history):
+    """M, L, K_{2,1} and K_{1,2} recomputed from every ``(x, ys, rhs_norms)``
+    observed so far: each ratio of the ledger's docstring, skipped as the
+    guard says, maximised over the last ``LEDGER_WINDOW`` samples taken."""
+    def ratio(num, den):
+        return None if den <= 0.0 or den < coupling.RATIO_GUARD * num else num / den
+
+    def change(t, part):
+        return numerics.norm2(part(history[t]) - part(history[t - 1]))
+
+    samples = {"m": [], "l": [], "k21": [], "l2p": [], "k12": []}
+
+    def estimate(name):
+        return max(samples[name][-coupling.LEDGER_WINDOW:], default=0.0)
+
+    for t, (x, ys, rhs_norms) in enumerate(history):
+        ms = [r for y, f in zip(ys, rhs_norms)
+              if (r := ratio(numerics.norm2(y), f)) is not None]
+        if ms:
+            samples["m"].append(max(ms))
+        if t >= 2 and (r := ratio(change(t, lambda o: o[0]),
+                                  change(t - 1, lambda o: o[0]))) is not None:
+            samples["l"].append(r)
+        if t >= 1 and len(ys) >= 2:
+            dy1, dy2 = change(t, lambda o: o[1][0]), change(t, lambda o: o[1][1])
+            if (r := ratio(dy2, dy1)) is not None:
+                samples["k21"].append(r)
+            if t >= 2:
+                dy2_old = change(t - 1, lambda o: o[1][1])
+                if (r := ratio(dy2, dy2_old)) is not None:
+                    samples["l2p"].append(r)
+                if (r := ratio(dy1, dy2_old)) is not None:
+                    samples["k12"].append(estimate("l2p") * r)
+    return {name: estimate(name) for name in ("m", "l", "k21", "k12")}
+
+
+@st.composite
+def ledger_histories(draw):
+    """A graph order, a reduced set and observations that sometimes repeat the
+    previous iterate or have zero rhs norms, so the ratio guard fires."""
+    p, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rom_set = draw(st.sets(st.integers(1, p)))
+    values = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.array)
+    history = []
+    for _ in range(draw(st.integers(1, 2 * coupling.LEDGER_WINDOW + 3))):
+        if history and draw(st.booleans()):
+            x, ys, _ = history[-1]
+        else:
+            x, ys = draw(values), [draw(values) for _ in range(p)]
+        norm = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(1e-3, 1e3)
+        history.append((x, ys, [draw(norm) for _ in range(p)]))
+    return p, rom_set, history
+
+
+@settings(deadline=None, max_examples=200)
+@given(ledger_histories())
+def test_ledger_equals_its_estimates_recomputed_from_the_full_history(case):
+    p, rom_set, history = case
+    ledger = coupling.ConstantsLedger(coupling.make_graph(p), rom_set)
+    for t in range(len(history)):
+        constants = ledger.observe(*history[t]).constants()
+        expected = reference_ledger_estimates(history[:t + 1])
+        k21 = expected["k21"] if rom_set and p >= 2 else 0.0
+        assert constants.inv_norms == (expected["m"],) * p
+        assert constants.lipschitz == expected["l"]
+        assert constants.k12 == expected["k12"]
+        assert constants.k21 == k21
+        assert np.array_equal(constants.graph.k_consts,
+                              coupling.make_graph(p, {(2, 1): k21} if p >= 2 else {}).k_consts)
+        assert np.array_equal(constants.graph.l_consts, coupling.make_graph(p).l_consts)
+
+
+def test_ledger_refuses_a_reduced_system_whose_coupling_it_cannot_estimate():
+    with pytest.raises(MissingConstants, match="p > 2"):
+        coupling.ConstantsLedger(coupling.make_graph(3), {1})
+    coupling.ConstantsLedger(coupling.make_graph(3), {3})
 
 
 def constants_with(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):

@@ -144,10 +144,17 @@ def test_evaluate_criterion_residual_and_asymptotic():
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(eps=0.0)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ConfigError, match="eps"):
+            RunConfig(eps=eps)
     with pytest.raises(ConfigError):
         RunConfig(eps=1e-6, n_b=1)
+    for k_max in (0, -3):
+        with pytest.raises(ConfigError, match="k_max"):
+            RunConfig(eps=1e-6, k_max=k_max)
+    for eps_rb in (0.0, 1.0, 2.0):
+        with pytest.raises(ConfigError, match="eps_rb"):
+            RunConfig(eps=1e-6, eps_rb=eps_rb)
     with pytest.raises(ConfigError):
         RunConfig(eps=1e-6, criterion="bogus")
     with pytest.raises(ConfigError):
@@ -807,7 +814,7 @@ def test_a_singular_reduced_system_stops_the_step_and_its_refinement_reuses_syst
 def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
     pair = problems.ReactionDiffusionPair(n=16)
     prob = problems.make_coupled_problem(pair, exact_constants=True)
-    constants = driver._constants(prob, None, rom_set)
+    constants = prob.fixed_constants.constants(prob.graph)
     assert (constants.k21, constants.k12) == (prob.graph.k(2, 1), prob.graph.k(1, 0))
     assert constants.m == max(prob.fixed_constants.inv_norms)
     cfg = RunConfig(eps=1e-8, rom_set=rom_set, criterion="asymptotic")

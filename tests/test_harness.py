@@ -82,6 +82,10 @@ def test_config_validation():
         harness.ExperimentConfig(criterion="bogus")
     with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
         harness.ExperimentConfig(criteria=("residual", "bogus"))
+    for field, value in (("eps", 0.0), ("eps", math.nan), ("n_b", 1), ("eps_rb", 2.0),
+                         ("eps_rb", 0.0), ("k_max", 0)):
+        with pytest.raises(ConfigError, match=field):
+            harness.ExperimentConfig(**{field: value})
 
 
 def test_reference_scalar_geometric_iterations():
@@ -290,6 +294,16 @@ def test_cli_kmax_exit_code(tmp_path):
 def test_cli_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.ini")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--nb", "1"), ("--eps", "0"), ("--eps-rb", "2"),
+                                         ("--kmax", "0")])
+def test_cli_refuses_an_invalid_run_setting_before_creating_its_output(tmp_path, flag,
+                                                                        value):
+    out = tmp_path / "d"
+    rc = cli.main(["run", "--problem", "rd", "--rom", "1", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_cli_criterion_alias(tmp_path):
