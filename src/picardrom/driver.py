@@ -11,8 +11,10 @@ map's Lipschitz constant, and a step whose tentative bound exceeds the
 solver tolerance is rejected and triggers a basis refinement. A reduced step
 is rejected as soon as its partial bound fails the criterion, before any
 downstream assembly or full-order solve, and the refinement step that
-follows reuses the rejected step's assembly of system 1. An optional outer
-validation loop applies the exact map once at apparent convergence.
+follows reuses the rejected step's assembly of system 1. A reduced step is
+only tried after a probe of the reduced models on a full-order step's
+systems passes the criterion. An optional outer validation loop applies the
+exact map once at apparent convergence.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ class TraceRow:
 
     ``delta`` is the step's error bound; on a reduced step rejected early it
     is the partial sum over the reduced systems solved before the rejection.
+    On a ``fom`` or ``refine`` row it is the probe's predicted bound for a
+    reduced step, ``None`` when the row probed nothing.
     """
 
     k: int
@@ -371,7 +375,7 @@ class _RomState:
 
 
 def _probe_delta(state: _RomState, systems, constants: Constants, lam, report):
-    """Evaluate the fresh ROM on the systems just solved by FOM.
+    """Evaluate the current reduced models on the systems just solved by FOM.
 
     Returns (delta, residuals); delta is +inf when a reduced solve fails.
     """
@@ -394,17 +398,24 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
 
     Each iteration's state is its trace event:
 
-    * ``fom``: a full-order step. Once the snapshot windows are full it
-      probes the fresh reduced models on the systems it solved; their bound
-      restarts ``err`` and the criterion's verdict on it sets ``rom_ok``.
+    * ``fom``: a full-order step. Its iterate is exact, so ``err`` restarts
+      at 0 when the step probes, and at inf when it does not.
     * ``rom``: a reduced step, tried while ``rom_ok`` holds and accepted if
       the criterion holds for its bound; then ``err <- delta + L*err``.
     * ``reject``: the reduced step failed the criterion or hit a singular
       reduced system. ``x`` stays, ``rom_ok`` is cleared, ``refine`` follows.
     * ``refine``: a full-order step that reuses the rejected step's assembly
-      of system 1; ``err <- L*err``. Under the propagation criterion
-      ``rom_ok`` becomes ``err <= eps``; under the others the reduced models
-      are probed as after ``fom``.
+      of system 1; ``err <- L*err``.
+
+    After ``fom`` and ``refine`` the reduced models are probed on the systems
+    the step solved, and ``rom_ok`` is the criterion's verdict on the probe's
+    bound with the new ``err``; a singular probe clears it. Until the run's
+    first rejection the probe runs once the snapshot windows are full, on the
+    bases that include this step's solutions; tested out of sample, early
+    models whose reduced steps pass would fail it. From then on it runs on the
+    bases built before them, so that it tests the models out of sample and a
+    model that does not fit stops drawing reduced attempts. The accept check
+    on the reduced step itself is the same either way.
 
     A step shorter than ``eps``, other than a rejection, ends the run, after
     one exact step at the new iterate if ``validation_loop`` is set
@@ -473,22 +484,24 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
             rejected = None
             x_next = _relax(x, s.x_next, lam)
             event = "refine" if refine else "fom"
-            if rom is not None:
-                rom.push(s.solutions)
             if ledger is not None:
                 ledger.observe(x_next, s.solutions, [numerics.norm2(f) for _, f in s.systems])
                 constants = ledger.constants()
                 l_step = _relaxed_lipschitz(constants.lipschitz, lam)
-            err = l_step * err if refine else math.inf
-            rom_ok = refine and err <= config.eps
-            if (rom is not None and rom.ready()
-                    and not (refine and config.criterion == "propagation")):
-                delta_k, residuals = _probe_delta(rom, s.systems, constants, lam, report)
-                rom_ok = not math.isinf(delta_k) and holds(delta_k, residuals, 0.0)
+            probe = None
+            if rom is not None:
+                if report.rejected:   # out of sample: the bases before this step's snapshots
+                    probe = _probe_delta(rom, s.systems, constants, lam, report)
+                rom.push(s.solutions)
+                if not report.rejected and rom.ready():
+                    probe = _probe_delta(rom, s.systems, constants, lam, report)
+            err = l_step * err if refine else (math.inf if probe is None else 0.0)
+            rom_ok = False
+            if probe is not None:
+                delta_k, residuals = probe
+                rom_ok = not math.isinf(delta_k) and holds(delta_k, residuals, err)
                 if residuals:
                     report.final_residual = sum(residuals.values())
-                if not refine:
-                    err = delta_k
 
         step_norm = numerics.norm2(x_next - x)
         if delta_k is not None:

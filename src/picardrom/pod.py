@@ -22,7 +22,7 @@ from .errors import (
     TooFewSnapshots,
 )
 
-GS_DROP_RTOL = 1e-12  # post-orthogonalization norm below this (relative) drops a column
+GS_DROP_RTOL = 1e-12  # drops a column left below this times the window's largest column norm
 
 
 class SnapshotWindow:
@@ -115,19 +115,24 @@ def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
 
 
 def build_basis_gs(window: SnapshotWindow) -> ReducedBasis:
-    """Modified Gram-Schmidt basis of the centered snapshots (no truncation)."""
+    """Modified Gram-Schmidt basis of the centered snapshots (no truncation).
+
+    A column is dropped when what is left of it after orthogonalization is
+    below ``GS_DROP_RTOL`` times the largest centered column norm: measured
+    against its own norm, a small column made of rounding error would survive.
+    """
     _, mean, centered = _centered(window)
+    scale = max(numerics.norm2(col) for col in centered.T)
     kept: list[np.ndarray] = []
     for col in centered.T:
         w = col.copy()
-        original = numerics.norm2(w)
         for q in kept:
             w -= (q @ w) * q
         # second pass for numerical orthogonality
         for q in kept:
             w -= (q @ w) * q
         nrm = numerics.norm2(w)
-        if original > 0.0 and nrm > GS_DROP_RTOL * original:
+        if nrm > GS_DROP_RTOL * scale:
             kept.append(w / nrm)
     n = centered.shape[0]
     basis = np.column_stack(kept) if kept else np.zeros((n, 0))

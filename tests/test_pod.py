@@ -112,6 +112,20 @@ def test_gs_drops_duplicate_column():
     assert basis.size == full.size - 1
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9])
+def test_gs_keeps_no_direction_of_rounding_error(scale):
+    """Centred snapshots have rank at most len(window) - 1. A last snapshot
+    close to the mean of the others centres to a small column in the span of
+    the rest; what orthogonalisation leaves of it is rounding error, small
+    against the window though not against the column's own norm."""
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        others = [rng.standard_normal(40) * 10.0 ** rng.uniform(-2, 2) for _ in range(4)]
+        last = np.mean(others, axis=0) + scale * rng.standard_normal(40)
+        window = _window(others + [last])
+        assert pod.build_basis_gs(window).size <= len(window) - 1, trial
+
+
 def test_rom_solve_exact_when_solution_in_span():
     rng = np.random.default_rng(6)
     n = 15
