@@ -3,7 +3,6 @@
 from . import coupling, driver, harness, numerics, pod, problems
 from .driver import (
     CoupledProblem,
-    FixedConstants,
     RunConfig,
     RunReport,
     accelerated_run,
@@ -19,7 +18,6 @@ __all__ = [
     "pod",
     "problems",
     "CoupledProblem",
-    "FixedConstants",
     "RunConfig",
     "RunReport",
     "accelerated_run",

@@ -110,6 +110,7 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
 
 def _cmd_run(cfg: harness.ExperimentConfig) -> int:
     problem = harness.build_problem(cfg)
+    harness.build_run_config(cfg, problem.p)   # refuse a bad ROM selection before any output
     out = _out_dir(cfg)
     result = harness.run_accelerated(cfg, problem)
     rep = result.report
@@ -136,6 +137,7 @@ def _cmd_compare(cfg: harness.ExperimentConfig) -> int:
 def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
     reps = max(cfg.repetitions, 5)
     problem = harness.build_problem(cfg)
+    harness.build_run_config(cfg, problem.p)   # refuse a bad ROM selection before any output
     out = _out_dir(cfg)
     reference = harness.run_reference(cfg, problem)
     base_cfg = dataclasses.replace(cfg, rom="none")

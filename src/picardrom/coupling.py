@@ -52,17 +52,21 @@ class DependenceGraph:
         object.__setattr__(self, "l_consts", l)
 
     def k(self, i: int, j: int) -> float:
-        if not (1 <= i <= self.p and 0 <= j < i):
-            raise InvalidRange(f"K[{i},{j}] undefined for p={self.p}")
+        _check_k_index(self.p, i, j)
         return float(self.k_consts[i, j])
 
     def with_k(self, updates: dict[tuple[int, int], float]) -> "DependenceGraph":
         k = self.k_consts.copy()
         for (i, j), val in updates.items():
-            if not (1 <= i <= self.p and 0 <= j < i):
-                raise InvalidRange(f"K[{i},{j}] undefined for p={self.p}")
+            _check_k_index(self.p, i, j)
             k[i, j] = val
         return DependenceGraph(self.p, k, self.l_consts.copy())
+
+
+def _check_k_index(p: int, i: int, j: int) -> None:
+    """Raise InvalidRange unless K[i, j] is an edge of a graph of order ``p``."""
+    if not (1 <= i <= p and 0 <= j < i):
+        raise InvalidRange(f"K[{i},{j}] undefined for p={p}")
 
 
 def make_graph(p: int, k_entries: dict[tuple[int, int], float] | None = None,
@@ -70,6 +74,7 @@ def make_graph(p: int, k_entries: dict[tuple[int, int], float] | None = None,
     """Convenience constructor from sparse K entries and an L vector."""
     k = np.zeros((p + 1, p + 1))
     for (i, j), val in (k_entries or {}).items():
+        _check_k_index(p, i, j)
         k[i, j] = val
     if l_consts is None:
         l = np.ones(p + 1)
@@ -212,15 +217,15 @@ class Constants:
     """The constants every bound and criterion of a run reads.
 
     ``inv_norms[i-1]`` bounds system i's ``||A_i^{-1}||`` and M is their
-    maximum; ``graph`` weights each system's term of the step bound and holds
-    K_{2,1}; ``lipschitz`` is L, the Lipschitz constant of the combined map,
-    and ``k12`` is K_{1,2}, the dependence of the next y_1 on y_2.
+    maximum; ``graph`` holds every K and L of the dependence DAG; ``lipschitz``
+    is L, the Lipschitz constant of the combined map. The error bounds are
+    rigorous only when each value bounds its true constant from above, as the
+    certificate of :func:`picardrom.problems.spd_inverse_norm` does for M.
     """
 
     inv_norms: tuple[float, ...]
     graph: DependenceGraph
     lipschitz: float
-    k12: float
 
     @property
     def m(self) -> float:
@@ -229,6 +234,13 @@ class Constants:
     @property
     def k21(self) -> float:
         return self.graph.k(2, 1) if self.graph.p >= 2 else 0.0
+
+    @property
+    def k12(self) -> float:
+        """K_{1,2}, the dependence of the next y_1 on y_2: ``K[1,0] * L_2``,
+        since y_2 reaches the next y_1 only through the combiner's output x;
+        0 for p = 1."""
+        return self.graph.k(1, 0) * float(self.graph.l_consts[2]) if self.graph.p >= 2 else 0.0
 
 
 class ConstantsLedger:
@@ -244,9 +256,12 @@ class ConstantsLedger:
     ``LEDGER_WINDOW`` samples, 0.0 before the first (single ratios tend to
     underestimate the true constants).
 
-    Every system gets the estimated M, and K_{2,1} enters ``graph`` only when
-    ``rom_set`` is not empty. No other K is estimated, so for p > 2 a
-    ``rom_set`` with any system but the last raises MissingConstants.
+    The K_{1,2} sample takes the previous change of y_2 as the change of x
+    that moved y_1, so it assumes the Picard combiner ``x = (y_1, y_2)``,
+    where L_2 = 1 and K_{1,2} = K[1,0]. Every system gets the estimated M,
+    and K_{2,1} and K_{1,2} enter ``graph`` as ``K[2,1]`` and ``K[1,0]`` only
+    when ``rom_set`` is not empty and p >= 2. No other K is estimated, so for
+    p > 2 a ``rom_set`` with any system but the last raises MissingConstants.
     """
 
     def __init__(self, graph: DependenceGraph, rom_set=frozenset()):
@@ -254,7 +269,7 @@ class ConstantsLedger:
             raise MissingConstants(
                 "online estimation only covers K_{2,1}; supply fixed constants for p > 2")
         self._graph = graph
-        self._fills_k21 = bool(rom_set) and graph.p >= 2
+        self._fills_k = bool(rom_set) and graph.p >= 2
         self._windows = {name: deque(maxlen=LEDGER_WINDOW)
                          for name in ("m", "k21", "k12", "l", "l2p")}
         self._last = None   # (x, [y_1, y_2], ||dx||, ||dy_2||) of the last observation
@@ -294,10 +309,9 @@ class ConstantsLedger:
     def constants(self) -> Constants:
         """The current estimates as the constants of a run's bounds."""
         graph = self._graph
-        if self._fills_k21:
-            graph = graph.with_k({(2, 1): self._estimate("k21")})
-        return Constants((self._estimate("m"),) * graph.p, graph, self._estimate("l"),
-                         self._estimate("k12"))
+        if self._fills_k:
+            graph = graph.with_k({(2, 1): self._estimate("k21"), (1, 0): self._estimate("k12")})
+        return Constants((self._estimate("m"),) * graph.p, graph, self._estimate("l"))
 
 
 def asymptotic_residual_budget(constants: Constants, eps: float) -> float:

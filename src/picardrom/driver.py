@@ -36,26 +36,6 @@ log = logging.getLogger(__name__)
 CRITERIA = ("residual", "upper_bound", "asymptotic", "propagation")
 
 
-@dataclass(frozen=True)
-class FixedConstants:
-    """Certified constants for linear problems (bypass the online ledger).
-
-    Each value must be an upper bound on its true constant, as the M-matrix
-    certificate of :func:`picardrom.problems.spd_inverse_norm` gives for
-    ``||A_i^{-1}||``; the error bounds are rigorous only then.
-    """
-
-    inv_norms: tuple[float, ...]  # upper bound on ||A_i^{-1}|| per system, index i-1
-    lipschitz: float              # Lipschitz constant of G (or an upper bound)
-
-    def constants(self, graph: DependenceGraph) -> Constants:
-        """These bounds with ``graph``'s K. For p >= 2, K_{1,2} = K[1,0] * L_2:
-        y_2 reaches the next y_1 only through the combiner's output x. Under
-        the Picard combiner ``x = (y_1, y_2)``, so L_2 = 1 and K_{1,2} = K[1,0]."""
-        k12 = graph.k(1, 0) * float(graph.l_consts[2]) if graph.p >= 2 else 0.0
-        return Constants(self.inv_norms, graph, self.lipschitz, k12)
-
-
 @dataclass
 class CoupledProblem:
     """p linear-system assemblers in topological order plus the combiner.
@@ -75,22 +55,28 @@ class CoupledProblem:
     deterministic function of ``(x, ys)``: after a rejected reduced step the
     refinement step at the same ``x`` reuses that step's ``(A_1, F_1)``
     instead of assembling system 1 again.
+
+    ``p`` is the number of assemblers and the order of ``graph``. Certified
+    ``fixed_constants`` must be built on ``graph``; without them a run
+    estimates its :class:`coupling.Constants` online.
     """
 
-    p: int
-    block_dims: tuple[int, ...]
     assemblers: Sequence[Callable]
     combiner: Callable
     graph: DependenceGraph
     x0: np.ndarray
-    fixed_constants: FixedConstants | None = None
+    fixed_constants: Constants | None = None
 
     def __post_init__(self):
-        if self.p != len(self.assemblers) or self.p != len(self.block_dims):
-            raise ConfigError("assemblers/block_dims must match p")
-        if self.p != self.graph.p:
-            raise ConfigError("dependence graph order must match p")
+        if self.graph.p != self.p:
+            raise ConfigError(f"dependence graph of order {self.graph.p} for {self.p} assemblers")
+        if self.fixed_constants is not None and self.fixed_constants.graph is not self.graph:
+            raise ConfigError("fixed constants must be built on the problem's graph")
         self.x0 = np.asarray(self.x0, dtype=float)
+
+    @property
+    def p(self) -> int:
+        return len(self.assemblers)
 
 
 @dataclass
@@ -430,16 +416,14 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     (``None``, ``validate-ok`` or ``validate-fail``).
 
     Every bound and criterion reads one :class:`coupling.Constants`: the
-    problem's fixed constants, or the estimates of a
+    problem's ``fixed_constants`` as they are, or the estimates of a
     :class:`coupling.ConstantsLedger`, rebuilt after each full-order step
     (its constructor refuses what it cannot estimate, before the first step).
     """
     if any(not 1 <= i <= problem.p for i in config.rom_set):
         raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
-    fixed, ledger = problem.fixed_constants, None
-    if fixed is not None:
-        constants = fixed.constants(problem.graph)
-    else:
+    constants, ledger = problem.fixed_constants, None
+    if constants is None:
         ledger = ConstantsLedger(problem.graph, config.rom_set)
         constants = ledger.constants()
     report = RunReport(p=problem.p)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from . import coupling, numerics
-from .driver import CoupledProblem, FixedConstants
+from .driver import CoupledProblem
 from .errors import (
     ConfigError,
     NonPositiveDiffusion,
@@ -362,20 +362,17 @@ class ScalarToy:
     x0: float = 1.0
 
 
-def _split(x: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
-    out, off = [], 0
-    for d in dims:
-        out.append(x[off:off + d])
-        off += d
-    return out
+def _stack(x, ys):
+    """The Picard combiner of the two-field demos: the solutions stacked."""
+    return np.concatenate(ys)
 
 
 def make_coupled_problem(spec, exact_constants: bool = False) -> CoupledProblem:
     """Wire a demo specification into a CoupledProblem (Picard combiner).
 
-    ``exact_constants`` (the reaction-diffusion pair and the scalar toy) attaches
-    certified upper bounds on the operator-norm constants, so the error
-    bounds are rigorous.
+    ``exact_constants`` (the reaction-diffusion pair and the scalar toy) builds
+    the problem with certified upper bounds on its constants as its
+    ``fixed_constants``, so the error bounds are rigorous.
     """
     if isinstance(spec, ReactionDiffusionPair):
         return _make_rd_problem(spec, exact_constants)
@@ -411,18 +408,14 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
         a, f_bc = operator(pair.d2)
         return a, pair.s21 * ys[0] + pair.q2 + f_bc
 
-    def combiner(x, ys):
-        return np.concatenate(ys)
-
-    graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
-    problem = CoupledProblem(
-        p=2, block_dims=(n, n), assemblers=(assemble_1, assemble_2),
-        combiner=combiner, graph=graph, x0=np.zeros(2 * n),
-    )
+    constants = None
     if exact_constants:
-        _attach_rd_exact_constants(pair, problem, operator(pair.d1)[0],
-                                   operator(pair.d2)[0])
-    return problem
+        constants = _rd_exact_constants(pair, operator(pair.d1)[0], operator(pair.d2)[0])
+    return CoupledProblem(
+        assemblers=(assemble_1, assemble_2), combiner=_stack,
+        graph=constants.graph if exact_constants else coupling.make_graph(2),
+        x0=np.zeros(2 * n), fixed_constants=constants,
+    )
 
 
 def spd_inverse_norm(a) -> float:
@@ -477,9 +470,9 @@ def spd_inverse_norm(a) -> float:
     return bound * (1.0 + 4.0 * u)
 
 
-def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProblem,
-                               a1, a2) -> None:
-    """Certified K constants and inverse norms of the pair's problem.
+def _rd_exact_constants(pair: ReactionDiffusionPair, a1, a2) -> coupling.Constants:
+    """Certified constants of the pair's problem: its graph's K and L, the
+    inverse norms and the Lipschitz bound.
 
     Each ``||A_i^{-1}||`` is the certified upper bound of
     :func:`spd_inverse_norm` (an M-matrix certificate), computed once when
@@ -490,31 +483,22 @@ def _attach_rd_exact_constants(pair: ReactionDiffusionPair, problem: CoupledProb
     m1 = spd_inverse_norm(a1)
     m2 = m1 if a2 is a1 else spd_inverse_norm(a2)
     graph = coupling.make_graph(
-        2, k_entries={(1, 0): abs(pair.s12) * m1, (2, 1): abs(pair.s21) * m2},
-        l_consts=[0.0, 1.0, 1.0])
-    problem.graph = graph
-    problem.fixed_constants = FixedConstants(
-        inv_norms=(m1, m2), lipschitz=coupling.contraction_bound(graph))
+        2, k_entries={(1, 0): abs(pair.s12) * m1, (2, 1): abs(pair.s21) * m2})
+    return coupling.Constants((m1, m2), graph, coupling.contraction_bound(graph))
 
 
 def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
     n = surrogate.grid.n
-    dims = (n, n)
 
     def assemble_1(x, ys):
-        _, theta = _split(x, dims)
-        return assemble_flow(surrogate, theta)
+        return assemble_flow(surrogate, x[n:])
 
     def assemble_2(x, ys):
         return assemble_heat(surrogate, ys[0])
 
-    def combiner(x, ys):
-        return np.concatenate(ys)
-
-    graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
     return CoupledProblem(
-        p=2, block_dims=dims, assemblers=(assemble_1, assemble_2),
-        combiner=combiner, graph=graph, x0=np.zeros(2 * n),
+        assemblers=(assemble_1, assemble_2), combiner=_stack,
+        graph=coupling.make_graph(2), x0=np.zeros(2 * n),
     )
 
 
@@ -528,11 +512,8 @@ def _make_scalar_problem(toy: ScalarToy, exact: bool) -> CoupledProblem:
         return ys[0].copy()
 
     rate = abs(toy.rate)
-    graph = coupling.make_graph(1, k_entries={(1, 0): rate}, l_consts=[0.0, 1.0])
-    problem = CoupledProblem(
-        p=1, block_dims=(1,), assemblers=(assemble_1,), combiner=combiner,
-        graph=graph, x0=np.array([toy.x0]),
+    graph = coupling.make_graph(1, k_entries={(1, 0): rate})
+    return CoupledProblem(
+        assemblers=(assemble_1,), combiner=combiner, graph=graph, x0=np.array([toy.x0]),
+        fixed_constants=coupling.Constants((1.0,), graph, rate) if exact else None,
     )
-    if exact:
-        problem.fixed_constants = FixedConstants(inv_norms=(1.0,), lipschitz=rate)
-    return problem

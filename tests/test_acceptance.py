@@ -14,7 +14,6 @@ from picardrom import coupling, driver, harness, numerics, pod, problems
 from picardrom.driver import (
     CoupledProblem,
     FactorCache,
-    FixedConstants,
     RunConfig,
     RunReport,
     accelerated_run,
@@ -135,11 +134,10 @@ def _random_linear_problem(rng):
     l_consts = [0.0] + [np.linalg.svd(d_mat, compute_uv=False)[0] for d_mat in combl]
     graph = coupling.make_graph(p, k_entries, l_consts)
     problem = CoupledProblem(
-        p=p, block_dims=tuple(dims),
         assemblers=tuple(make_assembler(i) for i in range(p)),
         combiner=combiner, graph=graph, x0=np.zeros(nx),
-        fixed_constants=FixedConstants(inv_norms=inv_norms,
-                                       lipschitz=coupling.contraction_bound(graph)))
+        fixed_constants=coupling.Constants(inv_norms, graph,
+                                           coupling.contraction_bound(graph)))
     return problem, dims, nx
 
 
@@ -160,7 +158,7 @@ def test_acceptance_05_delta_bound_exactness():
         rom_set = frozenset(
             i for i in range(1, problem.p + 1) if rng.random() < 0.6) or frozenset({1})
         bases = {i: _random_basis(rng, dims[i - 1]) for i in rom_set}
-        constants = problem.fixed_constants.constants(problem.graph)
+        constants = problem.fixed_constants
         x = rng.standard_normal(nx)
         report = RunReport(p=problem.p)
         gx = step(problem, x, report, FactorCache()).x_next

@@ -109,7 +109,7 @@ def test_delta_single_and_multi():
     assert coupling.delta_single(g, 1, 2.0, 0.0) == 0.0
     # the run sums one term per reduced system, in topological order
     rng = np.random.default_rng(2)
-    constants = coupling.Constants((2.0, 3.0), g, lipschitz=0.0, k12=0.0)
+    constants = coupling.Constants((2.0, 3.0), g, lipschitz=0.0)
     report, residuals, total = driver.RunReport(p=2), {}, 0.0
     expected = 0.0
     for i, amplification in ((1, 1.4), (2, 1.0)):
@@ -136,6 +136,14 @@ def test_graph_validation():
         g.k(1, 1)
     with pytest.raises(InvalidRange):
         coupling.enumerate_paths(g, 1, 1)
+    # a negative index must not wrap around to another entry
+    for i, j in ((-1, 0), (2, -1), (3, 0), (2, 3)):
+        with pytest.raises(InvalidRange):
+            coupling.make_graph(2, {(i, j): 0.5})
+        with pytest.raises(InvalidRange):
+            g.with_k({(i, j): 0.5})
+        with pytest.raises(InvalidRange):
+            g.k(i, j)
 
 
 def test_condition4_golden_ratio_boundary():
@@ -265,13 +273,16 @@ def test_ledger_equals_its_estimates_recomputed_from_the_full_history(case):
     for t in range(len(history)):
         constants = ledger.observe(*history[t]).constants()
         expected = reference_ledger_estimates(history[:t + 1])
-        k21 = expected["k21"] if rom_set and p >= 2 else 0.0
+        fills = rom_set and p >= 2
+        k21 = expected["k21"] if fills else 0.0
+        k12 = expected["k12"] if fills else 0.0
         assert constants.inv_norms == (expected["m"],) * p
         assert constants.lipschitz == expected["l"]
-        assert constants.k12 == expected["k12"]
+        assert constants.k12 == k12
         assert constants.k21 == k21
+        entries = {(2, 1): k21, (1, 0): k12} if p >= 2 else {}
         assert np.array_equal(constants.graph.k_consts,
-                              coupling.make_graph(p, {(2, 1): k21} if p >= 2 else {}).k_consts)
+                              coupling.make_graph(p, entries).k_consts)
         assert np.array_equal(constants.graph.l_consts, coupling.make_graph(p).l_consts)
 
 
@@ -282,16 +293,16 @@ def test_ledger_refuses_a_reduced_system_whose_coupling_it_cannot_estimate():
 
 
 def constants_with(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
-    """Two-system constants with M = ``m`` and K_{2,1} = ``k21``."""
-    graph = coupling.make_graph(2, {(2, 1): k21}, l_consts=[0.0, 1.0, 1.0])
-    return coupling.Constants((m / 2, m), graph, lipschitz, k12)
+    """Two-system constants with M = ``m``, K_{2,1} = ``k21`` and K_{1,2} = ``k12``."""
+    graph = coupling.make_graph(2, {(2, 1): k21, (1, 0): k12}, l_consts=[0.0, 1.0, 1.0])
+    return coupling.Constants((m / 2, m), graph, lipschitz)
 
 
 def test_constants_read_m_and_k21_from_their_parts():
     constants = constants_with(m=2.0, k21=0.5)
     assert (constants.m, constants.k21) == (2.0, 0.5)
     # a single system has no K_{2,1}
-    single = coupling.Constants((1.0,), coupling.make_graph(1), 0.5, 0.0)
+    single = coupling.Constants((1.0,), coupling.make_graph(1), 0.5)
     assert (single.m, single.k21) == (1.0, 0.0)
 
 

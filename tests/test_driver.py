@@ -28,7 +28,7 @@ def scalar_problem(rate=0.5, source=0.0, x0=1.0):
         return np.array([[1.0]]), np.array([rate * x[0] + source])
 
     graph = coupling.make_graph(1, {(1, 0): abs(rate)}, l_consts=[0.0, 1.0])
-    return CoupledProblem(p=1, block_dims=(1,), assemblers=(assemble,),
+    return CoupledProblem(assemblers=(assemble,),
                           combiner=lambda x, ys: ys[0].copy(), graph=graph,
                           x0=np.array([x0]))
 
@@ -44,9 +44,23 @@ def decoupled_problem():
         return a2, np.array([10.0])
 
     graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
-    return CoupledProblem(p=2, block_dims=(2, 1), assemblers=(as1, as2),
+    return CoupledProblem(assemblers=(as1, as2),
                           combiner=lambda x, ys: np.concatenate(ys),
                           graph=graph, x0=np.zeros(3))
+
+
+def test_coupled_problem_refuses_a_graph_that_is_not_its_own():
+    prob = decoupled_problem()
+    with pytest.raises(ConfigError, match="order 3 for 2 assemblers"):
+        CoupledProblem(prob.assemblers, prob.combiner, coupling.make_graph(3), prob.x0)
+    # constants on an equal graph that is not the problem's are refused too
+    other = coupling.Constants((1.0, 1.0), coupling.make_graph(2), 0.5)
+    with pytest.raises(ConfigError, match="problem's graph"):
+        CoupledProblem(prob.assemblers, prob.combiner, prob.graph, prob.x0,
+                       fixed_constants=other)
+    own = coupling.Constants((1.0, 1.0), prob.graph, 0.5)
+    assert CoupledProblem(prob.assemblers, prob.combiner, prob.graph, prob.x0,
+                          fixed_constants=own).p == 2
 
 
 def full_order(problem, x, factors=None):
@@ -112,8 +126,8 @@ def test_relaxation_outside_unit_interval_is_rejected(relaxation):
 
 
 def two_system_constants(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
-    graph = coupling.make_graph(2, {(2, 1): k21}, l_consts=[0.0, 1.0, 1.0])
-    return coupling.Constants((m, m), graph, lipschitz, k12)
+    graph = coupling.make_graph(2, {(2, 1): k21, (1, 0): k12}, l_consts=[0.0, 1.0, 1.0])
+    return coupling.Constants((m, m), graph, lipschitz)
 
 
 def test_evaluate_criterion_propagation_and_upper():
@@ -301,9 +315,9 @@ def orthogonal_chain(rng, p, n, lip):
     graph = coupling.make_graph(p, {(i, i - 1): lip for i in range(1, p + 1)},
                                 l_consts=[0.0] * p + [1.0])
     return CoupledProblem(
-        p=p, block_dims=(n,) * p, assemblers=[link(i) for i in range(p)],
+        assemblers=[link(i) for i in range(p)],
         combiner=lambda x, ys: ys[-1].copy(), graph=graph, x0=np.zeros(n),
-        fixed_constants=driver.FixedConstants((1.0,) * p, coupling.contraction_bound(graph)))
+        fixed_constants=coupling.Constants((1.0,) * p, graph, coupling.contraction_bound(graph)))
 
 
 def test_relaxed_runs_keep_the_lockstep_guarantee_on_random_linear_maps():
@@ -424,8 +438,9 @@ def test_each_run_pays_for_its_own_factorizations(factorizations):
 
 
 def test_thermal_run_factors_every_fom_solve(factorizations):
-    prob = problems.make_coupled_problem(problems.ThermalFlowSurrogate())
-    n = prob.block_dims[0]
+    surrogate = problems.ThermalFlowSurrogate()
+    prob = problems.make_coupled_problem(surrogate)
+    n = surrogate.grid.n
     report = accelerated_run(prob, RunConfig(eps=1e-8, k_max=8, rom_set=frozenset({1})))
     assert sum(report.fom_solves) > 2
     assert factorizations[n] == sum(report.fom_solves)
@@ -479,7 +494,7 @@ def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
         return (a_first if len(calls) % 2 else a_second), np.array([2.0, 8.0])
 
     graph = coupling.make_graph(1, l_consts=[0.0, 1.0])
-    prob = CoupledProblem(p=1, block_dims=(2,), assemblers=(assemble,),
+    prob = CoupledProblem(assemblers=(assemble,),
                           combiner=lambda x, ys: ys[0].copy(), graph=graph,
                           x0=np.zeros(2))
     cache = FactorCache()
@@ -502,7 +517,7 @@ def linear_pair(a1, a2, s12, s21, q1, q2):
         return a2, s21 * ys[0] + q2
 
     graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
-    return CoupledProblem(p=2, block_dims=(n, n), assemblers=(assemble_1, assemble_2),
+    return CoupledProblem(assemblers=(assemble_1, assemble_2),
                           combiner=lambda x, ys: np.concatenate(ys), graph=graph,
                           x0=np.zeros(2 * n))
 
@@ -704,7 +719,7 @@ def thermal_bases(rom_set):
         s = full_order(prob, x)
         state.push(s.solutions)
         x = s.x_next
-    constants = coupling.Constants((1.0, 1.0), prob.graph, 0.5, 0.0)
+    constants = coupling.Constants((1.0, 1.0), prob.graph, 0.5)
     return prob, x, state.all_bases(), constants
 
 
@@ -823,7 +838,7 @@ def test_a_singular_reduced_system_stops_the_step_and_its_refinement_reuses_syst
 def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
     pair = problems.ReactionDiffusionPair(n=16)
     prob = problems.make_coupled_problem(pair, exact_constants=True)
-    constants = prob.fixed_constants.constants(prob.graph)
+    constants = prob.fixed_constants
     assert (constants.k21, constants.k12) == (prob.graph.k(2, 1), prob.graph.k(1, 0))
     assert constants.m == max(prob.fixed_constants.inv_norms)
     cfg = RunConfig(eps=1e-8, rom_set=rom_set, criterion="asymptotic")
@@ -885,8 +900,7 @@ def diagonal_chain(coupling_strength, n=3):
             return a, np.ones(n) + coupling_strength * upstream
         return assemble
 
-    return CoupledProblem(p=3, block_dims=(n, n, n),
-                          assemblers=tuple(assembler(i) for i in range(3)),
+    return CoupledProblem(assemblers=tuple(assembler(i) for i in range(3)),
                           combiner=lambda x, ys: np.concatenate(ys),
                           graph=coupling.make_graph(3), x0=np.zeros(3 * n))
 

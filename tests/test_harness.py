@@ -282,7 +282,7 @@ def test_problem_spec_names_the_demo_the_problem_is_built_from():
     spec = harness.problem_spec(harness.ExperimentConfig(problem="rd", grid_n=8))
     assert spec.grid == problems.Grid2D(8, 8)
     built = harness.build_problem(harness.ExperimentConfig(problem="rd", grid_n=8))
-    assert built.block_dims == (64, 64)
+    assert built.p == 2 and built.x0.shape == (2 * 64,)
 
 
 def test_cli_kmax_exit_code(tmp_path):
@@ -296,12 +296,17 @@ def test_cli_error_exit_code(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--nb", "1"), ("--eps", "0"), ("--eps-rb", "2"),
-                                         ("--kmax", "0")])
-def test_cli_refuses_an_invalid_run_setting_before_creating_its_output(tmp_path, flag,
-                                                                        value):
+@pytest.mark.parametrize("command, args", [
+    *(pytest.param("run", ["--problem", "rd", "--rom", "1", flag, value], id=f"{flag}-{value}")
+      for flag, value in (("--nb", "1"), ("--eps", "0"), ("--eps-rb", "2"), ("--kmax", "0"))),
+    # a reduced system the problem lacks
+    *(pytest.param(command, ["--problem", "scalar", "--rom", "2"], id=f"{command}-scalar-rom-2")
+      for command in ("run", "bench")),
+])
+def test_cli_refuses_an_invalid_run_setting_before_creating_its_output(tmp_path, command,
+                                                                        args):
     out = tmp_path / "d"
-    rc = cli.main(["run", "--problem", "rd", "--rom", "1", flag, value, "--out", str(out)])
+    rc = cli.main([command, *args, "--out", str(out)])
     assert rc == 1
     assert not out.exists()
 

@@ -531,8 +531,9 @@ def test_run_into_the_viscosity_singularity_stops_cleanly():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_velocity_reaching_the_heat_assembly_raises(bad):
-    problem = make_coupled_problem(ThermalFlowSurrogate())
-    n = problem.block_dims[0]
+    surrogate = ThermalFlowSurrogate()
+    problem = make_coupled_problem(surrogate)
+    n = surrogate.grid.n
     u = np.ones(n)
     u[n // 3] = bad
     with pytest.raises(ValueError, match="finite"):
