@@ -2,9 +2,10 @@
 
 Subcommands: ``reference`` (plain Picard run), ``run`` (accelerated run
 measured against a reference), ``compare-criteria`` (sweep of the quality
-criteria with validation on/off), ``bench`` (runtime statistics over repeated
-runs) and ``paths`` (prints the decreasing-path enumeration). Exit codes:
-0 converged, 2 iteration budget exceeded, 1 any other error.
+criteria with validation on/off), ``bench`` (runtime statistics of the
+accelerated and the plain run, repeated) and ``paths`` (prints the
+decreasing-path enumeration). Exit codes: 0 converged, 2 iteration budget
+exceeded, 1 any other error.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import coupling, harness
-from .driver import CRITERIA
+from . import coupling, harness, numerics
+from .driver import CRITERIA, accelerated_run
 from .errors import MaxIterationsExceeded, PicardRomError
 
 EXIT_OK = 0
@@ -41,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-validation", dest="validation", action="store_const",
                         const=False, help="skip the outer validation loop")
     parser.add_argument("--reps", dest="repetitions", type=int,
-                        help="repetitions (bench)")
+                        help="runs per series (bench, at least 5)")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--exact-constants", action="store_const", const=True,
                         help="use certified operator-norm bounds (linear problems only)")
@@ -84,18 +85,17 @@ def _out_dir(cfg: harness.ExperimentConfig) -> Path:
     return out
 
 
-def _report_exit(converged: bool) -> int:
-    return EXIT_OK if converged else EXIT_KMAX
+def _prepare(cfg: harness.ExperimentConfig):
+    """The problem and run settings of ``cfg``, then its output directory, so
+    that a setting the problem refuses fails before the directory exists."""
+    problem = harness.build_problem(cfg)
+    run_cfg = harness.build_run_config(cfg, problem.p)
+    return problem, run_cfg, _out_dir(cfg)
 
 
 def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
-    problem = harness.build_problem(cfg)
-    out = _out_dir(cfg)
-    try:
-        report = harness.run_reference(cfg, problem)
-    except MaxIterationsExceeded as exc:
-        print(f"reference: {exc}", file=sys.stderr)
-        return EXIT_KMAX
+    problem, run_cfg, out = _prepare(dataclasses.replace(cfg, rom="none"))
+    report = harness.run_reference(problem, run_cfg)
     harness.emit_report(report, out / "reference_report.json")
     harness.emit_trace(report, out / "reference_trace.csv")
     if cfg.problem != "scalar":
@@ -109,18 +109,16 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_run(cfg: harness.ExperimentConfig) -> int:
-    problem = harness.build_problem(cfg)
-    harness.build_run_config(cfg, problem.p)   # refuse a bad ROM selection before any output
-    out = _out_dir(cfg)
-    result = harness.run_accelerated(cfg, problem)
-    rep = result.report
-    harness.emit_report(rep, out / "run_report.json",
-                        extra={"error_vs_reference": result.error_vs_reference})
+    problem, run_cfg, out = _prepare(cfg)
+    reference = harness.run_reference(problem, run_cfg)
+    rep = accelerated_run(problem, run_cfg)
+    error = numerics.norm2(rep.x - reference.x)
+    harness.emit_report(rep, out / "run_report.json", extra={"error_vs_reference": error})
     harness.emit_trace(rep, out / "run_trace.csv")
     print(f"iterations={rep.iterations} converged={rep.converged} "
           f"fom_solves={rep.fom_solves} rom_solves={rep.rom_solves} "
-          f"error_vs_reference={result.error_vs_reference:.3e}")
-    return _report_exit(rep.converged)
+          f"error_vs_reference={error:.3e}")
+    return EXIT_OK if rep.converged else EXIT_KMAX
 
 
 def _cmd_compare(cfg: harness.ExperimentConfig) -> int:
@@ -135,20 +133,19 @@ def _cmd_compare(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
-    reps = max(cfg.repetitions, 5)
-    problem = harness.build_problem(cfg)
-    harness.build_run_config(cfg, problem.p)   # refuse a bad ROM selection before any output
-    out = _out_dir(cfg)
-    reference = harness.run_reference(cfg, problem)
-    base_cfg = dataclasses.replace(cfg, rom="none")
+    """Time the accelerated run against the plain run (no reduced models),
+    alternated, ``cfg.repetitions`` times each."""
+    problem, run_cfg, out = _prepare(cfg)
+    plain_cfg = dataclasses.replace(run_cfg, rom_set=frozenset())
     accel, base = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        harness.run_accelerated(cfg, problem, reference)
-        accel.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        harness.run_accelerated(base_cfg, problem, reference)
-        base.append(time.perf_counter() - t0)
+    for _ in range(cfg.repetitions):
+        for timed_cfg, samples in ((run_cfg, accel), (plain_cfg, base)):
+            t0 = time.perf_counter()
+            report = accelerated_run(problem, timed_cfg)
+            samples.append(time.perf_counter() - t0)
+            if not report.converged:
+                raise MaxIterationsExceeded(
+                    f"timed run did not converge in {timed_cfg.k_max} iterations")
     stats = harness.bench_stats(accel, base)
     payload = dataclasses.asdict(stats)
     (out / "bench.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -168,21 +165,16 @@ def _cmd_paths(args) -> int:
     return EXIT_OK
 
 
+_EXPERIMENTS = {"reference": _cmd_reference, "run": _cmd_run,
+                "compare-criteria": _cmd_compare, "bench": _cmd_bench}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "paths":
             return _cmd_paths(args)
-        cfg = _experiment_config(args)
-        if args.command == "reference":
-            return _cmd_reference(cfg)
-        if args.command == "run":
-            return _cmd_run(cfg)
-        if args.command == "compare-criteria":
-            return _cmd_compare(cfg)
-        if args.command == "bench":
-            return _cmd_bench(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _EXPERIMENTS[args.command](_experiment_config(args))
     except MaxIterationsExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_KMAX

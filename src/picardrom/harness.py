@@ -1,9 +1,9 @@
-"""Experiment runner: configuration, reference comparisons and statistics.
+"""Experiment runner: configuration, the reference run and statistics.
 
-Wraps the driver with an INI-style configuration file, a reference
-(plain-Picard) run, accelerated runs measured against that reference, a
-criteria-comparison sweep, runtime statistics with Student-t and
-order-statistic confidence intervals, and CSV/JSON/plain-text emission.
+Maps an INI-style configuration file to the driver's problem and run
+settings, and adds the plain-Picard reference run, a criteria-comparison
+sweep, runtime statistics with Student-t and order-statistic confidence
+intervals, and CSV/JSON/plain-text emission.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ExperimentConfig:
     validation: bool = True
     exact_constants: bool = False
     criteria: tuple[str, ...] = CRITERIA
-    repetitions: int = 1
+    repetitions: int = 5              # bench: runs per series, bench_stats needs 5
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -50,8 +50,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.rom not in ("none", "1", "2", "both"):
             raise ConfigError(f"unknown rom selection {self.rom!r}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        if self.repetitions < 5:
+            raise ConfigError("repetitions must be >= 5")
         # the run settings' own checks, before any run or output exists
         RunConfig(self.eps, self.k_max, self.n_b, self.eps_rb, criterion=self.criterion)
         for c in self.criteria:
@@ -142,37 +142,18 @@ def build_run_config(cfg: ExperimentConfig, p: int) -> RunConfig:
     )
 
 
-def run_reference(cfg: ExperimentConfig,
-                  problem: CoupledProblem | None = None) -> RunReport:
-    """Plain Picard iteration to ``cfg.eps`` (no reduced models).
+def run_reference(problem: CoupledProblem, run_cfg: RunConfig) -> RunReport:
+    """Plain Picard iteration of ``problem`` to ``run_cfg.eps``: no reduced
+    models, no validation loop.
 
     The reference solution is the report's final iterate ``x``.
     """
-    problem = problem or build_problem(cfg)
-    run_cfg = build_run_config(replace(cfg, rom="none", validation=False), problem.p)
-    report = accelerated_run(problem, run_cfg)
+    report = accelerated_run(problem, replace(run_cfg, rom_set=frozenset(),
+                                              validation_loop=False))
     if not report.converged:
         raise MaxIterationsExceeded(
-            f"reference run did not converge in {cfg.k_max} iterations")
+            f"reference run did not converge in {run_cfg.k_max} iterations")
     return report
-
-
-@dataclass
-class AcceleratedResult:
-    report: RunReport
-    error_vs_reference: float
-
-
-def run_accelerated(cfg: ExperimentConfig,
-                    problem: CoupledProblem | None = None,
-                    reference: RunReport | None = None) -> AcceleratedResult:
-    """Accelerated run plus Euclidean error against the reference solution."""
-    problem = problem or build_problem(cfg)
-    if reference is None:
-        reference = run_reference(cfg, problem)
-    report = accelerated_run(problem, build_run_config(cfg, problem.p))
-    return AcceleratedResult(report=report,
-                             error_vs_reference=numerics.norm2(report.x - reference.x))
 
 
 COMPARE_COLUMNS = ("criterion", "validation", "iterations", "fom_iterations",
@@ -193,26 +174,27 @@ def compare_criteria(cfg: ExperimentConfig, validation_modes=(True, False)) -> l
 
     Returns rows with iteration counts, full-order iteration counts for the
     reduced system, the true error against the reference and the criterion's
-    own internal error estimate.
+    own internal error estimate. The run settings are built, and so checked
+    against the problem, before the reference solve.
     """
     if len(cfg.criteria) < 2:
         raise ConfigError("criteria comparison needs at least 2 criteria")
     problem = build_problem(cfg)
-    reference = run_reference(cfg, problem)
-    rom = _rom_set(cfg, problem.p)
+    run_cfg = build_run_config(cfg, problem.p)
+    reference = run_reference(problem, run_cfg)
     rows = []
     for criterion in cfg.criteria:
         for validation in validation_modes:
-            cell = replace(cfg, criterion=criterion, validation=validation)
-            result = run_accelerated(cell, problem, reference)
-            rep = result.report
-            fom_iters = max((rep.fom_solves[i - 1] for i in rom), default=rep.iterations)
+            rep = accelerated_run(problem, replace(run_cfg, criterion=criterion,
+                                                   validation_loop=validation))
+            fom_iters = max((rep.fom_solves[i - 1] for i in run_cfg.rom_set),
+                            default=rep.iterations)
             rows.append({
                 "criterion": criterion,
                 "validation": validation,
                 "iterations": rep.iterations,
                 "fom_iterations": fom_iters,
-                "true_error": result.error_vs_reference,
+                "true_error": numerics.norm2(rep.x - reference.x),
                 "internal_estimate": _internal_estimate(rep, criterion),
                 "validation_cycles": rep.validation_cycles,
                 "converged": rep.converged,

@@ -45,6 +45,7 @@ ROM_CHOICES = {"rd": ("none", "1", "2", "both"), "thermal": ("none", "1", "2", "
                "scalar": ("none", "1")}
 RELAXATIONS = {"1.0": 1.0, "0.7": 0.7, "mann": lambda k: 0.5 + 0.5 / (k + 1)}
 HERE = Path(__file__).resolve().parents[1]
+MISSING = "<missing>"   # a report field only the other tree has
 
 
 def configurations() -> list[str]:
@@ -97,8 +98,9 @@ def records(names) -> dict[str, dict]:
 def compare(left: dict[str, dict], right: dict[str, dict]) -> list[tuple]:
     """``(configuration, where, left, right)`` at the first difference of
     each configuration that differs; ``where`` is ``"row <k>"``, ``"rows"``
-    (the row counts), ``"report <field>"``, ``"final iterate"`` or
-    ``"outcome"`` (the error class, or ``"ran"``)."""
+    (the row counts), ``"report <field>"`` (over the fields of both
+    reports, :data:`MISSING` where one lacks the field), ``"final iterate"``
+    or ``"outcome"`` (the error class, or ``"ran"``)."""
     diffs = []
     for name, a in left.items():
         b = right.get(name, {"error": "missing"})
@@ -115,8 +117,10 @@ def compare(left: dict[str, dict], right: dict[str, dict]) -> list[tuple]:
         elif len(a["rows"]) != len(b["rows"]):
             diffs.append((name, "rows", len(a["rows"]), len(b["rows"])))
         elif a["report"] != b["report"]:
-            key = next(key for key in a["report"] if a["report"][key] != b["report"][key])
-            diffs.append((name, f"report {key}", a["report"][key], b["report"][key]))
+            ra, rb = a["report"], b["report"]
+            key = next(key for key in {**ra, **rb}
+                       if ra.get(key, MISSING) != rb.get(key, MISSING))
+            diffs.append((name, f"report {key}", ra.get(key, MISSING), rb.get(key, MISSING)))
         else:
             diffs.append((name, "final iterate", a["x"], b["x"]))
     return diffs

@@ -46,8 +46,11 @@ def test_acceptance_02_final_error_fidelity():
     for nb in (5, 20):
         cfg = harness.ExperimentConfig(problem="thermal", rom="1", eps=1e-8,
                                        n_b=nb, eps_rb=1e-7)
-        res = harness.run_accelerated(cfg)
-        results[nb] = (res.report.converged, res.error_vs_reference)
+        problem = harness.build_problem(cfg)
+        run_cfg = harness.build_run_config(cfg, problem.p)
+        reference = harness.run_reference(problem, run_cfg)
+        report = accelerated_run(problem, run_cfg)
+        results[nb] = (report.converged, numerics.norm2(report.x - reference.x))
     ok = all(conv and err <= 1e-7 for conv, err in results.values())
     detail = ", ".join(f"N_b={nb}: err={err:.3e} (converged={conv})"
                        for nb, (conv, err) in results.items())
@@ -58,8 +61,8 @@ def test_acceptance_03_fom_call_reduction():
     """ROM-treated system needs FOM for <= 50% of iterations at N_b=5."""
     cfg = harness.ExperimentConfig(problem="thermal", rom="1", eps=1e-8,
                                    n_b=5, eps_rb=1e-7)
-    res = harness.run_accelerated(cfg)
-    rep = res.report
+    problem = harness.build_problem(cfg)
+    rep = accelerated_run(problem, harness.build_run_config(cfg, problem.p))
     frac = rep.fom_solves[0] / rep.iterations
     ok = rep.converged and frac <= 0.5 and rep.validation_cycles <= 1
     _verdict(3, ok, f"FOM solves {rep.fom_solves[0]}/{rep.iterations} iterations "

@@ -54,3 +54,13 @@ def test_one_flipped_verdict_is_reported_at_its_configuration_and_row(monkeypatc
     assert equivalence.compare(before, after) == [
         (name, f"row {k}", before[name]["rows"][k], after[name]["rows"][k])]
     assert after[name]["rows"][k][4] == {"rom": "reject", "reject": "rom"}[event]
+
+
+def test_a_report_field_only_one_tree_has_is_reported_in_either_direction():
+    name = SLICE[3]
+    plain = equivalence.record(name)
+    extra = dict(plain, report=dict(plain["report"], guarantee="rigorous"))
+    assert equivalence.compare({name: extra}, {name: plain}) == [
+        (name, "report guarantee", "rigorous", equivalence.MISSING)]
+    assert equivalence.compare({name: plain}, {name: extra}) == [
+        (name, "report guarantee", equivalence.MISSING, "rigorous")]

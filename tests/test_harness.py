@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from picardrom import cli, harness, problems
+from picardrom import cli, harness, numerics, problems
 from picardrom.driver import RunConfig, accelerated_run
 from picardrom.errors import ConfigError, TooFewSamples
 
@@ -17,7 +17,7 @@ from picardrom.errors import ConfigError, TooFewSamples
 def test_config_roundtrip(tmp_path):
     cfg = harness.ExperimentConfig(problem="thermal", rom="both", eps=1e-7,
                                    n_b=7, eps_rb=1e-5, criterion="upper_bound",
-                                   validation=False, repetitions=3)
+                                   validation=False, repetitions=7)
     path = tmp_path / "exp.ini"
     harness.save_config(cfg, path)
     loaded = harness.load_config(path)
@@ -88,9 +88,15 @@ def test_config_validation():
             harness.ExperimentConfig(**{field: value})
 
 
+def built(cfg):
+    """The problem of ``cfg`` and its run settings."""
+    problem = harness.build_problem(cfg)
+    return problem, harness.build_run_config(cfg, problem.p)
+
+
 def test_reference_scalar_geometric_iterations():
     cfg = harness.ExperimentConfig(problem="scalar", rom="none", eps=1e-8)
-    ref = harness.run_reference(cfg)
+    ref = harness.run_reference(*built(cfg))
     expected = math.ceil(math.log(1e-8) / math.log(0.5))
     assert abs(ref.iterations - expected) <= 1
     assert ref.converged
@@ -98,7 +104,7 @@ def test_reference_scalar_geometric_iterations():
 
 def test_reference_rd_counts_match_iterations():
     cfg = harness.ExperimentConfig(problem="rd", grid_n=8, eps=1e-8)
-    ref = harness.run_reference(cfg)
+    ref = harness.run_reference(*built(cfg))
     # plain Picard: one FOM solve per system per iteration (plus validation-free)
     assert ref.fom_solves[0] == ref.fom_solves[1]
     assert ref.fom_solves[0] == ref.iterations
@@ -106,14 +112,37 @@ def test_reference_rd_counts_match_iterations():
 
 def test_accelerated_rom_none_zero_error():
     cfg = harness.ExperimentConfig(problem="scalar", rom="none", eps=1e-8)
-    res = harness.run_accelerated(cfg)
-    assert res.error_vs_reference == 0.0
+    problem, run_cfg = built(cfg)
+    reference = harness.run_reference(problem, run_cfg)
+    report = accelerated_run(problem, run_cfg)
+    assert numerics.norm2(report.x - reference.x) == 0.0
 
 
 def test_compare_criteria_requires_two():
     cfg = harness.ExperimentConfig(problem="scalar", criteria=("propagation",))
     with pytest.raises(ConfigError):
         harness.compare_criteria(cfg)
+
+
+def counted_solves(monkeypatch):
+    """Count every ``accelerated_run`` the harness and the CLI make."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return accelerated_run(*args, **kwargs)
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "accelerated_run", counting)
+    return calls
+
+
+def test_compare_criteria_refuses_a_missing_reduced_system_before_any_solve(monkeypatch):
+    calls = counted_solves(monkeypatch)
+    cfg = harness.ExperimentConfig(problem="scalar", rom="2")
+    with pytest.raises(ConfigError, match="rom system 2"):
+        harness.compare_criteria(cfg)
+    assert calls == []
 
 
 def test_compare_criteria_rom_none_identical_rows(tmp_path):
@@ -291,6 +320,22 @@ def test_cli_kmax_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_bench_times_the_two_series_and_solves_nothing_else(tmp_path, monkeypatch):
+    calls = counted_solves(monkeypatch)
+    rc = cli.main(["bench", "--problem", "scalar", "--rom", "1", "--eps", "1e-8",
+                   "--reps", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 10
+    assert [run_cfg.rom_set for _, run_cfg in calls] == [frozenset({1}), frozenset()] * 5
+    assert json.loads((tmp_path / "bench.json").read_text())["mean"] > 0.0
+
+
+def test_cli_bench_kmax_exit_code(tmp_path):
+    rc = cli.main(["bench", "--problem", "scalar", "--rom", "none",
+                   "--eps", "1e-300", "--kmax", "50", "--out", str(tmp_path)])
+    assert rc == 2
+
+
 def test_cli_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.ini")])
     assert rc == 1
@@ -301,7 +346,8 @@ def test_cli_error_exit_code(tmp_path):
       for flag, value in (("--nb", "1"), ("--eps", "0"), ("--eps-rb", "2"), ("--kmax", "0"))),
     # a reduced system the problem lacks
     *(pytest.param(command, ["--problem", "scalar", "--rom", "2"], id=f"{command}-scalar-rom-2")
-      for command in ("run", "bench")),
+      for command in ("run", "bench", "compare-criteria")),
+    pytest.param("bench", ["--problem", "scalar", "--reps", "3"], id="bench-reps-3"),
 ])
 def test_cli_refuses_an_invalid_run_setting_before_creating_its_output(tmp_path, command,
                                                                         args):
