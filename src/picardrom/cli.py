@@ -80,22 +80,23 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def _out_dir(cfg: harness.ExperimentConfig) -> Path:
+    """The output directory, created when a command first writes to it, so
+    that a refused setting or a run out of iteration budget leaves none."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _prepare(cfg: harness.ExperimentConfig):
-    """The problem and run settings of ``cfg``, then its output directory, so
-    that a setting the problem refuses fails before the directory exists."""
+    """The problem and run settings of ``cfg``."""
     problem = harness.build_problem(cfg)
-    run_cfg = harness.build_run_config(cfg, problem.p)
-    return problem, run_cfg, _out_dir(cfg)
+    return problem, harness.build_run_config(cfg, problem.p)
 
 
 def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
-    problem, run_cfg, out = _prepare(dataclasses.replace(cfg, rom="none"))
+    problem, run_cfg = _prepare(dataclasses.replace(cfg, rom="none"))
     report = harness.run_reference(problem, run_cfg)
+    out = _out_dir(cfg)
     harness.emit_report(report, out / "reference_report.json")
     harness.emit_trace(report, out / "reference_trace.csv")
     if cfg.problem != "scalar":
@@ -109,10 +110,11 @@ def _cmd_reference(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_run(cfg: harness.ExperimentConfig) -> int:
-    problem, run_cfg, out = _prepare(cfg)
+    problem, run_cfg = _prepare(cfg)
     reference = harness.run_reference(problem, run_cfg)
     rep = accelerated_run(problem, run_cfg)
     error = numerics.norm2(rep.x - reference.x)
+    out = _out_dir(cfg)
     harness.emit_report(rep, out / "run_report.json", extra={"error_vs_reference": error})
     harness.emit_trace(rep, out / "run_trace.csv")
     print(f"iterations={rep.iterations} converged={rep.converged} "
@@ -135,7 +137,7 @@ def _cmd_compare(cfg: harness.ExperimentConfig) -> int:
 def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
     """Time the accelerated run against the plain run (no reduced models),
     alternated, ``cfg.repetitions`` times each."""
-    problem, run_cfg, out = _prepare(cfg)
+    problem, run_cfg = _prepare(cfg)
     plain_cfg = dataclasses.replace(run_cfg, rom_set=frozenset())
     accel, base = [], []
     for _ in range(cfg.repetitions):
@@ -148,7 +150,7 @@ def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
                     f"timed run did not converge in {timed_cfg.k_max} iterations")
     stats = harness.bench_stats(accel, base)
     payload = dataclasses.asdict(stats)
-    (out / "bench.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (_out_dir(cfg) / "bench.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"mean={stats.mean:.4f}s CI=({stats.mean_ci[0]:.4f}, {stats.mean_ci[1]:.4f}) "
           f"median={stats.median:.4f}s speedup={stats.speedup_pct_mean:.1f}% "
           f"(median {stats.speedup_pct_median:.1f}%)")

@@ -41,7 +41,6 @@ class ExperimentConfig:
     criterion: str = "propagation"
     validation: bool = True
     exact_constants: bool = False
-    criteria: tuple[str, ...] = CRITERIA
     repetitions: int = 5              # bench: runs per series, bench_stats needs 5
     output_dir: str = "out"
 
@@ -54,9 +53,6 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 5")
         # the run settings' own checks, before any run or output exists
         RunConfig(self.eps, self.k_max, self.n_b, self.eps_rb, criterion=self.criterion)
-        for c in self.criteria:
-            if c not in CRITERIA:
-                raise ConfigError(f"unknown criterion {c!r}")
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -65,10 +61,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
     parser["experiment"] = {}
     for f in fields(cfg):
         val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            parser["experiment"][f.name] = ",".join(val)
-        else:
-            parser["experiment"][f.name] = repr(val) if isinstance(val, float) else str(val)
+        parser["experiment"][f.name] = repr(val) if isinstance(val, float) else str(val)
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -77,8 +70,7 @@ def load_config(path) -> ExperimentConfig:
     """Read an INI configuration; unknown keys are rejected.
 
     Each key parses as the type of its field's default: booleans as
-    configparser booleans, tuples as comma-separated lists, and ints, floats
-    and strings by calling the type.
+    configparser booleans, and ints, floats and strings by calling the type.
     """
     parser = configparser.ConfigParser()
     if not parser.read(str(path)):
@@ -92,12 +84,7 @@ def load_config(path) -> ExperimentConfig:
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         kind = type(defaults[key])
-        if kind is bool:
-            kwargs[key] = section.getboolean(key)
-        elif kind is tuple:
-            kwargs[key] = tuple(s.strip() for s in raw.split(",") if s.strip())
-        else:
-            kwargs[key] = kind(raw)
+        kwargs[key] = section.getboolean(key) if kind is bool else kind(raw)
     return ExperimentConfig(**kwargs)
 
 
@@ -169,22 +156,21 @@ def _internal_estimate(report: RunReport, criterion: str) -> float:
     return report.final_delta
 
 
-def compare_criteria(cfg: ExperimentConfig, validation_modes=(True, False)) -> list[dict]:
-    """One accelerated run per (criterion, validation) cell, vs one reference.
+def compare_criteria(cfg: ExperimentConfig) -> list[dict]:
+    """One accelerated run per criterion of ``CRITERIA``, with the validation
+    loop on and then off, vs one reference.
 
     Returns rows with iteration counts, full-order iteration counts for the
     reduced system, the true error against the reference and the criterion's
     own internal error estimate. The run settings are built, and so checked
     against the problem, before the reference solve.
     """
-    if len(cfg.criteria) < 2:
-        raise ConfigError("criteria comparison needs at least 2 criteria")
     problem = build_problem(cfg)
     run_cfg = build_run_config(cfg, problem.p)
     reference = run_reference(problem, run_cfg)
     rows = []
-    for criterion in cfg.criteria:
-        for validation in validation_modes:
+    for criterion in CRITERIA:
+        for validation in (True, False):
             rep = accelerated_run(problem, replace(run_cfg, criterion=criterion,
                                                    validation_loop=validation))
             fom_iters = max((rep.fom_solves[i - 1] for i in run_cfg.rom_set),
@@ -316,12 +302,3 @@ def dump_field(values: np.ndarray, grid: problems.Grid2D, path) -> None:
         fh.write(f"{grid.nx} {grid.ny} {float(grid.hx)!r} {float(grid.hy)!r}\n")
         for v in values:
             fh.write(f"{float(v)!r}\n")
-
-
-def load_field(path) -> tuple[np.ndarray, tuple[int, int, float, float]]:
-    """Inverse of :func:`dump_field`."""
-    lines = Path(path).read_text().splitlines()
-    nx_s, ny_s, hx_s, hy_s = lines[0].split()
-    header = (int(nx_s), int(ny_s), float(hx_s), float(hy_s))
-    values = np.array([float(s) for s in lines[1:]])
-    return values, header

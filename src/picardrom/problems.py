@@ -66,18 +66,6 @@ class Grid2D:
     def xcoords(self) -> np.ndarray:
         return self.hx * np.arange(1, self.nx + 1)
 
-    def ycoords(self) -> np.ndarray:
-        return self.hy * np.arange(1, self.ny + 1)
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node coordinates as (nx*ny,) flattened arrays, x fastest."""
-        xs, ys = np.meshgrid(self.xcoords(), self.ycoords(), indexing="xy")
-        return xs.ravel(), ys.ravel()
-
-    def index(self, i: int, j: int) -> int:
-        """Flat index of interior node (i, j), both 1-based, x fastest."""
-        return (j - 1) * self.nx + (i - 1)
-
 
 def _node_field(grid: Grid2D, values) -> np.ndarray:
     """``values``, a scalar or one value per node, as a ``(ny, nx)`` float array."""
@@ -127,26 +115,18 @@ def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
 
     Each argument is a ``(ny, nx)`` array: ``west[j, i]`` multiplies the west
     neighbour of node (j, i), and so on. Coefficients of neighbours outside
-    the grid are not read, and zero coefficients are not stored.
+    the grid are not read; every other coefficient is stored, zero or not.
 
     The values are gathered along the grid's full pattern (see
-    :func:`_stencil_pattern`) in one step, and a mask on them drops the exact
-    zeros. The result is a shallow copy of the grid's checked template with
-    the new ``data`` and its own ``indptr`` and ``indices``: the full pattern
-    or a subset of it, so scipy's constructor need not check it again. The
-    returned matrix owns its arrays.
+    :func:`_stencil_pattern`) in one step. The result is a shallow copy of
+    the grid's checked template with the new ``data`` and its own copies of
+    ``indptr`` and ``indices``, so scipy's constructor need not check the
+    pattern again and the returned matrix owns its arrays.
     """
     template, source = _stencil_pattern(grid.nx, grid.ny)
-    data = np.concatenate((north, east, diag, west, south), axis=None)[source]
-    keep = data != 0.0
-    if keep.all():
-        indptr, indices = template.indptr.copy(), template.indices.copy()
-    else:
-        kept = np.zeros(data.size + 1, dtype=template.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        indptr, indices, data = kept[template.indptr], template.indices[keep], data[keep]
     matrix = copy.copy(template)
-    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    matrix.data = np.concatenate((north, east, diag, west, south), axis=None)[source]
+    matrix.indices, matrix.indptr = template.indices.copy(), template.indptr.copy()
     return matrix
 
 

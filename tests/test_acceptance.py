@@ -273,9 +273,8 @@ def test_acceptance_08_criteria_comparison():
     which stays within it. The ordering is the claim; the size of the gap
     (6.3x here) follows the residual run's trajectory."""
     cfg = harness.ExperimentConfig(problem="thermal", rom="2", eps=2e-9,
-                                   n_b=5, eps_rb=1e-4,
-                                   criteria=("residual", "propagation"))
-    rows = harness.compare_criteria(cfg, validation_modes=(True, False))
+                                   n_b=5, eps_rb=1e-4)
+    rows = harness.compare_criteria(cfg)
     res_nv = next(r for r in rows
                   if r["criterion"] == "residual" and not r["validation"])
     prop = next(r for r in rows

@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from picardrom import cli, harness, numerics, problems
-from picardrom.driver import RunConfig, accelerated_run
+from picardrom.driver import CRITERIA, RunConfig, accelerated_run
 from picardrom.errors import ConfigError, TooFewSamples
 
 
@@ -29,7 +29,7 @@ def every_field_set():
     return harness.ExperimentConfig(
         problem="scalar", grid_n=12, rom="none", eps=2.5e-9, k_max=77, n_b=4,
         eps_rb=3e-5, criterion="residual", validation=False, exact_constants=True,
-        criteria=("asymptotic", "residual"), repetitions=6, output_dir="results/a")
+        repetitions=6, output_dir="results/a")
 
 
 def test_config_roundtrip_every_field(tmp_path):
@@ -47,6 +47,7 @@ def test_config_roundtrip_every_field(tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("basis_method", "gs"), ("tau_res", "1e-6"), ("reference_eps", "1e-10"),
+    ("criteria", "residual,propagation"),
 ])
 def test_config_rejects_deleted_keys(tmp_path, key, value):
     path = tmp_path / "old.ini"
@@ -80,8 +81,6 @@ def test_config_validation():
         harness.ExperimentConfig(repetitions=0)
     with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
         harness.ExperimentConfig(criterion="bogus")
-    with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
-        harness.ExperimentConfig(criteria=("residual", "bogus"))
     for field, value in (("eps", 0.0), ("eps", math.nan), ("n_b", 1), ("eps_rb", 2.0),
                          ("eps_rb", 0.0), ("k_max", 0)):
         with pytest.raises(ConfigError, match=field):
@@ -118,10 +117,11 @@ def test_accelerated_rom_none_zero_error():
     assert numerics.norm2(report.x - reference.x) == 0.0
 
 
-def test_compare_criteria_requires_two():
-    cfg = harness.ExperimentConfig(problem="scalar", criteria=("propagation",))
-    with pytest.raises(ConfigError):
-        harness.compare_criteria(cfg)
+def test_compare_criteria_sweeps_every_criterion_with_validation_on_then_off():
+    rows = harness.compare_criteria(harness.ExperimentConfig(problem="rd", grid_n=8, eps=1e-8))
+    assert [(r["criterion"], r["validation"]) for r in rows] == [
+        (criterion, validation) for criterion in CRITERIA for validation in (True, False)]
+    assert len(rows) == 8 and all(r["converged"] for r in rows)
 
 
 def counted_solves(monkeypatch):
@@ -146,18 +146,17 @@ def test_compare_criteria_refuses_a_missing_reduced_system_before_any_solve(monk
 
 
 def test_compare_criteria_rom_none_identical_rows(tmp_path):
-    cfg = harness.ExperimentConfig(problem="scalar", rom="none", eps=1e-8,
-                                   criteria=("residual", "propagation"))
-    rows = harness.compare_criteria(cfg, validation_modes=(False,))
-    assert len(rows) == 2
-    a, b = rows
-    for key in ("iterations", "fom_iterations", "true_error", "converged"):
-        assert a[key] == b[key]
+    cfg = harness.ExperimentConfig(problem="scalar", rom="none", eps=1e-8)
+    rows = harness.compare_criteria(cfg)
+    assert len(rows) == 8
+    for row in rows[1:]:
+        for key in ("iterations", "fom_iterations", "true_error", "converged"):
+            assert row[key] == rows[0][key]
     out = tmp_path / "cmp.csv"
     harness.write_comparison_csv(rows, out)
     with open(out) as fh:
         read = list(csv.DictReader(fh))
-    assert [r["criterion"] for r in read] == ["residual", "propagation"]
+    assert [r["criterion"] for r in read] == [r["criterion"] for r in rows]
 
 
 def test_bench_stats_same_series_zero_speedup():
@@ -260,13 +259,20 @@ def test_emit_report_non_finite_round_trip(tmp_path):
     assert data["iterations"] == report.iterations
 
 
+def read_field(path):
+    """A field dump's values and its header ``(nx, ny, hx, hy)``."""
+    header, *values = path.read_text().splitlines()
+    nx, ny, hx, hy = header.split()
+    return np.array([float(v) for v in values]), (int(nx), int(ny), float(hx), float(hy))
+
+
 def test_field_dump_roundtrip(tmp_path):
     grid = problems.Grid2D(4, 5, width=2.0, height=1.0)
     rng = np.random.default_rng(2)
     values = rng.standard_normal(grid.n)
     path = tmp_path / "field.txt"
     harness.dump_field(values, grid, path)
-    loaded, (nx, ny, hx, hy) = harness.load_field(path)
+    loaded, (nx, ny, hx, hy) = read_field(path)
     assert (nx, ny) == (4, 5)
     assert hx == grid.hx and hy == grid.hy
     assert np.array_equal(loaded, values)
@@ -298,7 +304,7 @@ def test_cli_reference_dumps_fields_on_the_configured_grid(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     for name in ("reference_field1.txt", "reference_field2.txt"):
-        values, (nx, ny, _, _) = harness.load_field(tmp_path / name)
+        values, (nx, ny, _, _) = read_field(tmp_path / name)
         assert (nx, ny) == (8, 8) and values.size == 64
 
 
@@ -334,6 +340,15 @@ def test_cli_bench_kmax_exit_code(tmp_path):
     rc = cli.main(["bench", "--problem", "scalar", "--rom", "none",
                    "--eps", "1e-300", "--kmax", "50", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["reference", "run", "bench"])
+def test_cli_budget_failure_creates_no_output_directory(tmp_path, command):
+    out = tmp_path / "d"
+    rc = cli.main([command, "--problem", "scalar", "--eps", "1e-300", "--kmax", "50",
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_cli_error_exit_code(tmp_path):

@@ -45,6 +45,11 @@ def harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
 
+def node(grid, i, j):
+    """Flat index of interior node (i, j), both 1-based, x fastest."""
+    return (j - 1) * grid.nx + (i - 1)
+
+
 def reference_diffusion_operator(grid, d, bc):
     """Node-by-node dense assembly of diffusion_operator (the former code)."""
     d = np.broadcast_to(np.asarray(d, dtype=float), (grid.n,))
@@ -60,11 +65,11 @@ def reference_diffusion_operator(grid, d, bc):
 
     for j in range(1, ny + 1):
         for i in range(1, nx + 1):
-            n = grid.index(i, j)
+            n = node(grid, i, j)
             dn = d[n]
             # west
             if i > 1:
-                m = grid.index(i - 1, j)
+                m = node(grid, i - 1, j)
                 w = harmonic(dn, d[m]) / hx2
                 a[n, n] += w
                 a[n, m] -= w
@@ -78,7 +83,7 @@ def reference_diffusion_operator(grid, d, bc):
                     f[n] += float(vals[j - 1]) / grid.hx
             # east
             if i < nx:
-                m = grid.index(i + 1, j)
+                m = node(grid, i + 1, j)
                 w = harmonic(dn, d[m]) / hx2
                 a[n, n] += w
                 a[n, m] -= w
@@ -92,7 +97,7 @@ def reference_diffusion_operator(grid, d, bc):
                     f[n] += float(vals[j - 1]) / grid.hx
             # south
             if j > 1:
-                m = grid.index(i, j - 1)
+                m = node(grid, i, j - 1)
                 w = harmonic(dn, d[m]) / hy2
                 a[n, n] += w
                 a[n, m] -= w
@@ -106,7 +111,7 @@ def reference_diffusion_operator(grid, d, bc):
                     f[n] += float(vals[i - 1]) / grid.hy
             # north
             if j < ny:
-                m = grid.index(i, j + 1)
+                m = node(grid, i, j + 1)
                 w = harmonic(dn, d[m]) / hy2
                 a[n, n] += w
                 a[n, m] -= w
@@ -132,32 +137,35 @@ def reference_upwind_advection(grid, u, inflow_value=0.0):
     f = np.zeros(grid.n)
     for j in range(1, ny + 1):
         for i in range(1, nx + 1):
-            n = grid.index(i, j)
+            n = node(grid, i, j)
             un = u[n]
             if un > 0.0:
                 a[n, n] += un / hy
                 if j > 1:
-                    a[n, grid.index(i, j - 1)] -= un / hy
+                    a[n, node(grid, i, j - 1)] -= un / hy
                 else:
                     f[n] += un / hy * inflow_value
             elif un < 0.0:
                 if j < ny:
                     a[n, n] -= un / hy
-                    a[n, grid.index(i, j + 1)] += un / hy
+                    a[n, node(grid, i, j + 1)] += un / hy
                 # at the outlet the zero-gradient ghost cancels the term
     return a, f
 
 
 def reference_stencil_matrix(grid, diag, west, east, south, north):
-    """COO-built CSC matrix of a 5-point stencil (the former _stencil_matrix)."""
-    n, nx = grid.n, grid.nx
+    """COO-built CSC matrix of a 5-point stencil: every coefficient whose
+    neighbour lies in the grid, zero or not, and none of the others."""
+    n, nx, ny = grid.n, grid.nx, grid.ny
+    i = np.arange(n) % nx
+    j = np.arange(n) // nx
     rows, cols, vals = [], [], []
-    for coef, shift in ((diag, 0), (west, -1), (east, 1), (south, -nx), (north, nx)):
-        coef = coef.ravel()
-        keep = np.flatnonzero(coef)
+    for coef, shift, inside in ((diag, 0, i >= 0), (west, -1, i > 0), (east, 1, i < nx - 1),
+                                (south, -nx, j > 0), (north, nx, j < ny - 1)):
+        keep = np.flatnonzero(inside)
         rows.append(keep)
         cols.append(keep + shift)
-        vals.append(coef[keep])
+        vals.append(coef.ravel()[keep])
     return scipy.sparse.csc_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
@@ -253,11 +261,10 @@ def test_stencil_matrix_matches_coo_build(nx, ny):
     grid = Grid2D(nx, ny)
     rng = np.random.default_rng(nx * 10 + ny)
     for _ in range(20):
+        # exact zeros inside the grid, and coefficients of neighbours outside
+        # it that must not be read
         coefs = {name: rng.standard_normal((ny, nx)) * (rng.random((ny, nx)) < 0.8)
                  for name in ("diag", "west", "east", "south", "north")}
-        # neighbours outside the grid carry zero coefficients
-        coefs["west"][:, 0] = coefs["east"][:, -1] = 0.0
-        coefs["south"][0, :] = coefs["north"][-1, :] = 0.0
         assert_same_csc(problems._stencil_matrix(grid, **coefs),
                         reference_stencil_matrix(grid, **coefs))
 
@@ -265,7 +272,7 @@ def test_stencil_matrix_matches_coo_build(nx, ny):
 def stencil_cases(grid, rng):
     """Coefficients with every in-grid entry nonzero, and the upwind stencils
     of a zero and of a mixed-sign velocity, which hold exact zeros in the grid
-    and no west/east entries at all."""
+    and zero west/east coefficients."""
     full = {name: rng.uniform(0.5, 1.5, (grid.ny, grid.nx))
             for name in ("diag", "west", "east", "south", "north")}
     full["west"][:, 0] = full["east"][:, -1] = 0.0
@@ -278,24 +285,40 @@ def stencil_cases(grid, rng):
 def upwind_stencil(grid, u):
     """The upwind terms of assemble_heat alone, as stencil coefficients."""
     up, down = problems._upwind_split(grid, u)
-    south = -up
-    south[0, :] = 0.0   # no neighbour below the inlet row
     zero = np.zeros_like(up)
-    return {"diag": up - down, "west": zero, "east": zero, "south": south, "north": down}
+    return {"diag": up - down, "west": zero, "east": zero, "south": -up, "north": down}
 
 
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
-def test_stencil_matrix_stores_exactly_the_nonzero_coefficients(nx, ny):
+def test_stencil_matrix_stores_every_in_grid_coefficient(nx, ny):
     grid = Grid2D(nx, ny)
     full, still, mixed = stencil_cases(grid, np.random.default_rng(nx * 7 + ny))
     for coefs in (full, still, mixed):
         a = problems._stencil_matrix(grid, **coefs)
         assert_same_csc(a, reference_stencil_matrix(grid, **coefs))
-        assert np.all(a.data != 0.0)
-    assert problems._stencil_matrix(grid, **full).nnz == 5 * grid.n - 2 * (nx + ny)
-    assert problems._stencil_matrix(grid, **still).nnz == 0
+        assert a.nnz == 5 * grid.n - 2 * (nx + ny)
+    assert np.all(problems._stencil_matrix(grid, **full).data != 0.0)
+    assert np.all(problems._stencil_matrix(grid, **still).data == 0.0)
     rows, cols = problems._stencil_matrix(grid, **mixed).nonzero()
     assert np.all(np.isin(np.abs(rows - cols), (0, nx)))
+
+
+@pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
+def test_assemblers_store_no_zero_coefficient(nx, ny):
+    """Every stored entry of diffusion_operator, on positive diffusion fields,
+    and of assemble_heat, on finite velocities of both signs with some exact
+    zeros, is nonzero: no assembled coefficient cancels."""
+    grid = Grid2D(nx, ny, width=2.0, height=6.0)
+    rng = np.random.default_rng(nx * 17 + ny)
+    surrogate = ThermalFlowSurrogate(grid=grid)
+    for _ in range(5):
+        d = rng.uniform(1e-3, 10.0, grid.n)
+        for bc in boundary_mixes(grid, rng):
+            assert np.all(diffusion_operator(grid, d, bc)[0].data != 0.0)
+        u = rng.uniform(-5.0, 5.0, grid.n)
+        u[rng.random(grid.n) < 0.3] = 0.0
+        for vel in (u, np.abs(u), -np.abs(u), 0.0):
+            assert np.all(assemble_heat(surrogate, vel)[0].data != 0.0)
 
 
 def test_stencil_matrices_do_not_share_their_arrays():
@@ -310,7 +333,7 @@ def test_stencil_matrices_do_not_share_their_arrays():
 
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
 def test_stencil_matrices_behave_like_constructed_ones(nx, ny):
-    """Every matrix built on the grid's template, full or zero-masked, passes
+    """Every matrix built on the grid's template, with or without zeros, passes
     scipy's full format check and computes what a matrix built by the
     ``csc_array`` constructor from the same arrays computes."""
     grid = Grid2D(nx, ny)
@@ -421,7 +444,8 @@ def test_manufactured_solution_second_order():
     errors = []
     for n in (15, 31):
         grid = Grid2D(n, n)
-        xs, ys = grid.meshgrid()
+        xs, ys = np.meshgrid(grid.xcoords(), grid.hy * np.arange(1, n + 1), indexing="xy")
+        xs, ys = xs.ravel(), ys.ravel()
         exact = np.sin(np.pi * xs) * np.sin(np.pi * ys)
         rhs = 2.0 * np.pi ** 2 * exact
         a, f_bc = diffusion_operator(grid, 1.0, DIRICHLET0)
