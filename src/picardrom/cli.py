@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import coupling, harness, numerics
-from .driver import CRITERIA, accelerated_run
+from .driver import CRITERIA, accelerated_run, check_run
 from .errors import MaxIterationsExceeded, PicardRomError
 
 EXIT_OK = 0
@@ -88,9 +88,11 @@ def _out_dir(cfg: harness.ExperimentConfig) -> Path:
 
 
 def _prepare(cfg: harness.ExperimentConfig):
-    """The problem and run settings of ``cfg``."""
+    """The problem and run settings of ``cfg``, checked against each other."""
     problem = harness.build_problem(cfg)
-    return problem, harness.build_run_config(cfg, problem.p)
+    run_cfg = harness.build_run_config(cfg, problem.p)
+    check_run(problem, run_cfg)
+    return problem, run_cfg
 
 
 def _cmd_reference(cfg: harness.ExperimentConfig) -> int:

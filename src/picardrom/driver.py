@@ -29,7 +29,7 @@ import numpy as np
 
 from . import coupling, numerics, pod
 from .coupling import Constants, ConstantsLedger, DependenceGraph
-from .errors import ConfigError, SingularReducedSystem, SvdFailure
+from .errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ class CoupledProblem:
         return len(self.assemblers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     eps: float
     k_max: int = 1000
@@ -87,9 +87,9 @@ class RunConfig:
     eps_rb: float = 1e-7
     rom_set: frozenset[int] = frozenset()
     criterion: str = "propagation"
-    # Step weight lam in (0, 1]: 1.0 is plain Picard, another constant is
-    # Krasnoselskij averaging, a function of the iteration k is a Mann schedule.
-    relaxation: float | Callable[[int], float] = 1.0
+    # One step weight lam in (0, 1] for every step: 1.0 is plain Picard, a smaller
+    # one is Krasnoselskij averaging.
+    relaxation: float = 1.0
     validation_loop: bool = True
 
     def __post_init__(self):
@@ -103,7 +103,9 @@ class RunConfig:
             raise ConfigError("eps_rb must lie in (0, 1)")
         if self.criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
-        self.rom_set = frozenset(self.rom_set)
+        if callable(self.relaxation) or not 0.0 < self.relaxation <= 1.0:   # NaN too
+            raise ConfigError(f"relaxation factor must lie in (0, 1], got {self.relaxation}")
+        object.__setattr__(self, "rom_set", frozenset(self.rom_set))
 
 
 @dataclass(frozen=True)
@@ -205,14 +207,6 @@ class FactorCache:
                 self._counts[i] += 1
         self._entries[i] = entry
         return numerics.lu_apply(entry[1], f)
-
-
-def _relaxation_factor(relaxation: float | Callable[[int], float], k: int) -> float:
-    """Step weight of iteration ``k``: the constant, or the schedule at ``k``."""
-    lam = relaxation(k) if callable(relaxation) else relaxation
-    if not 0.0 < lam <= 1.0:
-        raise ConfigError(f"relaxation factor must lie in (0, 1], got {lam}")
-    return lam
 
 
 def _relax(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
@@ -378,6 +372,16 @@ def _probe_delta(state: _RomState, systems, constants: Constants, lam, report):
     return lam * total, residuals
 
 
+def check_run(problem: CoupledProblem, config: RunConfig) -> None:
+    """Refuse, before any solve, a run that reduces a system outside 1..p
+    (ConfigError) or the asymptotic criterion on p = 1, which has no K_{2,1}."""
+    outside = sorted(i for i in config.rom_set if not 1 <= i <= problem.p)
+    if outside:
+        raise ConfigError(f"rom system {outside[0]} but problem has p={problem.p}")
+    if config.criterion == "asymptotic" and config.rom_set and problem.p < 2:
+        raise MissingConstants("asymptotic criterion needs K21 and K12, which p = 1 lacks")
+
+
 def accelerated_run(problem: CoupledProblem, config: RunConfig,
                     observer: Callable[[dict], None] | None = None) -> RunReport:
     """On-the-fly accelerated inexact Picard iterations, as a state machine.
@@ -418,14 +422,16 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     Every bound and criterion reads one :class:`coupling.Constants`: the
     problem's ``fixed_constants`` as they are, or the estimates of a
     :class:`coupling.ConstantsLedger`, rebuilt after each full-order step
-    (its constructor refuses what it cannot estimate, before the first step).
+    (its constructor refuses what it cannot estimate, and :func:`check_run`
+    the rest, before the first step).
     """
-    if any(not 1 <= i <= problem.p for i in config.rom_set):
-        raise ConfigError(f"rom_set must be a subset of 1..{problem.p}")
+    check_run(problem, config)
+    lam = config.relaxation
     constants, ledger = problem.fixed_constants, None
     if constants is None:
         ledger = ConstantsLedger(problem.graph, config.rom_set)
         constants = ledger.constants()
+    l_step = _relaxed_lipschitz(constants.lipschitz, lam)
     report = RunReport(p=problem.p)
     factors = FactorCache(report.factorizations)   # per run: each run factors afresh
     rom = _RomState(config, report) if config.rom_set else None
@@ -441,12 +447,10 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     rejected: tuple | None = None   # (A_1, F_1) of the step rejected at x
     k = 0
     while k < config.k_max and not report.converged:
-        lam = _relaxation_factor(config.relaxation, k)
         if constants.lipschitz >= 1.0 and not report.expansive_warning:
             log.warning("estimated Lipschitz constant %.3g >= 1; propagation "
                         "guarantees void", constants.lipschitz)
             report.expansive_warning = True
-        l_step = _relaxed_lipschitz(constants.lipschitz, lam)
         delta_k = None
 
         if rom_ok:
@@ -530,15 +534,10 @@ def lockstep_verify(problem: CoupledProblem, config: RunConfig) -> float:
     scratch = RunReport(p=problem.p)
     factors = FactorCache()
 
-    def advance(z: np.ndarray, k: int) -> np.ndarray:
-        lam = _relaxation_factor(config.relaxation, k)
-        return _relax(z, step(problem, z, scratch, factors).x_next, lam)
-
     def observer(ev: dict) -> None:
-        if ev["event"] == "fom":
-            state["z"] = ev["x_prev"].copy()
         if ev["event"] != "reject":   # rejected steps advance neither sequence
-            state["z"] = advance(state["z"], ev["k"])
+            z = ev["x_prev"] if ev["event"] == "fom" else state["z"]
+            state["z"] = _relax(z, step(problem, z, scratch, factors).x_next, config.relaxation)
         if ev["event"] == "rom":
             dist = numerics.norm2(ev["x_next"] - state["z"])
             state["max_dist"] = max(state["max_dist"], dist)

@@ -20,14 +20,14 @@ import numpy as np
 import scipy.stats
 
 from . import numerics, problems
-from .driver import CRITERIA, CoupledProblem, RunConfig, RunReport, accelerated_run
+from .driver import CRITERIA, CoupledProblem, RunConfig, RunReport, accelerated_run, check_run
 from .errors import ConfigError, MaxIterationsExceeded, TooFewSamples
 
 PROBLEM_NAMES = ("rd", "thermal", "scalar")
 TRACE_COLUMNS = ("k", "err", "delta_k", "step_norm", "event")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs: problem choice, run settings, I/O."""
 
@@ -110,10 +110,7 @@ def _rom_set(cfg: ExperimentConfig, p: int) -> frozenset[int]:
         return frozenset()
     if cfg.rom == "both":
         return frozenset(range(1, p + 1))
-    idx = int(cfg.rom)
-    if idx > p:
-        raise ConfigError(f"rom system {idx} but problem has p={p}")
-    return frozenset({idx})
+    return frozenset({int(cfg.rom)})
 
 
 def build_run_config(cfg: ExperimentConfig, p: int) -> RunConfig:
@@ -162,29 +159,30 @@ def compare_criteria(cfg: ExperimentConfig) -> list[dict]:
 
     Returns rows with iteration counts, full-order iteration counts for the
     reduced system, the true error against the reference and the criterion's
-    own internal error estimate. The run settings are built, and so checked
-    against the problem, before the reference solve.
+    own internal error estimate. Every swept run is checked against the
+    problem (:func:`driver.check_run`) before the reference solve.
     """
     problem = build_problem(cfg)
     run_cfg = build_run_config(cfg, problem.p)
+    sweep = [replace(run_cfg, criterion=criterion, validation_loop=validation)
+             for criterion in CRITERIA for validation in (True, False)]
+    for swept in sweep:
+        check_run(problem, swept)
     reference = run_reference(problem, run_cfg)
     rows = []
-    for criterion in CRITERIA:
-        for validation in (True, False):
-            rep = accelerated_run(problem, replace(run_cfg, criterion=criterion,
-                                                   validation_loop=validation))
-            fom_iters = max((rep.fom_solves[i - 1] for i in run_cfg.rom_set),
-                            default=rep.iterations)
-            rows.append({
-                "criterion": criterion,
-                "validation": validation,
-                "iterations": rep.iterations,
-                "fom_iterations": fom_iters,
-                "true_error": numerics.norm2(rep.x - reference.x),
-                "internal_estimate": _internal_estimate(rep, criterion),
-                "validation_cycles": rep.validation_cycles,
-                "converged": rep.converged,
-            })
+    for swept in sweep:
+        rep = accelerated_run(problem, swept)
+        rows.append({
+            "criterion": swept.criterion,
+            "validation": swept.validation_loop,
+            "iterations": rep.iterations,
+            "fom_iterations": max((rep.fom_solves[i - 1] for i in run_cfg.rom_set),
+                                  default=rep.iterations),
+            "true_error": numerics.norm2(rep.x - reference.x),
+            "internal_estimate": _internal_estimate(rep, swept.criterion),
+            "validation_cycles": rep.validation_cycles,
+            "converged": rep.converged,
+        })
     return rows
 
 

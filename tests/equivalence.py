@@ -9,11 +9,11 @@ against its parent commit. Check out the parent in a second directory and run
 
 The exit status is 0 when every configuration agrees, and 1 otherwise.
 
-The grid is 384 configurations: rd on a 16x16 grid with online and with
+The grid is 256 configurations: rd on a 16x16 grid with online and with
 certified constants, thermal, and scalar with online and with certified
 constants; every criterion; ROM selections none, 1, 2 and both (scalar none
-and 1); validation on and off; step weights 1.0, 0.7 and the Mann schedule
-``0.5 + 0.5 / (k + 1)``; ``eps = 1e-8`` and the harness defaults otherwise.
+and 1); validation on and off; step weights 1.0 and 0.7; ``eps = 1e-8`` and
+the harness defaults otherwise.
 Each tree runs the grid in its own subprocess with ``OPENBLAS_NUM_THREADS=1``
 and the tree's ``src`` first on ``PYTHONPATH``. A configuration's record holds
 every ``TraceRow`` (floats as hex), ``RunReport.to_dict()`` without the trace
@@ -43,7 +43,7 @@ PROBLEMS = (("rd", False), ("rd", True), ("thermal", False),
             ("scalar", False), ("scalar", True))
 ROM_CHOICES = {"rd": ("none", "1", "2", "both"), "thermal": ("none", "1", "2", "both"),
                "scalar": ("none", "1")}
-RELAXATIONS = {"1.0": 1.0, "0.7": 0.7, "mann": lambda k: 0.5 + 0.5 / (k + 1)}
+RELAXATIONS = {"1.0": 1.0, "0.7": 0.7}
 HERE = Path(__file__).resolve().parents[1]
 MISSING = "<missing>"   # a report field only the other tree has
 

@@ -82,9 +82,8 @@ def test_exact_step_decoupled_matches_independent_solves():
     assert np.allclose(res.x_next, [1.0, 2.0, 2.0], atol=1e-14)
 
 
-def relaxed_step(problem, x, scheme, k=0):
+def relaxed_step(problem, x, lam):
     """Averaged step ``(1 - lam) x + lam G(x)``."""
-    lam = driver._relaxation_factor(scheme, k)
     return (1.0 - lam) * x + lam * full_order(problem, x).x_next
 
 
@@ -112,17 +111,21 @@ def test_relaxed_step_tames_expansive_map():
     assert abs(x[0]) <= 0.5 ** 40 * 1.0 + 1e-12
 
 
-def test_mann_needs_schedule():
-    assert driver._relaxation_factor(lambda k: 1.0 / (k + 2), 0) == 0.5
-
-
 @pytest.mark.parametrize("relaxation", [
-    0.0, 1.5, lambda k: 1.5 if k == 3 else 0.5,
-], ids=["zero", "above-one", "schedule-leaves-at-k3"])
+    0.0, -0.1, 1.5, math.nan, lambda k: 0.5,
+], ids=["zero", "negative", "above-one", "nan", "schedule"])
 def test_relaxation_outside_unit_interval_is_rejected(relaxation):
-    cfg = RunConfig(eps=1e-12, rom_set=frozenset({1}), n_b=3, relaxation=relaxation)
+    """A step weight outside (0, 1], or a schedule of them, is refused when
+    the settings are built, before any run."""
     with pytest.raises(ConfigError, match="relaxation factor"):
-        accelerated_run(scalar_problem(), cfg)
+        RunConfig(eps=1e-8, rom_set=frozenset({1}), relaxation=relaxation)
+
+
+def test_run_config_is_frozen():
+    cfg = RunConfig(eps=1e-8, relaxation=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.relaxation = 0.0
+    assert dataclasses.replace(cfg, rom_set={1}).rom_set == frozenset({1})
 
 
 def two_system_constants(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
@@ -173,6 +176,21 @@ def test_run_config_validation():
         RunConfig(eps=1e-6, criterion="bogus")
     with pytest.raises(ConfigError):
         accelerated_run(scalar_problem(), RunConfig(eps=1e-6, rom_set={2}))
+
+
+def test_check_run_refuses_the_asymptotic_criterion_on_one_system():
+    """p = 1 has no K_{2,1}: a reduced run under the asymptotic criterion is
+    refused before its first step, a full-order one runs."""
+    cfg = RunConfig(eps=1e-8, rom_set=frozenset({1}), criterion="asymptotic")
+    with pytest.raises(MissingConstants, match="K21"):
+        driver.check_run(scalar_problem(), cfg)
+    steps = []
+    with pytest.raises(MissingConstants):
+        accelerated_run(scalar_problem(), cfg, observer=steps.append)
+    assert steps == []
+    assert accelerated_run(scalar_problem(),
+                           dataclasses.replace(cfg, rom_set=frozenset())).converged
+    driver.check_run(decoupled_problem(), dataclasses.replace(cfg, rom_set=frozenset({2})))
 
 
 def test_rom_none_is_plain_picard():
@@ -284,10 +302,7 @@ def test_relaxed_plain_run_is_the_averaged_picard_sequence():
     assert [row.x_hash for row in report.trace] == hashes
 
 
-@pytest.mark.parametrize("relaxation", [
-    0.5,
-    lambda k: 1.0 / (1.0 + 0.1 * k),
-], ids=["krasnoselskij", "mann"])
+@pytest.mark.parametrize("relaxation", [0.5, 0.7], ids=["krasnoselskij", "lam-0.7"])
 def test_relaxed_rom_run_keeps_the_lockstep_guarantee(relaxation):
     pair = problems.ReactionDiffusionPair(n=8)
     prob = problems.make_coupled_problem(pair, exact_constants=True)
@@ -297,6 +312,19 @@ def test_relaxed_rom_run_keeps_the_lockstep_guarantee(relaxation):
     assert report.converged
     assert any(row.event == "rom" for row in report.trace)
     assert driver.lockstep_verify(prob, cfg) <= cfg.eps
+
+
+@pytest.mark.parametrize("relaxation", [0.5, 0.7])
+@pytest.mark.parametrize("rom_set", [{1}, {2}, {1, 2}], ids=["rom1", "rom2", "both"])
+def test_relaxed_runs_with_online_constants_keep_the_guarantee_or_say_they_lost_it(
+        rom_set, relaxation):
+    """Estimated constants carry no guarantee, but a run whose estimated L
+    reaches 1 must flag it: within eps of the exact sequence or warned."""
+    prob = problems.make_coupled_problem(problems.ThermalFlowSurrogate())
+    cfg = RunConfig(eps=1e-8, rom_set=frozenset(rom_set), relaxation=relaxation)
+    report = accelerated_run(prob, cfg)
+    assert report.converged and any(row.event == "rom" for row in report.trace)
+    assert driver.lockstep_verify(prob, cfg) <= cfg.eps or report.expansive_warning
 
 
 def orthogonal_chain(rng, p, n, lip):

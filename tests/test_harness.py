@@ -11,7 +11,7 @@ import scipy.stats
 
 from picardrom import cli, harness, numerics, problems
 from picardrom.driver import CRITERIA, RunConfig, accelerated_run
-from picardrom.errors import ConfigError, TooFewSamples
+from picardrom.errors import ConfigError, MissingConstants, TooFewSamples
 
 
 def test_config_roundtrip(tmp_path):
@@ -70,6 +70,11 @@ def test_config_file_with_an_unknown_criterion_is_refused_on_load(tmp_path):
     path.write_text("[experiment]\nproblem = thermal\ncriterion = bogus\n")
     with pytest.raises(ConfigError, match="unknown criterion 'bogus'"):
         harness.load_config(path)
+
+
+def test_experiment_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        harness.ExperimentConfig().eps = 0.0
 
 
 def test_config_validation():
@@ -141,6 +146,16 @@ def test_compare_criteria_refuses_a_missing_reduced_system_before_any_solve(monk
     calls = counted_solves(monkeypatch)
     cfg = harness.ExperimentConfig(problem="scalar", rom="2")
     with pytest.raises(ConfigError, match="rom system 2"):
+        harness.compare_criteria(cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["online", "exact"])
+def test_compare_criteria_refuses_the_asymptotic_criterion_on_one_system_before_any_solve(
+        monkeypatch, exact):
+    calls = counted_solves(monkeypatch)
+    cfg = harness.ExperimentConfig(problem="scalar", rom="1", exact_constants=exact)
+    with pytest.raises(MissingConstants, match="K21"):
         harness.compare_criteria(cfg)
     assert calls == []
 
@@ -363,13 +378,21 @@ def test_cli_error_exit_code(tmp_path):
     *(pytest.param(command, ["--problem", "scalar", "--rom", "2"], id=f"{command}-scalar-rom-2")
       for command in ("run", "bench", "compare-criteria")),
     pytest.param("bench", ["--problem", "scalar", "--reps", "3"], id="bench-reps-3"),
+    # the asymptotic criterion on the one-system toy, which has no K_{2,1}
+    *(pytest.param(command, ["--problem", "scalar", *args], id=f"{command}-scalar{tag}")
+      for command, args, tag in (
+          ("compare-criteria", [], ""),
+          ("compare-criteria", ["--exact-constants"], "-exact"),
+          ("run", ["--criterion", "asymptotic"], "-asymptotic"))),
 ])
-def test_cli_refuses_an_invalid_run_setting_before_creating_its_output(tmp_path, command,
-                                                                        args):
+def test_cli_refuses_an_invalid_run_setting_before_creating_its_output(tmp_path, monkeypatch,
+                                                                        command, args):
+    calls = counted_solves(monkeypatch)
     out = tmp_path / "d"
     rc = cli.main([command, *args, "--out", str(out)])
     assert rc == 1
     assert not out.exists()
+    assert calls == []
 
 
 def test_cli_criterion_alias(tmp_path):
