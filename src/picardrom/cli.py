@@ -5,7 +5,7 @@ measured against a reference), ``compare-criteria`` (sweep of the quality
 criteria with validation on/off), ``bench`` (runtime statistics of the
 accelerated and the plain run, repeated) and ``paths`` (prints the
 decreasing-path enumeration). Exit codes: 0 converged, 2 iteration budget
-exceeded, 1 any other error.
+exceeded, 1 any other error, usage errors included.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ EXIT_ERROR = 1
 EXIT_KMAX = 2
 
 _CRITERION_ALIASES = {"upper": "upper_bound"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # usage errors exit 1: argparse's own 2 is EXIT_KMAX here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -50,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="picardrom",
         description="Reduced-order accelerated Picard iteration experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source index j (the later system)")
     p.add_argument("--to", dest="i", type=int, required=True,
                    help="target index i < j")
-    p.add_argument("--p", type=int, default=None, help="graph order (default j)")
     return parser
 
 
@@ -160,8 +165,7 @@ def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_paths(args) -> int:
-    p = args.p if args.p is not None else args.j
-    graph = coupling.make_graph(max(p, 1))
+    graph = coupling.make_graph(max(args.j, 1))
     paths = coupling.enumerate_paths(graph, args.i, args.j)
     print(f"|d_{{{args.i},{args.j}}}| = {len(paths)}")
     for path in paths:

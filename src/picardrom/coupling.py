@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import InvalidRange, MissingConstants
+from .errors import InvalidRange
 
 RATIO_GUARD = 1e-14  # skip ratio updates when the denominator is this small
 LEDGER_WINDOW = 10   # iterations a ledger estimate is maximised over
@@ -103,17 +103,6 @@ def enumerate_paths(graph: DependenceGraph, i: int, j: int) -> list[tuple[int, .
     return descend(j)
 
 
-def _path_sum(graph: DependenceGraph, i: int, j: int) -> float:
-    """Sum of path weights over d_{i,j} without materializing the paths."""
-    if j == i:
-        return 1.0
-    # s[m] = weighted sum of decreasing paths from m down to i
-    s = {i: 1.0}
-    for m in range(i + 1, j + 1):
-        s[m] = sum(graph.k(m, l) * s[l] for l in range(i, m) if graph.k_consts[m, l] != 0.0)
-    return s[j]
-
-
 def contraction_bound(graph: DependenceGraph) -> float:
     """Upper estimate of the Lipschitz constant of the combined map G: the
     amplification of a perturbation of the outer iterate (index 0)."""
@@ -126,10 +115,11 @@ def amplification_factor(graph: DependenceGraph, i: int) -> float:
     if not 0 <= i <= graph.p:
         raise InvalidRange(f"system index {i} outside 0..{graph.p}")
     total = float(graph.l_consts[i])
-    for j in range(i + 1, graph.p + 1):
-        lj = float(graph.l_consts[j])
-        if lj != 0.0:
-            total += lj * _path_sum(graph, i, j)
+    s = {i: 1.0}   # s[m]: weighted sum of the decreasing paths from m down to i
+    for m in range(i + 1, graph.p + 1):
+        s[m] = sum(graph.k(m, l) * s[l] for l in range(i, m) if graph.k_consts[m, l] != 0.0)
+        if graph.l_consts[m] != 0.0:
+            total += float(graph.l_consts[m]) * s[m]
     return total
 
 
@@ -261,13 +251,11 @@ class ConstantsLedger:
     where L_2 = 1 and K_{1,2} = K[1,0]. Every system gets the estimated M,
     and K_{2,1} and K_{1,2} enter ``graph`` as ``K[2,1]`` and ``K[1,0]`` only
     when ``rom_set`` is not empty and p >= 2. No other K is estimated, so for
-    p > 2 a ``rom_set`` with any system but the last raises MissingConstants.
+    p > 2 a run may reduce only the last system, which
+    :func:`picardrom.driver.check_run` enforces before the first step.
     """
 
     def __init__(self, graph: DependenceGraph, rom_set=frozenset()):
-        if graph.p > 2 and any(i < graph.p for i in rom_set):
-            raise MissingConstants(
-                "online estimation only covers K_{2,1}; supply fixed constants for p > 2")
         self._graph = graph
         self._fills_k = bool(rom_set) and graph.p >= 2
         self._windows = {name: deque(maxlen=LEDGER_WINDOW)
@@ -318,9 +306,10 @@ def asymptotic_residual_budget(constants: Constants, eps: float) -> float:
     """Residual budget for the asymptotic quality criterion.
 
     Returns ``(1 - K21*K12) / (K21*(1+K21)*M) * eps``; nonpositive when the
-    product K21*K12 reaches 1 (caller must then refine).
+    product K21*K12 reaches 1, and 0.0 while K21, K12 or M is not positive
+    (not yet sampled online): no budget either way, so the caller refines.
     """
     k21, k12, m = constants.k21, constants.k12, constants.m
     if k21 <= 0.0 or m <= 0.0 or k12 <= 0.0:
-        raise MissingConstants("asymptotic criterion needs K21, K12 and M estimates")
+        return 0.0
     return (1.0 - k21 * k12) / (k21 * (1.0 + k21) * m) * eps

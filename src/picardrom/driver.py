@@ -373,13 +373,20 @@ def _probe_delta(state: _RomState, systems, constants: Constants, lam, report):
 
 
 def check_run(problem: CoupledProblem, config: RunConfig) -> None:
-    """Refuse, before any solve, a run that reduces a system outside 1..p
-    (ConfigError) or the asymptotic criterion on p = 1, which has no K_{2,1}."""
+    """Refuse, before any solve, a reduced system outside 1..p (ConfigError)
+    and constants that can never serve the run (MissingConstants): online ones
+    for p > 2 with a reduced system but the last, or, for the asymptotic
+    criterion with one, p = 1 or certified K21, K12 or M not positive."""
     outside = sorted(i for i in config.rom_set if not 1 <= i <= problem.p)
     if outside:
         raise ConfigError(f"rom system {outside[0]} but problem has p={problem.p}")
-    if config.criterion == "asymptotic" and config.rom_set and problem.p < 2:
-        raise MissingConstants("asymptotic criterion needs K21 and K12, which p = 1 lacks")
+    fixed = problem.fixed_constants
+    if fixed is None and problem.p > 2 and any(i < problem.p for i in config.rom_set):
+        raise MissingConstants("online estimates cover only K_{2,1}; p > 2 needs fixed constants")
+    starved = problem.p < 2 or fixed is not None and not all(
+        c > 0.0 for c in (fixed.k21, fixed.k12, fixed.m))   # NaN too
+    if config.criterion == "asymptotic" and config.rom_set and starved:
+        raise MissingConstants("asymptotic criterion needs positive K21, K12 and M")
 
 
 def accelerated_run(problem: CoupledProblem, config: RunConfig,
@@ -422,8 +429,8 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     Every bound and criterion reads one :class:`coupling.Constants`: the
     problem's ``fixed_constants`` as they are, or the estimates of a
     :class:`coupling.ConstantsLedger`, rebuilt after each full-order step
-    (its constructor refuses what it cannot estimate, and :func:`check_run`
-    the rest, before the first step).
+    (:func:`check_run` refuses, before the first step, constants that can
+    never serve the run; estimates not yet sampled mean "refine").
     """
     check_run(problem, config)
     lam = config.relaxation

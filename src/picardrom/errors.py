@@ -30,7 +30,7 @@ class InvalidRange(PicardRomError):
 
 
 class MissingConstants(PicardRomError):
-    """A criterion requires constants the ledger has not estimated yet."""
+    """A run needs constants it will never have; raised before any solve."""
 
 
 class NonPositiveDiffusion(PicardRomError):

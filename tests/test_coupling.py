@@ -44,15 +44,17 @@ def test_path_weight():
     assert path_weight(g, (2, 1, 0)) == pytest.approx(0.12, abs=1e-15)
     assert path_weight(g, (1, 0)) == 0.3
     assert path_weight(g, (1,)) == 1.0
-    # the library's path sum agrees with the enumerated weights
+    # with L = e_j the amplification factor of system i is the path sum from j
+    # down to i, which must agree with the enumerated weights
     rng = np.random.default_rng(4)
     for p in (1, 2, 3, 5):
-        g = coupling.make_graph(p, {(i, j): rng.uniform(0.0, 1.0) * (rng.random() < 0.7)
-                                    for i in range(1, p + 1) for j in range(i)})
-        for i in range(p):
-            for j in range(i + 1, p + 1):
+        k = {(i, j): rng.uniform(0.0, 1.0) * (rng.random() < 0.7)
+             for i in range(1, p + 1) for j in range(i)}
+        for j in range(1, p + 1):
+            g = coupling.make_graph(p, k, l_consts=np.eye(p + 1)[j])
+            for i in range(j):
                 direct = sum(path_weight(g, s) for s in coupling.enumerate_paths(g, i, j))
-                assert coupling._path_sum(g, i, j) == pytest.approx(direct, rel=1e-14)
+                assert coupling.amplification_factor(g, i) == pytest.approx(direct, rel=1e-14)
 
 
 def test_contraction_bound_example():
@@ -167,12 +169,18 @@ def test_condition5_weak_picard():
     assert not rep.picard_solver and rep.weak_picard_solver
 
 
-def test_conditions_not_applicable():
-    g = coupling.make_graph(2, {(1, 0): 0.3, (2, 0): 0.2, (2, 1): 0.4})
+@pytest.mark.parametrize("k_entries", [
+    {(1, 0): 0.3, (2, 0): 0.2, (2, 1): 0.4},
+    {(1, 0): 0.2, (2, 1): 0.3, (3, 2): 0.4, (3, 1): 0.1},   # a p = 3 chain plus K[3,1]
+], ids=["p2-edge-2-0", "p3-chain-plus-3-1"])
+def test_conditions_not_applicable(k_entries):
+    """Off-chain edges break the linear structure, so conditions 3-5 have no
+    premise; 1 and 2 are still evaluated for a Picard solver."""
+    g = coupling.make_graph(max(i for i, _ in k_entries), k_entries)
     rep = coupling.sufficient_conditions(g)
-    assert not rep.linearly_structured
-    assert not rep.conditions[2].applicable  # needs linear structure
-    assert rep.conditions[3].satisfied is None
+    assert not rep.linearly_structured and rep.picard_solver
+    assert rep.conditions[2:] == (coupling.ConditionStatus(False, None),) * 3
+    assert rep.conditions[0].applicable and rep.conditions[1].applicable
 
 
 def test_ledger_geometric_sequence():
@@ -287,9 +295,18 @@ def test_ledger_equals_its_estimates_recomputed_from_the_full_history(case):
 
 
 def test_ledger_refuses_a_reduced_system_whose_coupling_it_cannot_estimate():
+    """The ledger estimates no K but K_{2,1} and K_{1,2}, so for p > 2 a run
+    with online constants may reduce only the last system; ``check_run``
+    refuses the others before any solve, the ledger itself builds."""
+    def assemble(x, ys):
+        return np.eye(1), np.ones(1)
+
+    problem = driver.CoupledProblem((assemble,) * 3, lambda x, ys: np.concatenate(ys),
+                                    coupling.make_graph(3), np.zeros(3))
     with pytest.raises(MissingConstants, match="p > 2"):
-        coupling.ConstantsLedger(coupling.make_graph(3), {1})
-    coupling.ConstantsLedger(coupling.make_graph(3), {3})
+        driver.check_run(problem, driver.RunConfig(eps=1e-8, rom_set={1}))
+    driver.check_run(problem, driver.RunConfig(eps=1e-8, rom_set={3}))
+    coupling.ConstantsLedger(coupling.make_graph(3), {1})
 
 
 def constants_with(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
@@ -311,6 +328,9 @@ def test_asymptotic_budget():
     assert budget == pytest.approx((1 - 0.2) / (0.5 * 1.5 * 2.0) * 1e-6, rel=1e-12)
     degenerate = constants_with(k21=2.0, k12=0.6)
     assert coupling.asymptotic_residual_budget(degenerate, 1e-6) <= 0.0
+    # a constant not yet sampled leaves no budget: the criterion refines
     for missing in (constants_with(m=0.0), constants_with(k21=0.0), constants_with(k12=0.0)):
-        with pytest.raises(MissingConstants):
-            coupling.asymptotic_residual_budget(missing, 1e-6)
+        assert coupling.asymptotic_residual_budget(missing, 1e-6) == 0.0
+        assert not driver.evaluate_criterion("asymptotic", delta_k=0.0, err=0.0,
+                                             constants=missing, eps=1e-6,
+                                             residuals={1: 0.0})

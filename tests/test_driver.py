@@ -878,6 +878,39 @@ def test_exact_constants_run_under_the_asymptotic_criterion(rom_set):
     assert driver.lockstep_verify(prob, cfg) <= cfg.eps
 
 
+@pytest.mark.parametrize("rom_set", [frozenset({1}), frozenset({1, 2})], ids=["rom1", "both"])
+@pytest.mark.parametrize("spec", [problems.ReactionDiffusionPair(n=16),
+                                  problems.ThermalFlowSurrogate()], ids=["rd", "thermal"])
+def test_online_asymptotic_runs_refine_until_the_ledger_has_sampled_k12(spec, rom_set):
+    """With a two-snapshot window the first probe comes after two full-order
+    steps, before the ledger's third observation gives a K_{1,2} sample: no
+    budget until then, so the run takes full-order steps and converges."""
+    prob = problems.make_coupled_problem(spec)
+    cfg = RunConfig(eps=1e-8, n_b=2, rom_set=rom_set, criterion="asymptotic")
+    report = accelerated_run(prob, cfg)
+    assert report.converged
+    assert [row.event for row in report.trace[:3]] == ["fom"] * 3
+    assert report.trace[1].delta is not None   # probed, and refined
+    assert any(row.event == "rom" for row in report.trace)
+
+
+def test_check_run_refuses_certified_constants_without_k21_under_the_asymptotic_criterion():
+    """A certified rd pair with s21 = 0 has K21 = 0, so the asymptotic budget
+    is never positive: a reduced run under that criterion is refused before
+    its first step."""
+    prob = problems.make_coupled_problem(problems.ReactionDiffusionPair(n=8, s21=0.0),
+                                         exact_constants=True)
+    assert prob.fixed_constants.k21 == 0.0
+    cfg = RunConfig(eps=1e-8, n_b=2, rom_set=frozenset({1}), criterion="asymptotic")
+    steps = []
+    with pytest.raises(MissingConstants, match="K21"):
+        accelerated_run(prob, cfg, observer=steps.append)
+    assert steps == []
+    # every other criterion, and the asymptotic one without a reduced system, runs
+    assert accelerated_run(prob, dataclasses.replace(cfg, criterion="propagation")).converged
+    assert accelerated_run(prob, dataclasses.replace(cfg, rom_set=frozenset())).converged
+
+
 def test_fixed_constants_keep_no_ledger(monkeypatch):
     """A run with certified constants reads them once and estimates nothing."""
     prob = problems.make_coupled_problem(problems.ReactionDiffusionPair(n=8),

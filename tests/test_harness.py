@@ -160,6 +160,13 @@ def test_compare_criteria_refuses_the_asymptotic_criterion_on_one_system_before_
     assert calls == []
 
 
+def test_compare_criteria_with_a_two_snapshot_window_converges_under_every_criterion():
+    """The asymptotic runs refine until the ledger has sampled K_{1,2}."""
+    rows = harness.compare_criteria(harness.ExperimentConfig(problem="rd", grid_n=16, n_b=2))
+    assert len(rows) == 8
+    assert all(row["converged"] for row in rows)
+
+
 def test_compare_criteria_rom_none_identical_rows(tmp_path):
     cfg = harness.ExperimentConfig(problem="scalar", rom="none", eps=1e-8)
     rows = harness.compare_criteria(cfg)
@@ -369,6 +376,23 @@ def test_cli_budget_failure_creates_no_output_directory(tmp_path, command):
 def test_cli_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.ini")])
     assert rc == 1
+
+
+def test_cli_usage_errors_exit_1_not_the_budget_code(tmp_path):
+    out = str(tmp_path / "d")
+    for argv in (["run", "--problem", "bogus", "--out", out],
+                 ["run", "--nb", "two", "--out", out],
+                 ["paths", "--from", "4", "--to", "0", "--p", "2"]):   # --p is gone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_ERROR == 1
+    assert not (tmp_path / "d").exists()
+    # --help still exits 0, and 2 still means an exhausted iteration budget
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert cli.main(["run", "--problem", "scalar", "--eps", "1e-300", "--kmax", "5",
+                     "--out", str(tmp_path / "k")]) == cli.EXIT_KMAX == 2
 
 
 @pytest.mark.parametrize("command, args", [

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from picardrom import coupling, numerics, pod
-from picardrom.errors import DimensionMismatch, TooFewSnapshots
+from picardrom.errors import DimensionMismatch, SingularReducedSystem, TooFewSnapshots
 
 
 def _window(columns, capacity=None):
@@ -171,3 +172,17 @@ def test_rom_error_bound():
         u_rb = u_exact + 0.1 * rng.standard_normal(10)
         r = numerics.norm2(a @ u_rb - f)
         assert numerics.norm2(u_exact - u_rb) <= coupling.delta_single(g, 1, inv_norm, r) + 1e-9
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_rom_solve_refuses_a_singular_projection_of_a_nonsingular_operator(sparse):
+    """A skew-symmetric A has v^T A v = 0 for every v: nonsingular in full
+    order, its one-column projection is the zero matrix."""
+    a = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert abs(np.linalg.det(a)) == 1.0
+    if sparse:
+        a = scipy.sparse.csr_matrix(a)
+    basis = pod.ReducedBasis(basis=np.eye(4)[:, :1], mean=np.zeros(4),
+                             singular_values=np.ones(1))
+    with pytest.raises(SingularReducedSystem):
+        pod.rom_solve(basis, a, np.ones(4))
