@@ -31,7 +31,7 @@ _CRITERION_ALIASES = {"upper": "upper_bound"}
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # usage errors exit 1: argparse's own 2 is EXIT_KMAX here
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        raise PicardRomError(f"{self.prog}: {message}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -178,8 +178,8 @@ _EXPERIMENTS = {"reference": _cmd_reference, "run": _cmd_run,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "paths":
             return _cmd_paths(args)
         return _EXPERIMENTS[args.command](_experiment_config(args))

@@ -147,11 +147,11 @@ class SufficientConditionsReport:
     conditions: tuple[ConditionStatus, ...]  # conditions 1..5
 
 
-def _is_linearly_structured(graph: DependenceGraph, tol: float = 0.0) -> bool:
+def _is_linearly_structured(graph: DependenceGraph) -> bool:
     for i in range(1, graph.p + 1):
         for j in range(i):
             val = graph.k_consts[i, j]
-            if j == i - 1 and val <= tol:
+            if j == i - 1 and val <= 0.0:
                 return False
             if j != i - 1 and val != 0.0:
                 return False

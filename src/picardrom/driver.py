@@ -246,7 +246,8 @@ class StepResult:
     """What :func:`step` did: ``x_next`` is ``G(x)`` without relaxation, or
     ``None`` when the step stopped early; ``systems`` holds each ``(A_i, F_i)``
     assembled so far; ``delta`` is the unweighted sum of the reduced terms so
-    far, ``None`` when a reduced system was singular."""
+    far, ``None`` when a reduced model was unavailable: its projected system
+    singular or its basis not built because the SVD failed."""
 
     x_next: np.ndarray | None
     solutions: list[np.ndarray]
@@ -256,24 +257,27 @@ class StepResult:
 
 
 def step(problem: CoupledProblem, x: np.ndarray, report: RunReport, factors: FactorCache,
-         plan: dict[int, pod.ReducedBasis] | None = None, constants: Constants | None = None,
+         plan: dict[int, pod.ReducedBasis] | _RomState | None = None,
+         constants: Constants | None = None,
          accept: Callable[[float, dict[int, float]], bool] | None = None,
          first_system: tuple | None = None) -> StepResult:
     """One Picard step: assemble and solve the p systems in order, then combine.
 
     System i is solved with its reduced basis ``plan[i]`` (its bound term from
-    ``constants``) if the plan has one, else in full order through the run's
-    ``factors``, so an empty plan makes an exact step. Each assembler receives
-    the solutions so far, reduced ones included. ``first_system`` is an
-    ``(A_1, F_1)`` pair already assembled at ``x``, used instead of calling
+    ``constants``) if ``i in plan``, else in full order through the run's
+    ``factors``, so an empty plan makes an exact step; a :class:`_RomState`
+    plan builds each basis when the step first reads it. Each assembler
+    receives the solutions so far, reduced ones included. ``first_system`` is
+    an ``(A_1, F_1)`` pair already assembled at ``x``, used instead of calling
     the first assembler again.
 
     ``accept(delta, residuals)``, if given, is the quality criterion, checked
     after each reduced system on the partial bound and residuals. delta sums
     nonnegative per-system terms in topological order, and every criterion is
     monotone in these partial sums, so a partial failure is final: the step
-    stops before any downstream assembly or full-order solve. A singular
-    reduced system stops it too, with ``delta=None``.
+    stops before any downstream assembly or full-order solve. An unavailable
+    reduced model stops it too, with ``delta=None``: a singular projected
+    system, or a basis the SVD failed to build (SvdFailure).
     """
     plan = plan or {}
     ys: list[np.ndarray] = []
@@ -290,7 +294,7 @@ def step(problem: CoupledProblem, x: np.ndarray, report: RunReport, factors: Fac
         if i in plan:
             try:
                 y, term = _reduced_solve(i, plan[i], a, f, constants, report, residuals)
-            except SingularReducedSystem:
+            except (SingularReducedSystem, SvdFailure):
                 return StepResult(None, ys, systems, None, residuals)
             total += term
             if accept is not None and not accept(total, residuals):
@@ -322,7 +326,9 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Cons
 
 
 class _RomState:
-    """Per-system snapshot windows with lazily rebuilt bases."""
+    """Per-system snapshot windows, and the plan of a reduced step: ``rom[i]``
+    is system i's basis, built when first read after a push; it raises
+    SvdFailure, caching nothing, when the SVD fails."""
 
     def __init__(self, config: RunConfig, report: RunReport):
         self.windows = {i: pod.SnapshotWindow(config.n_b) for i in config.rom_set}
@@ -338,35 +344,31 @@ class _RomState:
     def ready(self) -> bool:
         return all(len(w) >= w.capacity for w in self.windows.values())
 
-    def basis_for(self, i: int) -> pod.ReducedBasis:
+    def __contains__(self, i: int) -> bool:
+        return i in self.windows
+
+    def __getitem__(self, i: int) -> pod.ReducedBasis:
         if i not in self.bases:
-            window = self.windows[i]
-            try:
-                basis = pod.build_basis_svd(window, self.config.eps_rb)
-            except SvdFailure:
-                basis = pod.build_basis_gs(window)
+            basis = pod.build_basis_svd(self.windows[i], self.config.eps_rb)
             self.bases[i] = basis
             self.report.svds += 1
             self.report.basis_sizes[i] = basis.size
         return self.bases[i]
 
-    def all_bases(self) -> dict[int, pod.ReducedBasis]:
-        return {i: self.basis_for(i) for i in self.windows}
-
 
 def _probe_delta(state: _RomState, systems, constants: Constants, lam, report):
     """Evaluate the current reduced models on the systems just solved by FOM.
 
-    Returns (delta, residuals); delta is +inf when a reduced solve fails.
+    Returns (delta, residuals); delta is +inf when a reduced model is
+    unavailable: a singular projected system or an SVD failure.
     """
     residuals: dict[int, float] = {}
     total = 0.0
     for i in sorted(state.windows):
         a, f = systems[i - 1]
         try:
-            _, term = _reduced_solve(i, state.basis_for(i), a, f, constants, report,
-                                     residuals)
-        except SingularReducedSystem:
+            _, term = _reduced_solve(i, state[i], a, f, constants, report, residuals)
+        except (SingularReducedSystem, SvdFailure):
             return math.inf, {}
         total += term
     return lam * total, residuals
@@ -399,27 +401,28 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
       at 0 when the step probes, and at inf when it does not.
     * ``rom``: a reduced step, tried while ``rom_ok`` holds and accepted if
       the criterion holds for its bound; then ``err <- delta + L*err``.
-    * ``reject``: the reduced step failed the criterion or hit a singular
-      reduced system. ``x`` stays, ``rom_ok`` is cleared, ``refine`` follows.
+    * ``reject``: the reduced step failed the criterion or hit an unavailable
+      reduced model (a singular projected system or an SVD failure). ``x``
+      stays, ``rom_ok`` is cleared, ``refine`` follows.
     * ``refine``: a full-order step that reuses the rejected step's assembly
       of system 1; ``err <- L*err``.
 
     After ``fom`` and ``refine`` the reduced models are probed on the systems
     the step solved, and ``rom_ok`` is the criterion's verdict on the probe's
-    bound with the new ``err``; a singular probe clears it. Until the run's
-    first rejection the probe runs once the snapshot windows are full, on the
-    bases that include this step's solutions; tested out of sample, early
-    models whose reduced steps pass would fail it. From then on it runs on the
-    bases built before them, so that it tests the models out of sample and a
-    model that does not fit stops drawing reduced attempts. The accept check
-    on the reduced step itself is the same either way.
+    bound with the new ``err``; a probe of an unavailable model clears it.
+    Until the run's first rejection the probe runs once the snapshot windows
+    are full, on the bases that include this step's solutions; tested out of
+    sample, early models whose reduced steps pass would fail it. From then on
+    it runs on the bases built before them, so that it tests the models out
+    of sample and a model that does not fit stops drawing reduced attempts.
+    The accept check on the reduced step itself is the same either way.
 
     A step shorter than ``eps``, other than a rejection, ends the run, after
     one exact step at the new iterate if ``validation_loop`` is set
     (``validate-ok``, or ``validate-fail``, which clears ``err`` and
     ``rom_ok``). Each row's ``l_est`` is the L of its step:
     :func:`_relaxed_lipschitz`. Every step is one :func:`step`: a ``rom``
-    step's plan holds every reduced system's basis, the others' plan is empty.
+    step's plan is the run's :class:`_RomState`, the others' plan is empty.
 
     ``observer`` receives one dict per iteration with the keys ``k``,
     ``event`` (``fom``, ``refine``, ``rom`` or ``reject``), ``x_prev``,
@@ -461,7 +464,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
         delta_k = None
 
         if rom_ok:
-            s = step(problem, x, report, factors, rom.all_bases(), constants,
+            s = step(problem, x, report, factors, rom, constants,
                      accept=lambda d, r: holds(lam * d, r, err))
             if s.delta is not None:
                 delta_k = lam * s.delta

@@ -18,7 +18,7 @@ class TooFewSnapshots(PicardRomError):
 
 
 class SvdFailure(PicardRomError):
-    """The SVD kernel failed; basis construction may fall back to Gram-Schmidt."""
+    """The SVD kernel failed; the reduced model has no basis, as if its system were singular."""
 
 
 class SingularReducedSystem(PicardRomError):

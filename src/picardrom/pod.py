@@ -1,9 +1,10 @@
 """Snapshot management and the projection-based reduced-order model.
 
-A FIFO window of recent full-order solutions feeds a centered SVD (or
-Gram-Schmidt) basis with energy truncation. The reduced solve projects the
-full linear system onto that basis and reports the full-space residual, from
-which the standard inverse-norm error bound follows.
+A FIFO window of recent full-order solutions feeds a centered SVD basis with
+energy truncation. The reduced solve projects the full linear system onto
+that basis and reports the full-space residual, from which the standard
+inverse-norm error bound follows. An SVD failure, like a singular projected
+system, leaves the reduced model unavailable.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .errors import (
     SingularReducedSystem,
     TooFewSnapshots,
 )
-
-GS_DROP_RTOL = 1e-12  # drops a column left below this times the window's largest column norm
 
 
 class SnapshotWindow:
@@ -60,7 +59,7 @@ class ReducedBasis:
 
     basis: np.ndarray            # (N, M), orthonormal columns
     mean: np.ndarray             # (N,)
-    singular_values: np.ndarray  # centered singular values (empty for GS)
+    singular_values: np.ndarray  # centered singular values
 
     @property
     def size(self) -> int:
@@ -78,14 +77,6 @@ class RomSolution:
     residual_norm: float
 
 
-def _centered(window: SnapshotWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(window) < 2:
-        raise TooFewSnapshots("basis construction needs at least 2 snapshots")
-    phi = window.matrix()
-    mean = phi.mean(axis=1)
-    return phi, mean, phi - mean[:, None]
-
-
 def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
     """POD basis: centered SVD truncated by the energy criterion.
 
@@ -96,8 +87,11 @@ def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
     """
     if not 0.0 < eps_rb < 1.0:
         raise ValueError("eps_rb must lie in (0, 1)")
-    phi, mean, centered = _centered(window)
-    dec = numerics.svd(centered)
+    if len(window) < 2:
+        raise TooFewSnapshots("basis construction needs at least 2 snapshots")
+    phi = window.matrix()
+    mean = phi.mean(axis=1)
+    dec = numerics.svd(phi - mean[:, None])
     s = dec.singular_values
     scale = max(1.0, numerics.norm2(phi))
     if s.size == 0 or s[0] <= numerics.RANK_RTOL * scale:
@@ -111,35 +105,6 @@ def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
         basis=dec.left[:, :m].copy(),
         mean=mean,
         singular_values=s.copy(),
-    )
-
-
-def build_basis_gs(window: SnapshotWindow) -> ReducedBasis:
-    """Modified Gram-Schmidt basis of the centered snapshots (no truncation).
-
-    A column is dropped when what is left of it after orthogonalization is
-    below ``GS_DROP_RTOL`` times the largest centered column norm: measured
-    against its own norm, a small column made of rounding error would survive.
-    """
-    _, mean, centered = _centered(window)
-    scale = max(numerics.norm2(col) for col in centered.T)
-    kept: list[np.ndarray] = []
-    for col in centered.T:
-        w = col.copy()
-        for q in kept:
-            w -= (q @ w) * q
-        # second pass for numerical orthogonality
-        for q in kept:
-            w -= (q @ w) * q
-        nrm = numerics.norm2(w)
-        if nrm > GS_DROP_RTOL * scale:
-            kept.append(w / nrm)
-    n = centered.shape[0]
-    basis = np.column_stack(kept) if kept else np.zeros((n, 0))
-    return ReducedBasis(
-        basis=basis,
-        mean=mean,
-        singular_values=np.zeros(0),
     )
 
 

@@ -333,7 +333,7 @@ def assemble_heat(surrogate: ThermalFlowSurrogate, u: np.ndarray):
     return _stencil_matrix(grid, **stencil), f
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarToy:
     """One-dimensional affine map ``G(x) = rate * x + source`` via a 1x1 system."""
 

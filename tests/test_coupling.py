@@ -148,6 +148,17 @@ def test_graph_validation():
             g.k(i, j)
 
 
+@pytest.mark.parametrize("p, k, l, match", [
+    (0, np.zeros((1, 1)), np.zeros(1), "p must be >= 1"),
+    (2, np.zeros((2, 2)), np.ones(3), "k_consts must be"),
+    (2, np.zeros((3, 3)), np.ones(2), "l_consts must have length 3"),
+    (2, np.tril(np.ones((3, 3))), np.ones(3), "strictly lower triangular"),
+], ids=["p-0", "k-shape", "l-shape", "k-diagonal"])
+def test_dependence_graph_refuses_malformed_constants(p, k, l, match):
+    with pytest.raises(InvalidRange, match=match):
+        coupling.DependenceGraph(p, k, l)
+
+
 def test_condition4_golden_ratio_boundary():
     rep = coupling.sufficient_conditions(uniform_graph_linear(2, 0.6))
     c4 = rep.conditions[3]
@@ -172,7 +183,8 @@ def test_condition5_weak_picard():
 @pytest.mark.parametrize("k_entries", [
     {(1, 0): 0.3, (2, 0): 0.2, (2, 1): 0.4},
     {(1, 0): 0.2, (2, 1): 0.3, (3, 2): 0.4, (3, 1): 0.1},   # a p = 3 chain plus K[3,1]
-], ids=["p2-edge-2-0", "p3-chain-plus-3-1"])
+    {(1, 0): 0.2, (3, 2): 0.4},                             # a p = 3 chain with K[2,1] = 0
+], ids=["p2-edge-2-0", "p3-chain-plus-3-1", "p3-chain-without-2-1"])
 def test_conditions_not_applicable(k_entries):
     """Off-chain edges break the linear structure, so conditions 3-5 have no
     premise; 1 and 2 are still evaluated for a Picard solver."""

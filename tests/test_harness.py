@@ -65,6 +65,13 @@ def test_config_rejects_unknown_key(tmp_path):
         harness.load_config(tmp_path / "missing.ini")
 
 
+def test_config_file_without_an_experiment_section_is_refused(tmp_path):
+    path = tmp_path / "other.ini"
+    path.write_text("[run]\nproblem = scalar\n")
+    with pytest.raises(ConfigError, match=r"\[experiment\] section"):
+        harness.load_config(path)
+
+
 def test_config_file_with_an_unknown_criterion_is_refused_on_load(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nproblem = thermal\ncriterion = bogus\n")
@@ -300,6 +307,14 @@ def test_field_dump_roundtrip(tmp_path):
     assert np.array_equal(loaded, values)
 
 
+def test_field_dump_refuses_a_field_of_another_size(tmp_path):
+    grid = problems.Grid2D(4, 5)
+    path = tmp_path / "field.txt"
+    with pytest.raises(ConfigError, match="field size 19 != grid size 20"):
+        harness.dump_field(np.zeros(19), grid, path)
+    assert not path.exists()
+
+
 def test_cli_paths():
     assert cli.main(["paths", "--from", "3", "--to", "0"]) == 0
 
@@ -373,6 +388,19 @@ def test_cli_budget_failure_creates_no_output_directory(tmp_path, command):
     assert not out.exists()
 
 
+def test_cli_compare_criteria_writes_one_row_per_criterion_and_validation(tmp_path):
+    rc = cli.main(["compare-criteria", "--problem", "rd", "--eps", "1e-6",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "criteria_comparison.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == list(harness.COMPARE_COLUMNS)
+    assert len(rows) == len(CRITERIA) * 2 == 8
+    assert {(row["criterion"], row["validation"]) for row in rows} == {
+        (criterion, str(validation)) for criterion in CRITERIA for validation in (True, False)}
+
+
 def test_cli_error_exit_code(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.ini")])
     assert rc == 1
@@ -383,9 +411,7 @@ def test_cli_usage_errors_exit_1_not_the_budget_code(tmp_path):
     for argv in (["run", "--problem", "bogus", "--out", out],
                  ["run", "--nb", "two", "--out", out],
                  ["paths", "--from", "4", "--to", "0", "--p", "2"]):   # --p is gone
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == cli.EXIT_ERROR == 1
+        assert cli.main(argv) == cli.EXIT_ERROR == 1
     assert not (tmp_path / "d").exists()
     # --help still exits 0, and 2 still means an exhausted iteration budget
     with pytest.raises(SystemExit) as exc:

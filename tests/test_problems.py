@@ -843,3 +843,13 @@ def test_scalar_toy_problem():
     res = step(prob, np.array([1.0]), RunReport(p=1), FactorCache())
     assert res.x_next == pytest.approx([0.5])
     assert prob.fixed_constants.lipschitz == 0.5
+
+
+def test_scalar_toy_is_frozen():
+    """The toy's certified constants capture its rate when the problem is
+    built, and its assembler reads the rate at each call: a rate changed
+    afterwards would leave the certified L describing another map."""
+    toy = ScalarToy(rate=0.5)
+    make_coupled_problem(toy, exact_constants=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        toy.rate = 1.5
