@@ -22,15 +22,17 @@ from . import coupling, numerics
 from .driver import CoupledProblem
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     NonPositiveDiffusion,
     ViscosityOutOfRange,
 )
 
 GRAVITY = 9.81
 
-# Sweeps of spd_inverse_norm stop once its per-node Collatz-Wielandt ratios
-# agree to INV_NORM_RTOL, or after INV_NORM_MAX_SWEEPS; every sweep's bound is
-# certified, so the cap only costs tightness.
+# spd_inverse_norm stops once its per-node Collatz-Wielandt ratios agree to
+# INV_NORM_RTOL, on its start vector or after a sweep of inverse iteration, or
+# after INV_NORM_MAX_SWEEPS sweeps; every certificate it takes is a valid
+# bound, so the cap only costs tightness.
 INV_NORM_RTOL = 1e-9
 INV_NORM_MAX_SWEEPS = 200
 NOT_M_MATRIX = "exact constants need a symmetric nonsingular M-matrix"
@@ -398,7 +400,7 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
     )
 
 
-def spd_inverse_norm(a) -> float:
+def spd_inverse_norm(a, y=None) -> float:
     """Certified upper bound on ``||A^{-1}||_2`` by an M-matrix certificate.
 
     ``A`` must be exactly symmetric with off-diagonal entries ``<= 0``. For
@@ -406,16 +408,23 @@ def spd_inverse_norm(a) -> float:
     nonsingular M-matrix, so ``A^{-1} >= 0`` (Berman & Plemmons, *Nonnegative
     Matrices in the Mathematical Sciences*, ch. 6), and the Collatz-Wielandt
     inequality gives ``||A^{-1}||_2 = rho(A^{-1}) <= max_i y_i / (A y)_i``
-    (Varga, *Matrix Iterative Analysis*, sec. 2.1). Every sweep of inverse
-    iteration from ``y = e`` supplies such a ``y``; ``(A y)_i`` is bounded
+    (Varga, *Matrix Iterative Analysis*, sec. 2.1). ``(A y)_i`` is bounded
     below by its computed value less the componentwise rounding bound of the
-    sparse product, so the bound of every sweep is valid and falls toward the
-    true norm as ``y`` nears the Perron vector. Sweeps stop once the per-node
-    ratios agree to ``INV_NORM_RTOL``, or after ``INV_NORM_MAX_SWEEPS``.
+    sparse product, so every certificate taken is a valid bound, and it falls
+    toward the true norm as ``y`` nears the Perron vector.
 
-    Raises ConfigError when a check fails, so no certificate exists, and
-    SingularMatrix when the factorization finds ``A`` singular; it never
-    returns an uncertified number.
+    The certificate is taken first on the start ``y``, a finite, positive
+    vector of length n (default all ones). When its per-node ratios agree to
+    ``INV_NORM_RTOL``, as they do on a closed-form Perron vector, that bound
+    is returned and nothing is factored. Otherwise ``A`` is factored and
+    sweeps of inverse iteration from ``y`` supply new vectors until the
+    ratios agree, or for ``INV_NORM_MAX_SWEEPS`` sweeps.
+
+    Raises DimensionMismatch, ValueError or ConfigError for a start of the
+    wrong length, non-finite or not positive; ConfigError when a check on
+    ``A`` fails, so no certificate exists; and SingularMatrix when the
+    factorization finds ``A`` singular. It never returns an uncertified
+    number.
     """
     a = numerics.as_matrix(a)
     if not scipy.sparse.issparse(a):
@@ -428,7 +437,15 @@ def spd_inverse_norm(a) -> float:
             and np.array_equal(a.data, t.data)
             and np.all(a.data[a.indices != cols] <= 0.0)):
         raise ConfigError(NOT_M_MATRIX)
-    factors = numerics.lu_factorize(a)
+    if y is None:
+        y = np.ones(a.shape[0])
+    else:
+        y = numerics.as_vector(y)
+        if y.shape != (a.shape[0],):
+            raise DimensionMismatch(
+                f"start vector has {y.size} entries, matrix has {a.shape[0]} rows")
+        if not np.all(y > 0.0):
+            raise ConfigError("start vector must be positive")
     abs_a = abs(a)
     # |fl(A y) - A y| <= gamma_k |A| y for rows of at most k entries, with
     # gamma_j = j u / (1 - j u); gamma_{k+2} also covers the roundings of
@@ -436,11 +453,15 @@ def spd_inverse_norm(a) -> float:
     u = np.finfo(float).eps / 2
     terms = int(np.diff(a.indptr).max()) + 2
     gamma = terms * u / (1.0 - terms * u)
-    y = np.ones(a.shape[0])
-    for _ in range(INV_NORM_MAX_SWEEPS):
-        y = numerics.lu_apply(factors, y / y.max())
+    for sweep in range(INV_NORM_MAX_SWEEPS + 1):
+        if sweep:
+            if sweep == 1:
+                factors = numerics.lu_factorize(a)
+            y = numerics.lu_apply(factors, y / y.max())
         lo = a @ y - gamma * (abs_a @ y)
         if not (np.all(y > 0.0) and np.all(lo > 0.0)):
+            if not sweep:   # the start gives no certificate; sweep from it
+                continue
             raise ConfigError(NOT_M_MATRIX)
         ratios = y / lo
         bound = float(ratios.max())
@@ -450,18 +471,29 @@ def spd_inverse_norm(a) -> float:
     return bound * (1.0 + 4.0 * u)
 
 
+def _rd_perron_vector(pair: ReactionDiffusionPair) -> np.ndarray:
+    """Perron vector of the pair's operators, in closed form and natural
+    order: ``y[j, i] = sin(pi (i+1) h) sin(pi (j+1) h)`` with ``h = 1/(n+1)``,
+    the discrete sine mode of the Dirichlet Laplacian on the unit square."""
+    s = np.sin(math.pi * pair.grid.xcoords())
+    return np.outer(s, s).ravel()
+
+
 def _rd_exact_constants(pair: ReactionDiffusionPair, a1, a2) -> coupling.Constants:
     """Certified constants of the pair's problem: its graph's K and L, the
     inverse norms and the Lipschitz bound.
 
     Each ``||A_i^{-1}||`` is the certified upper bound of
-    :func:`spd_inverse_norm` (an M-matrix certificate), computed once when
-    ``a2`` is ``a1``. The reactions are linear, so each K is the coupling's
+    :func:`spd_inverse_norm` (an M-matrix certificate), taken on the pair's
+    closed-form Perron vector (:func:`_rd_perron_vector`; ``d`` only scales
+    the operator), so nothing is factored, and computed once when ``a2`` is
+    ``a1``. The reactions are linear, so each K is the coupling's
     absolute slope times that bound, and the Lipschitz bound is the
     contraction bound of this graph, an upper bound on the true constant of G.
     """
-    m1 = spd_inverse_norm(a1)
-    m2 = m1 if a2 is a1 else spd_inverse_norm(a2)
+    y = _rd_perron_vector(pair)
+    m1 = spd_inverse_norm(a1, y)
+    m2 = m1 if a2 is a1 else spd_inverse_norm(a2, y)
     graph = coupling.make_graph(
         2, k_entries={(1, 0): abs(pair.s12) * m1, (2, 1): abs(pair.s21) * m2})
     return coupling.Constants((m1, m2), graph, coupling.contraction_bound(graph))

@@ -21,6 +21,7 @@ from picardrom.driver import (
 )
 from picardrom.errors import (
     ConfigError,
+    DimensionMismatch,
     NonPositiveDiffusion,
     SingularMatrix,
     ViscosityOutOfRange,
@@ -715,17 +716,25 @@ def test_exact_constants_hold_on_random_contractive_pairs(n, log_d, s):
         assert lockstep_verify(prob, cfg) <= cfg.eps
 
 
-def spied(monkeypatch, name):
-    """Arguments of each call of ``problems.<name>``, which still runs."""
+def spied(monkeypatch, name, module=problems):
+    """Arguments of each call of ``<module>.<name>``, which still runs."""
     calls = []
-    original = getattr(problems, name)
+    original = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(problems, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def sine_start(grid):
+    """The discrete sine mode of the grid's Dirichlet Laplacian, in natural
+    order: the Perron vector of a constant-coefficient operator."""
+    sx = np.sin(np.pi * np.arange(1, grid.nx + 1) / (grid.nx + 1))
+    sy = np.sin(np.pi * np.arange(1, grid.ny + 1) / (grid.ny + 1))
+    return np.outer(sy, sx).ravel()
 
 
 def test_rd_pair_with_equal_fields_builds_and_certifies_one_operator(monkeypatch):
@@ -739,8 +748,12 @@ def test_rd_pair_with_equal_fields_builds_and_certifies_one_operator(monkeypatch
     a1, _ = prob.assemblers[0](x, [])
     a2, _ = prob.assemblers[1](x, [np.zeros(pair.grid.n)])
     assert a2 is a1
-    # the shared bound is the one system 2's own operator gets
-    expected = problems.spd_inverse_norm(diffusion_operator(pair.grid, pair.d2, DIRICHLET0)[0])
+    # certified on the pair's Perron vector; the shared bound is the one
+    # system 2's own operator gets on it
+    [(_, start)] = certified
+    np.testing.assert_allclose(start, sine_start(pair.grid), rtol=1e-14)
+    a2_own, _ = diffusion_operator(pair.grid, pair.d2, DIRICHLET0)
+    expected = problems.spd_inverse_norm(a2_own, start)
     assert prob.fixed_constants.inv_norms == (expected, expected)
     report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
     assert report.converged and report.factorizations == [1, 0]
@@ -754,12 +767,35 @@ def test_rd_pair_with_different_fields_builds_and_certifies_two(monkeypatch):
     assert [d for _, d, _ in built] == [0.02, 0.03]
     assert len(certified) == 2
     monkeypatch.undo()
+    # both are certified on the pair's Perron vector: d only scales the operator
+    start = certified[0][1]
+    assert certified[1][1] is start
+    np.testing.assert_allclose(start, sine_start(pair.grid), rtol=1e-14)
     m1, m2 = prob.fixed_constants.inv_norms
     for d, m in ((pair.d1, m1), (pair.d2, m2)):
-        assert m == problems.spd_inverse_norm(diffusion_operator(pair.grid, d, DIRICHLET0)[0])
+        a, _ = diffusion_operator(pair.grid, d, DIRICHLET0)
+        assert m == problems.spd_inverse_norm(a, start)
     assert m2 < m1      # the larger diffusion has the smaller inverse
     report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
     assert report.converged and report.factorizations == [1, 1]
+
+
+def test_rd_exact_constants_factor_nothing(monkeypatch):
+    factored = spied(monkeypatch, "lu_factorize", module=numerics)
+    prob = make_coupled_problem(ReactionDiffusionPair(n=32), exact_constants=True)
+    assert prob.fixed_constants is not None and factored == []
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(3, 16), log_d=st.tuples(st.floats(-3.0, 0.0), st.floats(-3.0, 0.0)))
+def test_rd_inverse_norms_are_certified_and_tight_on_the_perron_vector(n, log_d):
+    pair = ReactionDiffusionPair(n=n, d1=math.exp(log_d[0]), d2=math.exp(log_d[1]))
+    prob = make_coupled_problem(pair, exact_constants=True)
+    for d, m in zip((pair.d1, pair.d2), prob.fixed_constants.inv_norms):
+        a, _ = diffusion_operator(pair.grid, d, DIRICHLET0)
+        truth = 1.0 / np.linalg.eigvalsh(a.toarray())[0]
+        # the dense reference carries rounding of its own
+        assert truth * (1 - 1e-12) <= m <= truth * (1 + 1e-9)
 
 
 def test_inverse_norm_bound_is_tight_on_the_default_rd_operator():
@@ -786,9 +822,12 @@ def m_matrix_operators(draw):
 
 
 @settings(deadline=None, max_examples=100)
-@given(m_matrix_operators())
-def test_inverse_norm_bound_is_certified(a):
-    bound = problems.spd_inverse_norm(a)
+@given(m_matrix_operators(), st.data())
+def test_inverse_norm_bound_is_certified(a, data):
+    # the default start, or a random positive one
+    start = data.draw(st.none() | st.lists(st.floats(1e-3, 1.0), min_size=a.shape[0],
+                                           max_size=a.shape[0]))
+    bound = problems.spd_inverse_norm(a, start)
     dense = a.toarray()
     true_inv = 1.0 / np.linalg.svd(dense, compute_uv=False)[-1]
     # the dense reference carries rounding of its own
@@ -811,15 +850,28 @@ def _no_certificate_cases():
     singular, _ = diffusion_operator(grid, 1.0, neumann)
     lam_min = np.linalg.eigvalsh(a.toarray())[0]
     indefinite = a - 2.0 * lam_min * scipy.sparse.eye_array(grid.n, format="csc")
-    return {"nonsymmetric-heat": heat, "positive-offdiagonal": positive.tocsc(),
-            "singular-neumann": singular, "indefinite": indefinite}
+    return {"nonsymmetric-heat": (heat, surrogate.grid),
+            "positive-offdiagonal": (positive.tocsc(), grid),
+            "singular-neumann": (singular, grid), "indefinite": (indefinite, grid)}
 
 
+@pytest.mark.parametrize("start", ["default", "sine"])
 @pytest.mark.parametrize("case", list(_no_certificate_cases()))
-def test_inverse_norm_bound_refuses_matrices_without_a_certificate(case):
-    a = _no_certificate_cases()[case]
+def test_inverse_norm_bound_refuses_matrices_without_a_certificate(case, start):
+    a, grid = _no_certificate_cases()[case]
     with pytest.raises((ConfigError, SingularMatrix)):
-        problems.spd_inverse_norm(a)
+        problems.spd_inverse_norm(a, sine_start(grid) if start == "sine" else None)
+
+
+@pytest.mark.parametrize("start, error", [
+    (np.ones(19), DimensionMismatch),
+    (np.r_[np.ones(19), 0.0], ConfigError),
+    (np.r_[np.ones(19), np.nan], ValueError),
+], ids=["short", "zero", "nan"])
+def test_inverse_norm_bound_refuses_a_start_that_is_not_positive_of_length_n(start, error):
+    a, _ = diffusion_operator(Grid2D(5, 4), 1.0, DIRICHLET0)
+    with pytest.raises(error, match="vector"):
+        problems.spd_inverse_norm(a, start)
 
 
 def test_thermal_coupled_fixed_point_contracts():
