@@ -165,7 +165,7 @@ def _cmd_bench(cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_paths(args) -> int:
-    graph = coupling.make_graph(max(args.j, 1))
+    graph = coupling.DependenceGraph(max(args.j, 1))
     paths = coupling.enumerate_paths(graph, args.i, args.j)
     print(f"|d_{{{args.i},{args.j}}}| = {len(paths)}")
     for path in paths:

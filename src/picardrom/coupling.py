@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,62 +28,54 @@ LEDGER_WINDOW = 10   # iterations a ledger estimate is maximised over
 class DependenceGraph:
     """Lipschitz constants of the solution maps and of the combiner.
 
-    ``k_consts`` is (p+1) x (p+1); entry [i, j] is meaningful for
-    1 <= i <= p, 0 <= j < i (j = 0 is the dependence on the outer iterate).
-    ``l_consts`` holds L_0 .. L_p for the combiner arguments.
+    ``DependenceGraph(p, k_entries, l_consts)``. ``k_entries`` maps each edge
+    ``(i, j)``, 1 <= i <= p and 0 <= j < i (j = 0 is the dependence on the
+    outer iterate), to K[i, j]; it is kept as a read-only map of the nonzero
+    edges, so a missing edge is K = 0 and equal graphs compare equal.
+    ``l_consts`` holds L_0 .. L_p for the combiner arguments, by default the
+    Picard solver's (0, 1, ..., 1). Every constant must be nonnegative.
     """
 
     p: int
-    k_consts: np.ndarray
-    l_consts: np.ndarray
+    k_entries: Mapping[tuple[int, int], float] | None = None
+    l_consts: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.p < 1:
             raise InvalidRange("p must be >= 1")
-        k = np.asarray(self.k_consts, dtype=float)
-        l = np.asarray(self.l_consts, dtype=float)
-        if k.shape != (self.p + 1, self.p + 1):
-            raise InvalidRange(f"k_consts must be {(self.p + 1, self.p + 1)}")
-        if l.shape != (self.p + 1,):
+        k = {}
+        for (i, j), val in (self.k_entries or {}).items():
+            _check_k_index(self.p, i, j)
+            val = _nonnegative(val)
+            if val:
+                k[i, j] = val
+        l = ((0.0,) + (1.0,) * self.p if self.l_consts is None   # Picard solver default
+             else tuple(map(_nonnegative, self.l_consts)))
+        if len(l) != self.p + 1:
             raise InvalidRange(f"l_consts must have length {self.p + 1}")
-        if np.any(k < 0) or np.any(l < 0):
-            raise InvalidRange("Lipschitz constants must be nonnegative")
-        if np.any(np.triu(k) != 0):
-            raise InvalidRange("k_consts must be strictly lower triangular")
-        object.__setattr__(self, "k_consts", k)
+        object.__setattr__(self, "k_entries", MappingProxyType(k))
         object.__setattr__(self, "l_consts", l)
 
     def k(self, i: int, j: int) -> float:
         _check_k_index(self.p, i, j)
-        return float(self.k_consts[i, j])
+        return self.k_entries.get((i, j), 0.0)
 
     def with_k(self, updates: dict[tuple[int, int], float]) -> "DependenceGraph":
-        k = self.k_consts.copy()
-        for (i, j), val in updates.items():
-            _check_k_index(self.p, i, j)
-            k[i, j] = val
-        return DependenceGraph(self.p, k, self.l_consts.copy())
+        return DependenceGraph(self.p, {**self.k_entries, **updates}, self.l_consts)
 
 
 def _check_k_index(p: int, i: int, j: int) -> None:
-    """Raise InvalidRange unless K[i, j] is an edge of a graph of order ``p``."""
-    if not (1 <= i <= p and 0 <= j < i):
+    """Raise InvalidRange unless integers i, j name an edge K[i, j] of a graph of order p."""
+    if not (i in range(1, p + 1) and j in range(p) and j < i):
         raise InvalidRange(f"K[{i},{j}] undefined for p={p}")
 
 
-def make_graph(p: int, k_entries: dict[tuple[int, int], float] | None = None,
-               l_consts=None) -> DependenceGraph:
-    """Convenience constructor from sparse K entries and an L vector."""
-    k = np.zeros((p + 1, p + 1))
-    for (i, j), val in (k_entries or {}).items():
-        _check_k_index(p, i, j)
-        k[i, j] = val
-    if l_consts is None:
-        l = np.ones(p + 1)
-        l[0] = 0.0  # Picard solver default
-    else:
-        l = np.asarray(l_consts, dtype=float)
-    return DependenceGraph(p=p, k_consts=k, l_consts=l)
+def _nonnegative(val) -> float:
+    """``val`` as a float; InvalidRange when it is negative or NaN."""
+    val = float(val)
+    if not val >= 0.0:
+        raise InvalidRange(f"constants must be nonnegative, got {val}")
+    return val
 
 
 def enumerate_paths(graph: DependenceGraph, i: int, j: int) -> list[tuple[int, ...]]:
@@ -114,12 +108,13 @@ def amplification_factor(graph: DependenceGraph, i: int) -> float:
     at ``i = 0``, the contraction bound."""
     if not 0 <= i <= graph.p:
         raise InvalidRange(f"system index {i} outside 0..{graph.p}")
-    total = float(graph.l_consts[i])
+    k, l_consts = graph.k_entries, graph.l_consts
+    total = l_consts[i]
     s = {i: 1.0}   # s[m]: weighted sum of the decreasing paths from m down to i
     for m in range(i + 1, graph.p + 1):
-        s[m] = sum(graph.k(m, l) * s[l] for l in range(i, m) if graph.k_consts[m, l] != 0.0)
-        if graph.l_consts[m] != 0.0:
-            total += float(graph.l_consts[m]) * s[m]
+        s[m] = sum(k[m, l] * s[l] for l in range(i, m) if (m, l) in k)
+        if l_consts[m] != 0.0:
+            total += l_consts[m] * s[m]
     return total
 
 
@@ -147,17 +142,6 @@ class SufficientConditionsReport:
     conditions: tuple[ConditionStatus, ...]  # conditions 1..5
 
 
-def _is_linearly_structured(graph: DependenceGraph) -> bool:
-    for i in range(1, graph.p + 1):
-        for j in range(i):
-            val = graph.k_consts[i, j]
-            if j == i - 1 and val <= 0.0:
-                return False
-            if j != i - 1 and val != 0.0:
-                return False
-    return True
-
-
 def sufficient_conditions(graph: DependenceGraph) -> SufficientConditionsReport:
     """Evaluate the five sufficient contraction conditions.
 
@@ -166,14 +150,13 @@ def sufficient_conditions(graph: DependenceGraph) -> SufficientConditionsReport:
     """
     p = graph.p
     tol = 1e-12
-    l = graph.l_consts
-    mask = np.tril(np.ones((p + 1, p + 1), dtype=bool), k=-1)
-    mask[0, :] = False
-    kappa = float(graph.k_consts[mask].max()) if mask.any() else 0.0
-    lam = float(l.max())
+    k, l = graph.k_entries, graph.l_consts
+    kappa = max(k.values(), default=0.0)
+    lam = max(l)
     picard = abs(l[0]) <= tol and all(abs(l[i] - 1.0) <= tol for i in range(1, p + 1))
     weak_picard = abs(l[p] - 1.0) <= tol and all(abs(l[i]) <= tol for i in range(p))
-    linear = _is_linearly_structured(graph)
+    # every K[i, i-1] > 0 and no other edge (every stored edge is positive)
+    linear = len(k) == p and all((i, i - 1) in k for i in range(1, p + 1))
 
     cond1 = ConditionStatus(True, lam * (kappa + 1.0) ** p < 1.0)
     cond2 = ConditionStatus(picard, kappa < 2.0 ** (1.0 / p) - 1.0 if picard else None)
@@ -211,11 +194,20 @@ class Constants:
     is L, the Lipschitz constant of the combined map. The error bounds are
     rigorous only when each value bounds its true constant from above, as the
     certificate of :func:`picardrom.problems.spd_inverse_norm` does for M.
+    There must be one inverse norm per system of ``graph``, and every value
+    must be nonnegative (not NaN); ``inv_norms`` is kept as a tuple of floats.
     """
 
     inv_norms: tuple[float, ...]
     graph: DependenceGraph
     lipschitz: float
+
+    def __post_init__(self):
+        inv_norms = tuple(map(_nonnegative, self.inv_norms))
+        if len(inv_norms) != self.graph.p:
+            raise InvalidRange(f"{len(inv_norms)} inverse norms for {self.graph.p} systems")
+        _nonnegative(self.lipschitz)
+        object.__setattr__(self, "inv_norms", inv_norms)
 
     @property
     def m(self) -> float:
@@ -230,7 +222,7 @@ class Constants:
         """K_{1,2}, the dependence of the next y_1 on y_2: ``K[1,0] * L_2``,
         since y_2 reaches the next y_1 only through the combiner's output x;
         0 for p = 1."""
-        return self.graph.k(1, 0) * float(self.graph.l_consts[2]) if self.graph.p >= 2 else 0.0
+        return self.graph.k(1, 0) * self.graph.l_consts[2] if self.graph.p >= 2 else 0.0
 
 
 class ConstantsLedger:

@@ -95,6 +95,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.eps > 0.0:   # NaN too: no step norm is ever below it
             raise ConfigError("eps must be positive")
+        for name in ("k_max", "n_b"):
+            value = getattr(self, name)
+            if not hasattr(type(value), "__index__"):   # the types operator.index takes
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k_max < 1:
             raise ConfigError("k_max must be >= 1")
         if self.n_b < 2:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import numerics, problems
 from .driver import CRITERIA, CoupledProblem, RunConfig, RunReport, accelerated_run, check_run
@@ -218,6 +217,7 @@ def _mean_ci(samples, level: float = 0.95) -> tuple[float, float]:
     sd = statistics.stdev(samples)
     if sd == 0.0:
         return (mean, mean)
+    import scipy.stats   # here, not at module level: it adds about 40 MB to every process
     half = scipy.stats.t.ppf(0.5 + level / 2.0, n - 1) * sd / math.sqrt(n)
     return (mean - half, mean + half)
 
@@ -227,6 +227,7 @@ def _median_ci(samples, level: float = 0.95) -> tuple[float, float]:
     srt = sorted(samples)
     n = len(srt)
     alpha = 1.0 - level
+    import scipy.stats   # see _mean_ci
     lo_rank = int(scipy.stats.binom.ppf(alpha / 2.0, n, 0.5))        # 0-based floor
     hi_rank = int(scipy.stats.binom.ppf(1.0 - alpha / 2.0, n, 0.5))  # 0-based ceil
     lo = srt[max(0, lo_rank)]

@@ -395,7 +395,7 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
         constants = _rd_exact_constants(pair, operator(pair.d1)[0], operator(pair.d2)[0])
     return CoupledProblem(
         assemblers=(assemble_1, assemble_2), combiner=_stack,
-        graph=constants.graph if exact_constants else coupling.make_graph(2),
+        graph=constants.graph if exact_constants else coupling.DependenceGraph(2),
         x0=np.zeros(2 * n), fixed_constants=constants,
     )
 
@@ -494,7 +494,7 @@ def _rd_exact_constants(pair: ReactionDiffusionPair, a1, a2) -> coupling.Constan
     y = _rd_perron_vector(pair)
     m1 = spd_inverse_norm(a1, y)
     m2 = m1 if a2 is a1 else spd_inverse_norm(a2, y)
-    graph = coupling.make_graph(
+    graph = coupling.DependenceGraph(
         2, k_entries={(1, 0): abs(pair.s12) * m1, (2, 1): abs(pair.s21) * m2})
     return coupling.Constants((m1, m2), graph, coupling.contraction_bound(graph))
 
@@ -510,7 +510,7 @@ def _make_thermal_problem(surrogate: ThermalFlowSurrogate) -> CoupledProblem:
 
     return CoupledProblem(
         assemblers=(assemble_1, assemble_2), combiner=_stack,
-        graph=coupling.make_graph(2), x0=np.zeros(2 * n),
+        graph=coupling.DependenceGraph(2), x0=np.zeros(2 * n),
     )
 
 
@@ -524,7 +524,7 @@ def _make_scalar_problem(toy: ScalarToy, exact: bool) -> CoupledProblem:
         return ys[0].copy()
 
     rate = abs(toy.rate)
-    graph = coupling.make_graph(1, k_entries={(1, 0): rate})
+    graph = coupling.DependenceGraph(1, k_entries={(1, 0): rate})
     return CoupledProblem(
         assemblers=(assemble_1,), combiner=combiner, graph=graph, x0=np.array([toy.x0]),
         fixed_constants=coupling.Constants((1.0,), graph, rate) if exact else None,

@@ -73,7 +73,7 @@ def test_acceptance_03_fom_call_reduction():
 def test_acceptance_04_path_combinatorics():
     """Path counts are 2^(j-i-1); uniform-kappa sums match (k+1)^p - 1."""
     t0 = time.perf_counter()
-    g12 = coupling.make_graph(12)
+    g12 = coupling.DependenceGraph(12)
     count_ok = all(
         len(coupling.enumerate_paths(g12, i, j)) == 2 ** (j - i - 1)
         for i in range(13) for j in range(i + 1, 13))
@@ -81,7 +81,7 @@ def test_acceptance_04_path_combinatorics():
     worst = 0.0
     for p in range(1, 11):
         for kappa in (0.1, 0.5, 0.9):
-            g = coupling.make_graph(
+            g = coupling.DependenceGraph(
                 p, {(i, j): kappa for i in range(1, p + 1) for j in range(i)})
             total = sum(
                 sum(math.prod(g.k(a, b) for a, b in zip(s, s[1:]))
@@ -135,7 +135,7 @@ def _random_linear_problem(rng):
             k_entries[(i, j)] = inv_norms[i - 1] * np.linalg.svd(
                 src, compute_uv=False)[0]
     l_consts = [0.0] + [np.linalg.svd(d_mat, compute_uv=False)[0] for d_mat in combl]
-    graph = coupling.make_graph(p, k_entries, l_consts)
+    graph = coupling.DependenceGraph(p, k_entries, l_consts)
     problem = CoupledProblem(
         assemblers=tuple(make_assembler(i) for i in range(p)),
         combiner=combiner, graph=graph, x0=np.zeros(nx),
@@ -295,7 +295,7 @@ def test_acceptance_08_criteria_comparison():
 def test_acceptance_09_sufficient_conditions():
     """Condition 4 golden-ratio boundary and condition 2 threshold flips."""
     def linear_picard(p, kappa):
-        return coupling.make_graph(p, {(i, i - 1): kappa for i in range(1, p + 1)})
+        return coupling.DependenceGraph(p, {(i, i - 1): kappa for i in range(1, p + 1)})
 
     c4_lo = coupling.sufficient_conditions(linear_picard(2, 0.61)).conditions[3]
     c4_hi = coupling.sufficient_conditions(linear_picard(2, 0.63)).conditions[3]

@@ -20,18 +20,18 @@ def path_weight(graph, path):
 def uniform_graph(p, kappa, lam=None):
     k = {(i, j): kappa for i in range(1, p + 1) for j in range(i)}
     l = None if lam is None else [lam] * (p + 1)
-    return coupling.make_graph(p, k, l)
+    return coupling.DependenceGraph(p, k, l)
 
 
 def test_enumerate_paths_basics():
-    g = coupling.make_graph(4)
+    g = coupling.DependenceGraph(4)
     assert coupling.enumerate_paths(g, 0, 1) == [(1, 0)]
     assert sorted(coupling.enumerate_paths(g, 0, 2)) == [(2, 0), (2, 1, 0)]
     assert len(coupling.enumerate_paths(g, 0, 4)) == 8
 
 
 def test_enumerate_paths_unique_and_decreasing():
-    g = coupling.make_graph(6)
+    g = coupling.DependenceGraph(6)
     paths = coupling.enumerate_paths(g, 1, 6)
     assert len(set(paths)) == len(paths)
     for p in paths:
@@ -40,7 +40,7 @@ def test_enumerate_paths_unique_and_decreasing():
 
 
 def test_path_weight():
-    g = coupling.make_graph(2, {(2, 1): 0.4, (1, 0): 0.3})
+    g = coupling.DependenceGraph(2, {(2, 1): 0.4, (1, 0): 0.3})
     assert path_weight(g, (2, 1, 0)) == pytest.approx(0.12, abs=1e-15)
     assert path_weight(g, (1, 0)) == 0.3
     assert path_weight(g, (1,)) == 1.0
@@ -51,20 +51,20 @@ def test_path_weight():
         k = {(i, j): rng.uniform(0.0, 1.0) * (rng.random() < 0.7)
              for i in range(1, p + 1) for j in range(i)}
         for j in range(1, p + 1):
-            g = coupling.make_graph(p, k, l_consts=np.eye(p + 1)[j])
+            g = coupling.DependenceGraph(p, k, l_consts=np.eye(p + 1)[j])
             for i in range(j):
                 direct = sum(path_weight(g, s) for s in coupling.enumerate_paths(g, i, j))
                 assert coupling.amplification_factor(g, i) == pytest.approx(direct, rel=1e-14)
 
 
 def test_contraction_bound_example():
-    g = coupling.make_graph(2, {(1, 0): 0.3, (2, 0): 0.2, (2, 1): 0.4},
-                            l_consts=[0.0, 1.0, 1.0])
+    g = coupling.DependenceGraph(2, {(1, 0): 0.3, (2, 0): 0.2, (2, 1): 0.4},
+                                 l_consts=[0.0, 1.0, 1.0])
     assert coupling.contraction_bound(g) == pytest.approx(0.62, abs=1e-15)
 
 
 def test_contraction_bound_zero_constants():
-    g = coupling.make_graph(3, l_consts=[0.7, 1.0, 1.0, 1.0])
+    g = coupling.DependenceGraph(3, l_consts=[0.7, 1.0, 1.0, 1.0])
     assert coupling.contraction_bound(g) == 0.7
 
 
@@ -86,7 +86,7 @@ def test_contraction_bound_uniform_identity():
 def test_linear_structure_single_path():
     p = 5
     k = {(i, i - 1): 0.5 + 0.1 * i for i in range(1, p + 1)}
-    g = coupling.make_graph(p, k)
+    g = coupling.DependenceGraph(p, k)
     for j in range(1, p + 1):
         weights = [path_weight(g, s) for s in coupling.enumerate_paths(g, 0, j)]
         expected = np.prod([k[(m, m - 1)] for m in range(1, j + 1)])
@@ -94,9 +94,9 @@ def test_linear_structure_single_path():
 
 
 def test_amplification_factor_special_cases():
-    g1 = coupling.make_graph(1, l_consts=[0.0, 0.7])
+    g1 = coupling.DependenceGraph(1, l_consts=[0.0, 0.7])
     assert coupling.amplification_factor(g1, 1) == 0.7
-    g2 = coupling.make_graph(2, {(2, 1): 0.4}, l_consts=[0.0, 1.0, 1.0])
+    g2 = coupling.DependenceGraph(2, {(2, 1): 0.4}, l_consts=[0.0, 1.0, 1.0])
     assert coupling.amplification_factor(g2, 1) == pytest.approx(1.4, abs=1e-15)
     assert coupling.amplification_factor(g2, 2) == 1.0
     # last system never amplifies downstream
@@ -106,7 +106,7 @@ def test_amplification_factor_special_cases():
 
 
 def test_delta_single_and_multi():
-    g = coupling.make_graph(2, {(2, 1): 0.4}, l_consts=[0.0, 1.0, 1.0])
+    g = coupling.DependenceGraph(2, {(2, 1): 0.4}, l_consts=[0.0, 1.0, 1.0])
     assert coupling.delta_single(g, 1, 2.0, 0.1) == pytest.approx(0.28, abs=1e-15)
     assert coupling.delta_single(g, 1, 2.0, 0.0) == 0.0
     # the run sums one term per reduced system, in topological order
@@ -130,18 +130,19 @@ def test_delta_single_and_multi():
 
 def test_graph_validation():
     with pytest.raises(InvalidRange):
-        coupling.make_graph(2, {(1, 2): 0.3})  # upper-triangular entry
+        coupling.DependenceGraph(2, {(1, 2): 0.3})  # upper-triangular entry
     with pytest.raises(InvalidRange):
-        coupling.DependenceGraph(2, -np.tril(np.ones((3, 3)), -1), np.ones(3))
-    g = coupling.make_graph(2)
+        coupling.DependenceGraph(2, {(2, 1): -0.5})  # negative edge
+    g = coupling.DependenceGraph(2)
     with pytest.raises(InvalidRange):
         g.k(1, 1)
     with pytest.raises(InvalidRange):
         coupling.enumerate_paths(g, 1, 1)
-    # a negative index must not wrap around to another entry
-    for i, j in ((-1, 0), (2, -1), (3, 0), (2, 3)):
+    # a negative index must not wrap around to another entry, nor a
+    # fractional one name an edge
+    for i, j in ((-1, 0), (2, -1), (3, 0), (2, 3), (1.5, 0), (2, 0.5)):
         with pytest.raises(InvalidRange):
-            coupling.make_graph(2, {(i, j): 0.5})
+            coupling.DependenceGraph(2, {(i, j): 0.5})
         with pytest.raises(InvalidRange):
             g.with_k({(i, j): 0.5})
         with pytest.raises(InvalidRange):
@@ -149,14 +150,29 @@ def test_graph_validation():
 
 
 @pytest.mark.parametrize("p, k, l, match", [
-    (0, np.zeros((1, 1)), np.zeros(1), "p must be >= 1"),
-    (2, np.zeros((2, 2)), np.ones(3), "k_consts must be"),
-    (2, np.zeros((3, 3)), np.ones(2), "l_consts must have length 3"),
-    (2, np.tril(np.ones((3, 3))), np.ones(3), "strictly lower triangular"),
-], ids=["p-0", "k-shape", "l-shape", "k-diagonal"])
+    (0, {}, [0.0], "p must be >= 1"),
+    (2, {(2, 1): -0.5}, None, "nonnegative"),
+    (2, {}, [0.0, 1.0], "l_consts must have length 3"),
+    (2, {(1, 1): 0.5}, None, r"K\[1,1\] undefined"),
+    (2, {(2, 1): np.nan, (1, 0): 0.1}, None, "nonnegative, got nan"),
+    (2, {}, [0.0, np.nan, 1.0], "nonnegative, got nan"),
+], ids=["p-0", "k-negative", "l-length", "k-diagonal", "k-nan", "l-nan"])
 def test_dependence_graph_refuses_malformed_constants(p, k, l, match):
     with pytest.raises(InvalidRange, match=match):
         coupling.DependenceGraph(p, k, l)
+
+
+def test_dependence_graph_is_a_read_only_value():
+    """Zero edges are dropped, so graphs with the same constants compare
+    equal, and the stored edges cannot be changed in place."""
+    g = coupling.DependenceGraph(2, {(2, 1): 0.4, (1, 0): 0.0})
+    assert g == coupling.DependenceGraph(2, {(2, 1): 0.4}, l_consts=[0.0, 1.0, 1.0])
+    assert g != coupling.DependenceGraph(2, {(2, 1): 0.5})
+    assert coupling.DependenceGraph(2) == coupling.DependenceGraph(2)
+    assert dict(g.k_entries) == {(2, 1): 0.4} and g.l_consts == (0.0, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        g.k_entries[2, 1] = -5.0
+    assert g.k(2, 1) == 0.4
 
 
 def test_condition4_golden_ratio_boundary():
@@ -168,12 +184,12 @@ def test_condition4_golden_ratio_boundary():
 
 
 def uniform_graph_linear(p, kappa):
-    return coupling.make_graph(p, {(i, i - 1): kappa for i in range(1, p + 1)})
+    return coupling.DependenceGraph(p, {(i, i - 1): kappa for i in range(1, p + 1)})
 
 
 def test_condition5_weak_picard():
-    g = coupling.make_graph(2, {(1, 0): 1.5, (2, 1): 0.6},
-                            l_consts=[0.0, 0.0, 1.0])
+    g = coupling.DependenceGraph(2, {(1, 0): 1.5, (2, 1): 0.6},
+                                 l_consts=[0.0, 0.0, 1.0])
     rep = coupling.sufficient_conditions(g)
     c5 = rep.conditions[4]
     assert c5.applicable and c5.satisfied  # product 0.9 < 1
@@ -188,7 +204,7 @@ def test_condition5_weak_picard():
 def test_conditions_not_applicable(k_entries):
     """Off-chain edges break the linear structure, so conditions 3-5 have no
     premise; 1 and 2 are still evaluated for a Picard solver."""
-    g = coupling.make_graph(max(i for i, _ in k_entries), k_entries)
+    g = coupling.DependenceGraph(max(i for i, _ in k_entries), k_entries)
     rep = coupling.sufficient_conditions(g)
     assert not rep.linearly_structured and rep.picard_solver
     assert rep.conditions[2:] == (coupling.ConditionStatus(False, None),) * 3
@@ -196,7 +212,7 @@ def test_conditions_not_applicable(k_entries):
 
 
 def test_ledger_geometric_sequence():
-    ledger = coupling.ConstantsLedger(coupling.make_graph(2))
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(2))
     y = np.ones(3)
     for k in range(12):
         x = (0.9 ** k) * np.ones(3)
@@ -205,7 +221,7 @@ def test_ledger_geometric_sequence():
 
 
 def test_ledger_k21_ratio():
-    ledger = coupling.ConstantsLedger(coupling.make_graph(2), {1})
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(2), {1})
     rng = np.random.default_rng(0)
     for k in range(10):
         y1 = (0.5 ** k) * np.ones(4) + k
@@ -215,14 +231,14 @@ def test_ledger_k21_ratio():
 
 
 def test_ledger_m_estimate():
-    ledger = coupling.ConstantsLedger(coupling.make_graph(1))
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(1))
     y = np.array([3.0, 4.0])
     ledger.observe(y, [y], [2.0])
     assert ledger.constants().m == pytest.approx(2.5, abs=1e-14)
 
 
 def test_ledger_skips_tiny_denominators():
-    ledger = coupling.ConstantsLedger(coupling.make_graph(2))
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(2))
     y = np.ones(2)
     for _ in range(5):
         ledger.observe(y, [y, y], [0.0, 0.0])  # zero rhs norms -> no M update
@@ -289,7 +305,7 @@ def ledger_histories(draw):
 @given(ledger_histories())
 def test_ledger_equals_its_estimates_recomputed_from_the_full_history(case):
     p, rom_set, history = case
-    ledger = coupling.ConstantsLedger(coupling.make_graph(p), rom_set)
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(p), rom_set)
     for t in range(len(history)):
         constants = ledger.observe(*history[t]).constants()
         expected = reference_ledger_estimates(history[:t + 1])
@@ -301,9 +317,7 @@ def test_ledger_equals_its_estimates_recomputed_from_the_full_history(case):
         assert constants.k12 == k12
         assert constants.k21 == k21
         entries = {(2, 1): k21, (1, 0): k12} if p >= 2 else {}
-        assert np.array_equal(constants.graph.k_consts,
-                              coupling.make_graph(p, entries).k_consts)
-        assert np.array_equal(constants.graph.l_consts, coupling.make_graph(p).l_consts)
+        assert constants.graph == coupling.DependenceGraph(p, entries)
 
 
 def test_ledger_refuses_a_reduced_system_whose_coupling_it_cannot_estimate():
@@ -314,16 +328,16 @@ def test_ledger_refuses_a_reduced_system_whose_coupling_it_cannot_estimate():
         return np.eye(1), np.ones(1)
 
     problem = driver.CoupledProblem((assemble,) * 3, lambda x, ys: np.concatenate(ys),
-                                    coupling.make_graph(3), np.zeros(3))
+                                    coupling.DependenceGraph(3), np.zeros(3))
     with pytest.raises(MissingConstants, match="p > 2"):
         driver.check_run(problem, driver.RunConfig(eps=1e-8, rom_set={1}))
     driver.check_run(problem, driver.RunConfig(eps=1e-8, rom_set={3}))
-    coupling.ConstantsLedger(coupling.make_graph(3), {1})
+    coupling.ConstantsLedger(coupling.DependenceGraph(3), {1})
 
 
 def constants_with(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
     """Two-system constants with M = ``m``, K_{2,1} = ``k21`` and K_{1,2} = ``k12``."""
-    graph = coupling.make_graph(2, {(2, 1): k21, (1, 0): k12}, l_consts=[0.0, 1.0, 1.0])
+    graph = coupling.DependenceGraph(2, {(2, 1): k21, (1, 0): k12}, l_consts=[0.0, 1.0, 1.0])
     return coupling.Constants((m / 2, m), graph, lipschitz)
 
 
@@ -331,8 +345,26 @@ def test_constants_read_m_and_k21_from_their_parts():
     constants = constants_with(m=2.0, k21=0.5)
     assert (constants.m, constants.k21) == (2.0, 0.5)
     # a single system has no K_{2,1}
-    single = coupling.Constants((1.0,), coupling.make_graph(1), 0.5)
+    single = coupling.Constants((1.0,), coupling.DependenceGraph(1), 0.5)
     assert (single.m, single.k21) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("inv_norms, lipschitz, match", [
+    ((1.0,), 0.5, "1 inverse norms for 2 systems"),
+    ((1.0, 1.0, 1.0), 0.5, "3 inverse norms for 2 systems"),
+    ((np.nan, 1.0), 0.5, "nonnegative, got nan"),
+    ((1.0, -1.0), 0.5, "nonnegative"),
+    ((1.0, 1.0), -1.0, "nonnegative"),
+    ((1.0, 1.0), np.nan, "nonnegative, got nan"),
+], ids=["one-norm", "three-norms", "nan-norm", "negative-norm", "negative-l", "nan-l"])
+def test_constants_refuse_values_no_bound_can_use(inv_norms, lipschitz, match):
+    """A run reads one inverse norm per system and nonnegative constants, so
+    anything else is refused when the constants are built, not mid-run."""
+    with pytest.raises(InvalidRange, match=match):
+        coupling.Constants(inv_norms, coupling.DependenceGraph(2), lipschitz)
+    constants = coupling.Constants([np.float64(0.5), 2], coupling.DependenceGraph(2), 0.5)
+    assert constants.inv_norms == (0.5, 2.0)
+    assert all(type(m) is float for m in constants.inv_norms)
 
 
 def test_asymptotic_budget():

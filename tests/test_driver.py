@@ -27,7 +27,7 @@ def scalar_problem(rate=0.5, source=0.0, x0=1.0):
     def assemble(x, ys):
         return np.array([[1.0]]), np.array([rate * x[0] + source])
 
-    graph = coupling.make_graph(1, {(1, 0): abs(rate)}, l_consts=[0.0, 1.0])
+    graph = coupling.DependenceGraph(1, {(1, 0): abs(rate)}, l_consts=[0.0, 1.0])
     return CoupledProblem(assemblers=(assemble,),
                           combiner=lambda x, ys: ys[0].copy(), graph=graph,
                           x0=np.array([x0]))
@@ -43,7 +43,7 @@ def decoupled_problem():
     def as2(x, ys):
         return a2, np.array([10.0])
 
-    graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
+    graph = coupling.DependenceGraph(2, l_consts=[0.0, 1.0, 1.0])
     return CoupledProblem(assemblers=(as1, as2),
                           combiner=lambda x, ys: np.concatenate(ys),
                           graph=graph, x0=np.zeros(3))
@@ -52,9 +52,9 @@ def decoupled_problem():
 def test_coupled_problem_refuses_a_graph_that_is_not_its_own():
     prob = decoupled_problem()
     with pytest.raises(ConfigError, match="order 3 for 2 assemblers"):
-        CoupledProblem(prob.assemblers, prob.combiner, coupling.make_graph(3), prob.x0)
+        CoupledProblem(prob.assemblers, prob.combiner, coupling.DependenceGraph(3), prob.x0)
     # constants on an equal graph that is not the problem's are refused too
-    other = coupling.Constants((1.0, 1.0), coupling.make_graph(2), 0.5)
+    other = coupling.Constants((1.0, 1.0), coupling.DependenceGraph(2), 0.5)
     with pytest.raises(ConfigError, match="problem's graph"):
         CoupledProblem(prob.assemblers, prob.combiner, prob.graph, prob.x0,
                        fixed_constants=other)
@@ -129,7 +129,7 @@ def test_run_config_is_frozen():
 
 
 def two_system_constants(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):
-    graph = coupling.make_graph(2, {(2, 1): k21, (1, 0): k12}, l_consts=[0.0, 1.0, 1.0])
+    graph = coupling.DependenceGraph(2, {(2, 1): k21, (1, 0): k12}, l_consts=[0.0, 1.0, 1.0])
     return coupling.Constants((m, m), graph, lipschitz)
 
 
@@ -169,6 +169,11 @@ def test_run_config_validation():
     for k_max in (0, -3):
         with pytest.raises(ConfigError, match="k_max"):
             RunConfig(eps=1e-6, k_max=k_max)
+    # a window or budget that is not an integer, refused before any run builds a deque
+    for bad in (2.5, 10.0, "5", None):
+        for name in ("n_b", "k_max"):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(eps=1e-6, **{name: bad})
     for eps_rb in (0.0, 1.0, 2.0):
         with pytest.raises(ConfigError, match="eps_rb"):
             RunConfig(eps=1e-6, eps_rb=eps_rb)
@@ -340,8 +345,8 @@ def orthogonal_chain(rng, p, n, lip):
             return identity, maps[i] @ (ys[-1] if i else x) + sources[i]
         return assemble
 
-    graph = coupling.make_graph(p, {(i, i - 1): lip for i in range(1, p + 1)},
-                                l_consts=[0.0] * p + [1.0])
+    graph = coupling.DependenceGraph(p, {(i, i - 1): lip for i in range(1, p + 1)},
+                                     l_consts=[0.0] * p + [1.0])
     return CoupledProblem(
         assemblers=[link(i) for i in range(p)],
         combiner=lambda x, ys: ys[-1].copy(), graph=graph, x0=np.zeros(n),
@@ -521,7 +526,7 @@ def test_assembler_returning_new_matrices_gets_fresh_factors(factorizations):
         calls.append(None)
         return (a_first if len(calls) % 2 else a_second), np.array([2.0, 8.0])
 
-    graph = coupling.make_graph(1, l_consts=[0.0, 1.0])
+    graph = coupling.DependenceGraph(1, l_consts=[0.0, 1.0])
     prob = CoupledProblem(assemblers=(assemble,),
                           combiner=lambda x, ys: ys[0].copy(), graph=graph,
                           x0=np.zeros(2))
@@ -544,7 +549,7 @@ def linear_pair(a1, a2, s12, s21, q1, q2):
     def assemble_2(x, ys):
         return a2, s21 * ys[0] + q2
 
-    graph = coupling.make_graph(2, l_consts=[0.0, 1.0, 1.0])
+    graph = coupling.DependenceGraph(2, l_consts=[0.0, 1.0, 1.0])
     return CoupledProblem(assemblers=(assemble_1, assemble_2),
                           combiner=lambda x, ys: np.concatenate(ys), graph=graph,
                           x0=np.zeros(2 * n))
@@ -963,7 +968,7 @@ def diagonal_chain(coupling_strength, n=3):
 
     return CoupledProblem(assemblers=tuple(assembler(i) for i in range(3)),
                           combiner=lambda x, ys: np.concatenate(ys),
-                          graph=coupling.make_graph(3), x0=np.zeros(3 * n))
+                          graph=coupling.DependenceGraph(3), x0=np.zeros(3 * n))
 
 
 @pytest.mark.parametrize("coupling_strength", [0.3, 0.0])

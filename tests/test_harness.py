@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +210,17 @@ def test_bench_stats_constant_degenerate():
 def test_bench_stats_too_few():
     with pytest.raises(TooFewSamples):
         harness.bench_stats([1.0] * 4, [1.0] * 10)
+
+
+def test_only_bench_statistics_load_scipy_stats():
+    """scipy.stats adds about 40 MB to a process, so importing the package,
+    which every command and benchmark run does, must not load it."""
+    code = ("import sys\n"
+            "from picardrom import cli, harness\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "harness.bench_stats([1.0, 1.1, 0.9, 1.0, 1.2], [1.0] * 5)\n"
+            "assert 'scipy.stats' in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_bench_stats_normal_ci_halfwidth():

@@ -133,7 +133,7 @@ def test_rom_solve_full_basis_matches_direct():
 
 def test_rom_error_bound():
     # with one system and L_1 = 1 the step bound is ||A^{-1}|| * ||r||
-    g = coupling.make_graph(1, l_consts=[0.0, 1.0])
+    g = coupling.DependenceGraph(1, l_consts=[0.0, 1.0])
     assert coupling.delta_single(g, 1, 2.0, 0.5) == 1.0
     assert coupling.delta_single(g, 1, 3.0, 0.0) == 0.0
     rng = np.random.default_rng(8)

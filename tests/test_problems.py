@@ -631,7 +631,7 @@ def test_kappa_below_golden_ratio_satisfies_condition4():
     pair = ReactionDiffusionPair(n=8, s12=0.1, s21=0.1)
     kappa = kappa_analytic(pair)
     assert kappa < (math.sqrt(5.0) - 1.0) / 2.0
-    g = coupling.make_graph(2, {(1, 0): kappa, (2, 1): kappa})
+    g = coupling.DependenceGraph(2, {(1, 0): kappa, (2, 1): kappa})
     rep = coupling.sufficient_conditions(g)
     assert rep.conditions[3].applicable and rep.conditions[3].satisfied
 
