@@ -241,15 +241,14 @@ class ConstantsLedger:
     The K_{1,2} sample takes the previous change of y_2 as the change of x
     that moved y_1, so it assumes the Picard combiner ``x = (y_1, y_2)``,
     where L_2 = 1 and K_{1,2} = K[1,0]. Every system gets the estimated M,
-    and K_{2,1} and K_{1,2} enter ``graph`` as ``K[2,1]`` and ``K[1,0]`` only
-    when ``rom_set`` is not empty and p >= 2. No other K is estimated, so for
-    p > 2 a run may reduce only the last system, which
+    and for p >= 2 K_{2,1} and K_{1,2} enter ``graph`` as ``K[2,1]`` and
+    ``K[1,0]``. Only a run that reduces a system builds a ledger. No other K
+    is estimated, so for p > 2 a run may reduce only the last system, which
     :func:`picardrom.driver.check_run` enforces before the first step.
     """
 
-    def __init__(self, graph: DependenceGraph, rom_set=frozenset()):
+    def __init__(self, graph: DependenceGraph):
         self._graph = graph
-        self._fills_k = bool(rom_set) and graph.p >= 2
         self._windows = {name: deque(maxlen=LEDGER_WINDOW)
                          for name in ("m", "k21", "k12", "l", "l2p")}
         self._last = None   # (x, [y_1, y_2], ||dx||, ||dy_2||) of the last observation
@@ -289,7 +288,7 @@ class ConstantsLedger:
     def constants(self) -> Constants:
         """The current estimates as the constants of a run's bounds."""
         graph = self._graph
-        if self._fills_k:
+        if graph.p >= 2:
             graph = graph.with_k({(2, 1): self._estimate("k21"), (1, 0): self._estimate("k12")})
         return Constants((self._estimate("m"),) * graph.p, graph, self._estimate("l"))
 

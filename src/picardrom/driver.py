@@ -95,10 +95,13 @@ class RunConfig:
     def __post_init__(self):
         if not self.eps > 0.0:   # NaN too: no step norm is ever below it
             raise ConfigError("eps must be positive")
-        for name in ("k_max", "n_b"):
-            value = getattr(self, name)
+        for name, value in (("k_max", self.k_max), ("n_b", self.n_b)):
             if not hasattr(type(value), "__index__"):   # the types operator.index takes
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "rom_set", frozenset(self.rom_set))
+        for i in self.rom_set:
+            if not hasattr(type(i), "__index__"):
+                raise ConfigError(f"rom_set entries must be integers, got {i!r}")
         if self.k_max < 1:
             raise ConfigError("k_max must be >= 1")
         if self.n_b < 2:
@@ -109,7 +112,6 @@ class RunConfig:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
         if callable(self.relaxation) or not 0.0 < self.relaxation <= 1.0:   # NaN too
             raise ConfigError(f"relaxation factor must lie in (0, 1], got {self.relaxation}")
-        object.__setattr__(self, "rom_set", frozenset(self.rom_set))
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,9 @@ class TraceRow:
     ``delta`` is the step's error bound; on a reduced step rejected early it
     is the partial sum over the reduced systems solved before the rejection.
     On a ``fom`` or ``refine`` row it is the probe's predicted bound for a
-    reduced step, ``None`` when the row probed nothing.
+    reduced step, ``None`` when the row probed nothing. ``l_est`` is the L of
+    the row's ``err`` recurrence (:func:`_relaxed_lipschitz`), ``None`` in a
+    run that reduces no system, which has no recurrence: its ``err`` stays inf.
     """
 
     k: int
@@ -128,7 +132,7 @@ class TraceRow:
     step_norm: float
     event: str          # fom | refine | rom | reject | validate-ok | validate-fail
     x_hash: str
-    l_est: float
+    l_est: float | None
 
 
 @dataclass
@@ -322,10 +326,8 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Cons
     if kind == "residual":
         return bool(residuals) and sum(residuals.values()) <= eps
     if kind == "asymptotic":
-        if not residuals:
-            return False
         budget = coupling.asymptotic_residual_budget(constants, eps)
-        return budget > 0.0 and residuals[min(residuals)] <= budget
+        return bool(residuals) and budget > 0.0 and residuals[min(residuals)] <= budget
     raise ConfigError(f"unknown criterion {kind!r}")
 
 
@@ -389,9 +391,8 @@ def check_run(problem: CoupledProblem, config: RunConfig) -> None:
     fixed = problem.fixed_constants
     if fixed is None and problem.p > 2 and any(i < problem.p for i in config.rom_set):
         raise MissingConstants("online estimates cover only K_{2,1}; p > 2 needs fixed constants")
-    starved = problem.p < 2 or fixed is not None and not all(
-        c > 0.0 for c in (fixed.k21, fixed.k12, fixed.m))   # NaN too
-    if config.criterion == "asymptotic" and config.rom_set and starved:
+    if config.criterion == "asymptotic" and config.rom_set and (problem.p < 2 or not (
+            fixed is None or all(c > 0.0 for c in (fixed.k21, fixed.k12, fixed.m)))):   # NaN too
         raise MissingConstants("asymptotic criterion needs positive K21, K12 and M")
 
 
@@ -424,31 +425,31 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     A step shorter than ``eps``, other than a rejection, ends the run, after
     one exact step at the new iterate if ``validation_loop`` is set
     (``validate-ok``, or ``validate-fail``, which clears ``err`` and
-    ``rom_ok``). Each row's ``l_est`` is the L of its step:
-    :func:`_relaxed_lipschitz`. Every step is one :func:`step`: a ``rom``
-    step's plan is the run's :class:`_RomState`, the others' plan is empty.
+    ``rom_ok``). Every step is one :func:`step`: a ``rom`` step's plan is
+    the run's :class:`_RomState`, the others' plan is empty.
 
     ``observer`` receives one dict per iteration with the keys ``k``,
     ``event`` (``fom``, ``refine``, ``rom`` or ``reject``), ``x_prev``,
     ``x_next``, ``err`` and ``delta`` (the row's values) and ``validation``
     (``None``, ``validate-ok`` or ``validate-fail``).
 
-    Every bound and criterion reads one :class:`coupling.Constants`: the
-    problem's ``fixed_constants`` as they are, or the estimates of a
-    :class:`coupling.ConstantsLedger`, rebuilt after each full-order step
-    (:func:`check_run` refuses, before the first step, constants that can
-    never serve the run; estimates not yet sampled mean "refine").
+    Only a run that reduces a system reads constants, which bound its reduced
+    solves: one :class:`coupling.Constants`, the problem's ``fixed_constants``
+    as they are or a :class:`coupling.ConstantsLedger`'s estimates rebuilt
+    after each full-order step, checked first by :func:`check_run`; estimates
+    not yet sampled mean "refine". A plain run keeps no ledger and never warns.
     """
     check_run(problem, config)
     lam = config.relaxation
-    constants, ledger = problem.fixed_constants, None
-    if constants is None:
-        ledger = ConstantsLedger(problem.graph, config.rom_set)
-        constants = ledger.constants()
-    l_step = _relaxed_lipschitz(constants.lipschitz, lam)
     report = RunReport(p=problem.p)
     factors = FactorCache(report.factorizations)   # per run: each run factors afresh
-    rom = _RomState(config, report) if config.rom_set else None
+    rom = constants = ledger = l_step = None
+    if config.rom_set:
+        rom, constants = _RomState(config, report), problem.fixed_constants
+        if constants is None:
+            ledger = ConstantsLedger(problem.graph)
+            constants = ledger.constants()
+        l_step = _relaxed_lipschitz(constants.lipschitz, lam)
 
     def holds(delta, residuals, err):
         return evaluate_criterion(
@@ -461,7 +462,7 @@ def accelerated_run(problem: CoupledProblem, config: RunConfig,
     rejected: tuple | None = None   # (A_1, F_1) of the step rejected at x
     k = 0
     while k < config.k_max and not report.converged:
-        if constants.lipschitz >= 1.0 and not report.expansive_warning:
+        if constants is not None and constants.lipschitz >= 1.0 and not report.expansive_warning:
             log.warning("estimated Lipschitz constant %.3g >= 1; propagation "
                         "guarantees void", constants.lipschitz)
             report.expansive_warning = True

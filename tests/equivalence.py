@@ -1,9 +1,10 @@
 """Bitwise equivalence of accelerated runs between two source trees.
 
 Runs one grid of accelerated runs on each tree and prints, for every
-configuration whose records differ, the first differing row. A refactor that
-claims to keep the iterates, counters and traces should report no difference
-against its parent commit. Check out the parent in a second directory and run
+configuration whose records differ, the first difference, and for differing
+rows the names of every row field that differs. A refactor that claims to
+keep the iterates, counters and traces should report no difference against
+its parent commit. Check out the parent in a second directory and run
 
     python tests/equivalence.py --against /path/to/parent/checkout
 
@@ -16,11 +17,12 @@ and 1); validation on and off; step weights 1.0 and 0.7; ``eps = 1e-8`` and
 the harness defaults otherwise.
 Each tree runs the grid in its own subprocess with ``OPENBLAS_NUM_THREADS=1``
 and the tree's ``src`` first on ``PYTHONPATH``. A configuration's record holds
-every ``TraceRow`` (floats as hex), ``RunReport.to_dict()`` without the trace
-(the rows hold it) and the hash of the final iterate; a run that stops with
-a library error records the error's class instead. The tool reads only
-harness and driver names that have stood unchanged since the golden traces
-were recorded, so it runs on older trees too.
+every ``TraceRow`` as a dict of its fields (floats as hex),
+``RunReport.to_dict()`` without the trace (the rows hold it) and the hash of
+the final iterate; a run that stops with a library error records the error's
+class instead. The tool reads only harness and driver names that have stood
+unchanged since the golden traces were recorded, so it runs on older trees
+too.
 
 ``tests/test_equivalence.py`` runs a slice of the grid in-process, so the
 tool cannot rot.
@@ -87,7 +89,7 @@ def record(name: str) -> dict:
         return {"error": type(exc).__name__}
     summary = report.to_dict()
     del summary["trace"]
-    return {"rows": [_hex(list(dataclasses.astuple(row))) for row in report.trace],
+    return {"rows": [_hex(dataclasses.asdict(row)) for row in report.trace],
             "report": _hex(summary), "x": driver._hash_state(report.x)}
 
 
@@ -97,7 +99,9 @@ def records(names) -> dict[str, dict]:
 
 def compare(left: dict[str, dict], right: dict[str, dict]) -> list[tuple]:
     """``(configuration, where, left, right)`` at the first difference of
-    each configuration that differs; ``where`` is ``"row <k>"``, ``"rows"``
+    each configuration that differs; ``where`` is ``"row <k> (<fields>)"``
+    (the first differing row, and every row field that differs in any row of
+    the configuration, :data:`MISSING` counting as a difference), ``"rows"``
     (the row counts), ``"report <field>"`` (over the fields of both
     reports, :data:`MISSING` where one lacks the field), ``"final iterate"``
     or ``"outcome"`` (the error class, or ``"ran"``)."""
@@ -113,7 +117,9 @@ def compare(left: dict[str, dict], right: dict[str, dict]) -> list[tuple]:
                 if ra != rb]
         if rows:
             k, ra, rb = rows[0]
-            diffs.append((name, f"row {k}", ra, rb))
+            fields = [key for key in {**ra, **rb}
+                      if any(x.get(key, MISSING) != y.get(key, MISSING) for _, x, y in rows)]
+            diffs.append((name, f"row {k} ({', '.join(fields)})", ra, rb))
         elif len(a["rows"]) != len(b["rows"]):
             diffs.append((name, "rows", len(a["rows"]), len(b["rows"])))
         elif a["report"] != b["report"]:

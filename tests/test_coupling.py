@@ -221,7 +221,7 @@ def test_ledger_geometric_sequence():
 
 
 def test_ledger_k21_ratio():
-    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(2), {1})
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(2))
     rng = np.random.default_rng(0)
     for k in range(10):
         y1 = (0.5 ** k) * np.ones(4) + k
@@ -285,10 +285,9 @@ def reference_ledger_estimates(history):
 
 @st.composite
 def ledger_histories(draw):
-    """A graph order, a reduced set and observations that sometimes repeat the
-    previous iterate or have zero rhs norms, so the ratio guard fires."""
+    """A graph order and observations that sometimes repeat the previous
+    iterate or have zero rhs norms, so the ratio guard fires."""
     p, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    rom_set = draw(st.sets(st.integers(1, p)))
     values = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.array)
     history = []
     for _ in range(draw(st.integers(1, 2 * coupling.LEDGER_WINDOW + 3))):
@@ -298,18 +297,18 @@ def ledger_histories(draw):
             x, ys = draw(values), [draw(values) for _ in range(p)]
         norm = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(1e-3, 1e3)
         history.append((x, ys, [draw(norm) for _ in range(p)]))
-    return p, rom_set, history
+    return p, history
 
 
 @settings(deadline=None, max_examples=200)
 @given(ledger_histories())
 def test_ledger_equals_its_estimates_recomputed_from_the_full_history(case):
-    p, rom_set, history = case
-    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(p), rom_set)
+    p, history = case
+    ledger = coupling.ConstantsLedger(coupling.DependenceGraph(p))
     for t in range(len(history)):
         constants = ledger.observe(*history[t]).constants()
         expected = reference_ledger_estimates(history[:t + 1])
-        fills = rom_set and p >= 2
+        fills = p >= 2
         k21 = expected["k21"] if fills else 0.0
         k12 = expected["k12"] if fills else 0.0
         assert constants.inv_norms == (expected["m"],) * p
@@ -332,7 +331,7 @@ def test_ledger_refuses_a_reduced_system_whose_coupling_it_cannot_estimate():
     with pytest.raises(MissingConstants, match="p > 2"):
         driver.check_run(problem, driver.RunConfig(eps=1e-8, rom_set={1}))
     driver.check_run(problem, driver.RunConfig(eps=1e-8, rom_set={3}))
-    coupling.ConstantsLedger(coupling.DependenceGraph(3), {1})
+    coupling.ConstantsLedger(coupling.DependenceGraph(3))
 
 
 def constants_with(m=2.0, k21=0.5, k12=0.4, lipschitz=0.0):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -181,6 +182,10 @@ def test_run_config_validation():
         RunConfig(eps=1e-6, criterion="bogus")
     with pytest.raises(ConfigError):
         accelerated_run(scalar_problem(), RunConfig(eps=1e-6, rom_set={2}))
+    # a reduced system named by anything but an integer, refused before any solve
+    for bad in (1.5, "1"):
+        with pytest.raises(ConfigError, match="rom_set"):
+            RunConfig(eps=1e-6, rom_set={bad})
 
 
 def test_check_run_refuses_the_asymptotic_criterion_on_one_system():
@@ -281,12 +286,23 @@ def test_err_accumulates_across_accepted_steps():
         prev = row
 
 
-def test_expansive_warning_flag():
+def test_expansive_warning_flag(caplog):
+    """An estimated L >= 1 voids a reduced run's propagation bound and is
+    logged once; a run that reduces nothing has no bound to void and never
+    warns, the plain thermal run at step weight 0.8 included."""
     prob = scalar_problem(rate=1.5)  # expansive map
     cfg = RunConfig(eps=1e-6, k_max=20, rom_set=frozenset({1}), n_b=3)
-    report = accelerated_run(prob, cfg)
+    with caplog.at_level(logging.WARNING, logger=driver.__name__):
+        report = accelerated_run(prob, cfg)
     assert not report.converged
     assert report.expansive_warning
+    assert ["guarantees void" in r.getMessage() for r in caplog.records] == [True]
+    for plain, plain_cfg in ((prob, dataclasses.replace(cfg, rom_set=frozenset())),
+                             (thermal_problem(), RunConfig(eps=1e-8, relaxation=0.8))):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=driver.__name__):
+            report = accelerated_run(plain, plain_cfg)
+        assert not report.expansive_warning and not caplog.records
 
 
 def test_lockstep_zero_without_rom():
@@ -916,18 +932,32 @@ def test_check_run_refuses_certified_constants_without_k21_under_the_asymptotic_
     assert accelerated_run(prob, dataclasses.replace(cfg, rom_set=frozenset())).converged
 
 
+class UnreadableConstants:
+    """Stands in for certified constants that a run must not read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the run read constants.{name}")
+
+
 def test_fixed_constants_keep_no_ledger(monkeypatch):
-    """A run with certified constants reads them once and estimates nothing."""
+    """A run with certified constants reads them once and estimates nothing.
+    A run that reduces no system, online or certified, builds no ledger,
+    reads no constants and has no L on any row."""
     prob = problems.make_coupled_problem(problems.ReactionDiffusionPair(n=8),
                                          exact_constants=True)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a fixed-constant run built a ledger")
+        raise AssertionError("a fixed-constant or plain run built a ledger")
 
     monkeypatch.setattr(coupling.ConstantsLedger, "__init__", refuse)
     report = accelerated_run(prob, RunConfig(eps=1e-8, rom_set=frozenset({1})))
     assert report.converged and any(row.event == "rom" for row in report.trace)
     assert {row.l_est for row in report.trace} == {prob.fixed_constants.lipschitz}
+    monkeypatch.setattr(prob, "fixed_constants", UnreadableConstants())
+    for plain in (thermal_problem(), prob):
+        report = accelerated_run(plain, RunConfig(eps=1e-8, rom_set=frozenset()))
+        assert report.converged
+        assert all(row.l_est is None for row in report.trace)
 
 
 @pytest.mark.parametrize("rom_set", [frozenset(), frozenset({1})], ids=["none", "rom1"])
@@ -948,7 +978,7 @@ def test_online_graph_is_built_once_per_observation_and_only_with_a_reduced_syst
     monkeypatch.setattr(coupling.DependenceGraph, "with_k", counted)
     monkeypatch.setattr(coupling.ConstantsLedger, "observe", counted_observe)
     report = accelerated_run(thermal_problem(), RunConfig(eps=1e-8, rom_set=rom_set))
-    assert report.converged and observed
+    assert report.converged and bool(observed) == bool(rom_set)
     assert len(builds) == (1 + len(observed) if rom_set else 0)
 
 

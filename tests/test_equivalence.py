@@ -48,12 +48,15 @@ def test_one_flipped_verdict_is_reported_at_its_configuration_and_row(monkeypatc
     flipped = flip_first_verdict(monkeypatch)
     after = dict(before, **{name: equivalence.record(name)})
     # the first reduced step, its verdict flipped between rom and reject
-    k = next(k for k, row in enumerate(before[name]["rows"]) if row[4] in ("rom", "reject"))
-    event = before[name]["rows"][k][4]
+    k = next(k for k, row in enumerate(before[name]["rows"])
+             if row["event"] in ("rom", "reject"))
+    event = before[name]["rows"][k]["event"]
     assert flipped == [event == "rom"]
-    assert equivalence.compare(before, after) == [
-        (name, f"row {k}", before[name]["rows"][k], after[name]["rows"][k])]
-    assert after[name]["rows"][k][4] == {"rom": "reject", "reject": "rom"}[event]
+    [(where_name, where, left, right)] = equivalence.compare(before, after)
+    assert (where_name, left, right) == (name, before[name]["rows"][k], after[name]["rows"][k])
+    fields = where.removeprefix(f"row {k} (").removesuffix(")").split(", ")
+    assert "event" in fields and set(fields) <= set(before[name]["rows"][k])
+    assert after[name]["rows"][k]["event"] == {"rom": "reject", "reject": "rom"}[event]
 
 
 def test_a_report_field_only_one_tree_has_is_reported_in_either_direction():
