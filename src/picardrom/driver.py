@@ -49,12 +49,13 @@ class CoupledProblem:
     returned matrix must not be modified in place afterwards. Reuse goes by
     object identity only: an assembler whose matrix does not change should
     hand out one object, since an equal new matrix is factored again. A sparse
-    ``A_i`` factors by banded LU over the band its pattern spans, so its
-    unknowns should be ordered to keep entries near the diagonal, as the
-    natural order of the 5-point stencils does. An assembler must be a
-    deterministic function of ``(x, ys)``: after a rejected reduced step the
-    refinement step at the same ``x`` reuses that step's ``(A_1, F_1)``
-    instead of assembling system 1 again.
+    ``A_i`` is read as a DIA array (see :func:`numerics.as_matrix`; the demo
+    assemblers build one) and factors by banded LU over the band its stored
+    diagonals span, so its unknowns should be ordered to keep entries near
+    the diagonal, as the natural order of the 5-point stencils does. An
+    assembler must be a deterministic function of ``(x, ys)``: after a
+    rejected reduced step the refinement step at the same ``x`` reuses that
+    step's ``(A_1, F_1)`` instead of assembling system 1 again.
 
     ``p`` is the number of assemblers and the order of ``graph``. Certified
     ``fixed_constants`` must be built on ``graph``; without them a run
@@ -193,9 +194,9 @@ class FactorCache:
     A system's factors are reused while its assembler returns the same matrix
     object, and shared with any other system whose entry holds that object.
     Matrices are matched by identity only, never by value: any other matrix
-    is factored afresh and replaces the system's entry. Full-order matrices
-    factor by LAPACK banded LU (see :func:`numerics.lu_factorize`, which
-    caches band layouts per pattern).
+    is factored afresh and replaces the system's entry, with nothing kept
+    from earlier factors. Full-order matrices factor by LAPACK banded LU (see
+    :func:`numerics.lu_factorize`).
 
     ``counts``, if given, receives one increment at index ``i`` per
     factorization of system ``i``.

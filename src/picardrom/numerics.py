@@ -2,19 +2,18 @@
 
 Everything here is a thin, contract-checked layer over LAPACK (via numpy and
 scipy): direct solve with singularity detection, SVD, and the two norms used
-throughout the package. Full-order operators are sparse CSC 5-point stencils
-in natural order, hence band matrices of half-width ``nx``; they factor with
-LAPACK banded LU. The band layout of a pattern is cached by the exact
-pattern, so a matrix that repeats an earlier pattern with new values only
-scatters the values; factors without row swaps solve with two BLAS
-triangular band solves. Reduced systems and other small matrices stay dense
-and factor with LAPACK dense LU, called directly. Both kinds go through the
-same :func:`lu_factorize` / :func:`lu_apply` pair.
+throughout the package. Full-order operators are 5-point stencils in
+natural order, hence band matrices of half-width ``nx``, stored as scipy
+``dia_array`` (one row of ``data`` per diagonal) from assembly through
+factorization to the certificate: banded LU copies each diagonal into its
+LAPACK band row, with no pattern to index or cache, and factors without row
+swaps solve with two BLAS triangular band solves. Reduced systems and other
+small matrices stay dense and factor with LAPACK dense LU, called directly.
+Both kinds go through the same :func:`lu_factorize` / :func:`lu_apply` pair.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,19 +41,58 @@ def as_vector(data) -> np.ndarray:
 def as_matrix(data):
     """Validate and return a finite 2-D float matrix.
 
-    Sparse input comes back as CSC (the same object when it already is CSC
-    of floats); anything else comes back as a dense array.
+    Sparse input comes back as a ``dia_array`` with strictly ascending
+    offsets and one ``data`` column per matrix column (the same object when it
+    already is one, of floats); anything else comes back as a dense array.
+    Only the entries inside the matrix must be finite: see :func:`diagonals`.
     """
     if scipy.sparse.issparse(data):
-        a = data.tocsc().astype(float, copy=False)
-        values = a.data
+        a = data
+        offsets = a.offsets.tolist() if a.format == "dia" else None
+        if not (offsets is not None and a.data.shape[1] == a.shape[1]
+                and all(o < p for o, p in zip(offsets, offsets[1:]))):
+            a = _dia(a)
+        a = a.astype(float, copy=False)
+        finite = np.isfinite(a.data).all() or all(
+            np.isfinite(d).all() for _, _, d in diagonals(a))
     else:
-        a = values = np.asarray(data, dtype=float)
+        a = np.asarray(data, dtype=float)
+        finite = np.isfinite(a).all()
     if a.ndim != 2 or 0 in a.shape:
         raise DimensionMismatch(f"expected nonempty 2-D matrix, got shape {a.shape}")
-    if not np.isfinite(values).all():
+    if not finite:
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _dia(a):
+    """The sparse matrix ``a`` as a new ``dia_array``: duplicates summed,
+    offsets ascending, zero padding and one ``data`` column per matrix column.
+    Built from its COO form directly, so a wide band converts without scipy's
+    ``SparseEfficiencyWarning``."""
+    coo = scipy.sparse.coo_array(a)
+    coo.sum_duplicates()
+    offsets, row = np.unique(coo.col - coo.row, return_inverse=True)
+    values = np.zeros((offsets.size, coo.shape[1]), dtype=coo.dtype)
+    values[row, coo.col] = coo.data
+    return scipy.sparse.dia_array((values, offsets), shape=coo.shape)
+
+
+def diagonals(a):
+    """``(offset, start, values)`` for each stored diagonal of the DIA matrix
+    ``a`` that reaches inside the matrix, in storage order.
+
+    ``values`` is the view ``a.data[k, start:stop]``: entry ``a[j - offset, j]``
+    for each column ``start <= j < stop`` inside the matrix. The rest of
+    ``a.data``, the first ``-offset`` columns of a subdiagonal and the last
+    ``offset`` of a superdiagonal, is padding that no matrix entry reads.
+    """
+    rows, cols = a.shape
+    for offset, row in zip(a.offsets.tolist(), a.data):
+        start = max(offset, 0)
+        values = row[start:max(min(rows + offset, cols), 0)]
+        if values.size:
+            yield offset, start, values
 
 
 @dataclass(frozen=True)
@@ -67,68 +105,16 @@ class SvdResult:
 
 
 @dataclass(frozen=True)
-class BandLayout:
-    """Where the stored entries of one CSC pattern go in LAPACK band storage.
-
-    ``index[e]`` is the position of stored entry ``e`` in the flat ``(n, ldab)``
-    band array, ``ldab = 2*kl + ku + 1``. A layout holds for every matrix with
-    the same shape, ``indptr`` and ``indices``, whatever its values.
-    """
-
-    index: np.ndarray
-    kl: int
-    ku: int
-
-
-@dataclass(frozen=True)
 class BandFactors:
-    """LAPACK banded LU (``dgbtrf``) of a square matrix, and its band layout."""
+    """LAPACK banded LU (``dgbtrf``) of a square matrix with ``kl`` diagonals
+    below and ``ku`` above its own."""
 
     lub: np.ndarray   # (2*kl + ku + 1, n) band storage of L and U, Fortran order
     ipiv: np.ndarray  # row interchanges, 0-based
-    layout: BandLayout
+    kl: int
+    ku: int
     lower: np.ndarray | None = None  # without row swaps: dtbsv band of unit-lower L,
     upper: np.ndarray | None = None  # and of U; views into lub's buffer
-
-    @property
-    def kl(self) -> int:
-        return self.layout.kl
-
-    @property
-    def ku(self) -> int:
-        return self.layout.ku
-
-
-@functools.lru_cache(maxsize=8)
-def _band_layout(shape: tuple[int, int], dtype: np.dtype, indptr: bytes,
-                 indices: bytes) -> BandLayout:
-    """Band layout of the CSC pattern whose ``indptr`` and ``indices`` hold
-    these bytes of index ``dtype``, cached by that exact pattern; its
-    ``index`` is read-only."""
-    cols = np.repeat(np.arange(shape[1]), np.diff(np.frombuffer(indptr, dtype)))
-    offsets = np.frombuffer(indices, dtype) - cols
-    kl = max(int(offsets.max(initial=0)), 0)
-    ku = max(int(-offsets.min(initial=0)), 0)
-    index = cols * (2 * kl + ku + 1) + (kl + ku) + offsets
-    index.setflags(write=False)
-    return BandLayout(index, kl, ku)
-
-
-def _band(a) -> tuple[np.ndarray, BandLayout]:
-    """Flat LAPACK band storage of the CSC matrix ``a``, duplicates summed.
-
-    Entry ``a[i, j]`` goes to row ``kl + ku + i - j`` of column ``j``; the
-    top ``kl`` rows are left free for the fill-in of partial pivoting. The
-    band is followed by ``kl + ku`` spare zeros that keep views offset by up
-    to that many entries inside. The layout comes from :func:`_band_layout`.
-    """
-    dtype = a.indices.dtype
-    layout = _band_layout(a.shape, dtype, a.indptr.astype(dtype, copy=False).tobytes(),
-                          a.indices.tobytes())
-    kl, ku = layout.kl, layout.ku
-    flat = np.bincount(layout.index, weights=a.data,
-                       minlength=(2 * kl + ku + 1) * a.shape[1] + kl + ku)
-    return flat, layout
 
 
 def _band_view(flat: np.ndarray, offset: int, shape: tuple[int, int]) -> np.ndarray:
@@ -141,25 +127,32 @@ def lu_factorize(a):
     """LU-factor a square matrix, raising SingularMatrix on tiny pivots.
 
     Returns an opaque handle for :func:`lu_apply`; factor once, solve often.
-    Dense input factors with LAPACK ``dgetrf``. Sparse input factors with
-    LAPACK banded LU (``dgbtrf``, partial pivoting) over the band its pattern
-    spans, ``kl = max(i - j)`` below and ``ku = max(j - i)`` above the
-    diagonal, in place. The band array holds ``(2*kl + ku + 1) * n`` doubles:
-    cheap for the narrow bands of the stencil operators (half-width ``nx`` in
-    natural order), but up to about 3x dense storage when entries lie far
-    from the diagonal; factors without row swaps also carry views of it.
-    The band layout is cached per exact pattern (shape, index dtype,
-    ``indptr`` and ``indices``), so a matrix that repeats a recent pattern
-    with new values only scatters its values.
+    Dense input factors with LAPACK ``dgetrf``. Sparse input, as the DIA
+    array :func:`as_matrix` returns, factors with LAPACK banded LU
+    (``dgbtrf``, partial pivoting) over the band its stored diagonals span,
+    ``kl`` below and ``ku`` above the main one, in place. Each diagonal's
+    entries inside the matrix are copied straight into their band row. The
+    band array holds ``(2*kl + ku + 1) * n`` doubles: cheap for the narrow
+    bands of the stencil operators (half-width ``nx`` in natural order), but
+    up to about 3x dense storage when entries lie far from the diagonal;
+    factors without row swaps also carry views of it.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if scipy.sparse.issparse(a):
-        scale = np.abs(a.data).max(initial=0.0)
-        flat, layout = _band(a)
-        kl, ku = layout.kl, layout.ku
-        ab = _band_view(flat, 0, (2 * kl + ku + 1, a.shape[1]))
+        diags = list(diagonals(a))
+        offsets = [o for o, _, _ in diags] or [0]
+        kl, ku = max(-offsets[0], 0), max(offsets[-1], 0)   # offsets ascend
+        scale = np.abs(np.concatenate([d for _, _, d in diags] or [[0.0]])).max()
+        # Entry a[i, j] goes to row kl + ku + i - j of column j; the top kl
+        # rows stay free for the fill-in of partial pivoting, and kl + ku spare
+        # zeros after the band keep the triangle views below inside the buffer.
+        ldab, n = 2 * kl + ku + 1, a.shape[1]
+        flat = np.zeros(ldab * n + kl + ku)
+        ab = _band_view(flat, 0, (ldab, n))
+        for o, start, d in diags:
+            ab[kl + ku - o, start:start + d.size] = d
         lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
@@ -170,7 +163,7 @@ def lu_factorize(a):
         # and kl put L's diagonal in row 0 and U's in row ku.
         no_swaps = lub is ab and (ipiv == np.arange(ipiv.size, dtype=ipiv.dtype)).all()
         views = [_band_view(flat, k, lub.shape) for k in (kl + ku, kl)] if no_swaps else []
-        factors = BandFactors(lub, ipiv, layout, *views)
+        factors = BandFactors(lub, ipiv, kl, ku, *views)
         pivots = np.abs(lub[kl + ku])
     else:
         scale = np.abs(a).max()

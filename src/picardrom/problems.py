@@ -82,53 +82,42 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _stencil_pattern(nx: int, ny: int):
-    """CSC template of the full 5-point pattern of an ``nx`` by ``ny`` grid,
-    and the source of each stored entry: its index in the coefficients
-    ``north, east, diag, west, south``, each raveled, in that order.
-
-    Column ``c`` holds, in increasing row order, the entries of the rows of
-    its south, west, own, east and north nodes that lie in the grid:
-    ``north[c - nx]``, ``east[c - 1]``, ``diag[c]``, ``west[c + 1]`` and
-    ``south[c + nx]``. The template's ``indptr`` and ``indices`` are
-    read-only and its ``data`` is all ones; its format is checked in full
-    once, here.
-    """
+def _stencil_template(nx: int, ny: int):
+    """DIA template of the 5-point stencils of an ``nx`` by ``ny`` grid:
+    offsets ``-nx, -1, 0, 1, nx`` (read-only), ``data`` all zeros. scipy's
+    constructor checks it once, here."""
     n = nx * ny
-    node = np.arange(n)
-    i = node % nx
-    inside = np.column_stack([node >= nx, i > 0, np.ones(n, dtype=bool),
-                              i < nx - 1, node < n - nx])
-    rows = node[:, None] + np.array([-nx, -1, 0, 1, nx])
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    indices = rows[inside].astype(np.int32)
-    source = (np.arange(5) * n + rows)[inside]
-    template = scipy.sparse.csc_array((np.ones(indices.size), indices, indptr),
-                                      shape=(n, n))
-    template.check_format(full_check=True)
-    for arr in (template.indptr, template.indices, source):
-        arr.setflags(write=False)
-    return template, source
+    template = scipy.sparse.dia_array((np.zeros((5, n)), [-nx, -1, 0, 1, nx]), shape=(n, n))
+    template.offsets.setflags(write=False)
+    return template
 
 
 def _stencil_matrix(grid: Grid2D, diag, west, east, south, north):
-    """CSC matrix of a 5-point stencil given per-node coefficients.
+    """DIA matrix of a 5-point stencil given per-node coefficients.
 
     Each argument is a ``(ny, nx)`` array: ``west[j, i]`` multiplies the west
     neighbour of node (j, i), and so on. Coefficients of neighbours outside
     the grid are not read; every other coefficient is stored, zero or not.
 
-    The values are gathered along the grid's full pattern (see
-    :func:`_stencil_pattern`) in one step. The result is a shallow copy of
-    the grid's checked template with the new ``data`` and its own copies of
-    ``indptr`` and ``indices``, so scipy's constructor need not check the
-    pattern again and the returned matrix owns its arrays.
+    Row ``k`` of ``data`` is the diagonal at offset ``-nx, -1, 0, 1, nx``, so
+    column ``c`` holds the coefficients of node ``c``'s north, east, own, west
+    and south neighbour rows: ``south[c + nx]``, ``west[c + 1]``, ``diag[c]``,
+    ``east[c - 1]`` and ``north[c - nx]``. An entry whose neighbour lies
+    outside the grid, and the padding, is zero. The result is a shallow copy
+    of the grid's template (:func:`_stencil_template`) with the new ``data``
+    and its own copy of the offsets, so scipy's constructor need not check
+    them again and the returned matrix owns its arrays.
     """
-    template, source = _stencil_pattern(grid.nx, grid.ny)
+    template = _stencil_template(grid.nx, grid.ny)
+    data = np.empty((5, grid.ny, grid.nx))
+    data[0, :-1], data[0, -1] = south[1:], 0.0
+    data[1, :, :-1], data[1, :, -1] = west[:, 1:], 0.0
+    data[2] = diag
+    data[3, :, 1:], data[3, :, 0] = east[:, :-1], 0.0
+    data[4, 1:], data[4, 0] = north[:-1], 0.0
     matrix = copy.copy(template)
-    matrix.data = np.concatenate((north, east, diag, west, south), axis=None)[source]
-    matrix.indices, matrix.indptr = template.indices.copy(), template.indptr.copy()
+    matrix.data = data.reshape(5, grid.n)
+    matrix.offsets = template.offsets.copy()
     return matrix
 
 
@@ -138,7 +127,7 @@ def diffusion_operator(grid: Grid2D, d: np.ndarray, bc: dict):
     ``bc`` maps side names "south"/"north"/"west"/"east" to either
     ("dirichlet", values) where values is a scalar or an array along the side,
     or ("neumann", flux) with the prescribed conormal flux d*du/dn (scalar).
-    Returns (A, F_bc): A as a sparse CSC matrix, with boundary contributions
+    Returns (A, F_bc): A as a sparse DIA matrix, with boundary contributions
     already moved to F_bc.
     """
     stencil, f = _diffusion_stencil(grid, d, bc)
@@ -428,14 +417,14 @@ def spd_inverse_norm(a, y=None) -> float:
     """
     a = numerics.as_matrix(a)
     if not scipy.sparse.issparse(a):
-        a = scipy.sparse.csc_array(a)
-    # A is symmetric when its CSR arrays equal its CSC arrays; a layout with
-    # unsorted or duplicate entries can only fail this check, never pass it
-    t = a.tocsr()
-    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-    if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
-            and np.array_equal(a.data, t.data)
-            and np.all(a.data[a.indices != cols] <= 0.0)):
+        a = numerics.as_matrix(scipy.sparse.coo_array(a))
+    diags = list(numerics.diagonals(a))
+    # A is symmetric when each stored diagonal's in-matrix entries equal its
+    # mirror's, entry by entry, and a Z-matrix when the subdiagonals' are <= 0
+    inside = {o: d for o, _, d in diags}
+    if not (a.shape[0] == a.shape[1] and inside.keys() == {-o for o in inside}
+            and all(np.array_equal(d, inside[-o]) and np.all(d <= 0.0)
+                    for o, d in inside.items() if o < 0)):
         raise ConfigError(NOT_M_MATRIX)
     if y is None:
         y = np.ones(a.shape[0])
@@ -446,19 +435,23 @@ def spd_inverse_norm(a, y=None) -> float:
                 f"start vector has {y.size} entries, matrix has {a.shape[0]} rows")
         if not np.all(y > 0.0):
             raise ConfigError("start vector must be positive")
-    abs_a = abs(a)
-    # |fl(A y) - A y| <= gamma_k |A| y for rows of at most k entries, with
-    # gamma_j = j u / (1 - j u); gamma_{k+2} also covers the roundings of
-    # fl(|A| y), of its product with gamma and of the subtraction
+    # |fl(A y) - A y| <= gamma_k |A| y when each row sums at most k products,
+    # one per stored diagonal, with gamma_j = j u / (1 - j u); gamma_{k+2}
+    # also covers the roundings of fl(|A| y), of its product with gamma and of
+    # the subtraction
     u = np.finfo(float).eps / 2
-    terms = int(np.diff(a.indptr).max()) + 2
+    terms = len(diags) + 2
     gamma = terms * u / (1.0 - terms * u)
     for sweep in range(INV_NORM_MAX_SWEEPS + 1):
         if sweep:
             if sweep == 1:
                 factors = numerics.lu_factorize(a)
             y = numerics.lu_apply(factors, y / y.max())
-        lo = a @ y - gamma * (abs_a @ y)
+        # |A| y row by row, each row's terms added in column order, as A y adds them
+        abs_y = np.zeros(a.shape[0])
+        for o, start, d in diags:
+            abs_y[start - o:start - o + d.size] += np.abs(d) * y[start:start + d.size]
+        lo = a @ y - gamma * abs_y
         if not (np.all(y > 0.0) and np.all(lo > 0.0)):
             if not sweep:   # the start gives no certificate; sweep from it
                 continue

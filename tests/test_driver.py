@@ -605,21 +605,6 @@ def test_sharing_an_operator_changes_no_bits(run):
     assert copied.factorizations == [1, 1]
 
 
-@pytest.fixture
-def layouts(monkeypatch):
-    """The band layout of the factors of each numerics.lu_factorize call."""
-    calls = []
-    original = numerics.lu_factorize
-
-    def spy(a):
-        factors = original(a)
-        calls.append(factors.layout)
-        return factors
-
-    monkeypatch.setattr(numerics, "lu_factorize", spy)
-    return calls
-
-
 def band_csc(rng, n, kl, ku, duplicates=False):
     """Diagonally dominant CSC band matrix; with ``duplicates``, a
     non-canonical one whose columns hold unsorted, repeated rows."""
@@ -649,48 +634,44 @@ def with_values(a, rng):
     return b
 
 
-@pytest.mark.parametrize("duplicates", [False, True])
-def test_factor_cache_reuses_the_band_layout_for_new_values(layouts, duplicates):
-    rng = np.random.default_rng(12)
-    first = band_csc(rng, 30, 3, 5, duplicates)
-    mats = [first] + [with_values(first, rng) for _ in range(4)]
-    f = rng.standard_normal(30)
-    expected = [numerics.solve_dense(a, f) for a in mats]
-    layouts.clear()
-    numerics._band_layout.cache_clear()
-    cache = FactorCache()
-    for a, y in zip(mats, expected):
-        assert np.array_equal(cache.solve(0, a, f), y)
-        # the duplicate entries are summed, as toarray() sums them
-        assert np.allclose(a.toarray() @ y, f, rtol=0.0, atol=1e-12)
-    assert len(layouts) == 5 and all(lay is layouts[0] for lay in layouts)
-    info = numerics._band_layout.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+@pytest.fixture
+def bands(monkeypatch):
+    """``(kl, ku)`` of the factors of each numerics.lu_factorize call."""
+    calls = []
+    original = numerics.lu_factorize
+
+    def spy(a):
+        factors = original(a)
+        calls.append((factors.kl, factors.ku))
+        return factors
+
+    monkeypatch.setattr(numerics, "lu_factorize", spy)
+    return calls
 
 
-def test_factor_cache_derives_a_fresh_layout_for_a_new_pattern(layouts):
+def test_factor_cache_factors_each_matrix_on_its_own_band(bands):
+    """Each new matrix factors over its own band, duplicates summed, with no
+    state kept from the matrices before it; equal values give equal solves."""
     rng = np.random.default_rng(5)
     dense = band_csc(rng, 20, 2, 2).toarray()
-    dense[3, 5], dense[7, 5] = 0.0, 0.5
+    dense[2, 5], dense[8, 5] = 0.0, 0.5
     first = scipy.sparse.csc_array(dense)
-    dense[3, 5], dense[7, 5] = 0.5, 0.0
-    moved = scipy.sparse.csc_array(dense)
-    assert np.array_equal(moved.indptr, first.indptr)   # only an entry moved
+    dense[2, 5], dense[8, 5] = 0.5, 0.0
+    moved = scipy.sparse.csc_array(dense)   # one entry of column 5 moved across the band
+    dup = band_csc(rng, 30, 3, 5, duplicates=True)
     mats = [first, moved, band_csc(rng, 20, 2, 4), band_csc(rng, 20, 5, 1),
-            band_csc(rng, 21, 2, 2)]
-    assert first.nnz == moved.nnz
-    f = rng.standard_normal(20)
+            band_csc(rng, 21, 2, 2), dup, with_values(dup, rng)]
+    f = rng.standard_normal(30)
     cache = FactorCache()
     for a in mats:
-        rhs = np.resize(f, a.shape[0])
+        rhs = f[:a.shape[0]]
         y = cache.solve(0, a, rhs)
-        y_ref = np.linalg.solve(a.toarray(), rhs)
+        y_ref = np.linalg.solve(a.toarray(), rhs)   # toarray() sums duplicates
         assert numerics.norm2(y - y_ref) <= 1e-13 * numerics.norm2(y_ref)
-    assert len({id(lay) for lay in layouts}) == len(mats)
-    assert not np.array_equal(layouts[0].index, layouts[1].index)
-    assert [(lay.kl, lay.ku) for lay in layouts[2:]] == [(2, 4), (5, 1), (2, 2)]
-
-
+    assert bands == [(3, 2), (2, 3), (2, 4), (5, 1), (2, 2), (3, 5), (3, 5)]
+    canonical = dup.copy()
+    canonical.sum_duplicates()
+    assert np.array_equal(cache.solve(1, canonical, f), cache.solve(0, dup, f))
 def thermal_problem():
     return problems.make_coupled_problem(problems.ThermalFlowSurrogate())
 

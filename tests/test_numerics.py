@@ -1,5 +1,7 @@
 """Tests for the linear-algebra substrate (dense and sparse paths)."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -139,11 +141,34 @@ def random_dominant(rng, n, density=0.2):
     return scipy.sparse.csc_array(off + np.diag(dominance))
 
 
-def test_as_matrix_keeps_csc():
-    a = scipy.sparse.csc_array(np.eye(3))
+def dia_of(dense, padding=0.0):
+    """DIA array of the nonzero diagonals of ``dense``: offsets ascending, one
+    ``data`` column per matrix column, ``padding`` outside the matrix."""
+    rows, cols = dense.shape
+    offsets = [o for o in range(1 - rows, cols) if np.diagonal(dense, o).any()]
+    data = np.full((len(offsets), cols), padding)
+    for k, o in enumerate(offsets):
+        diag = np.diagonal(dense, o)
+        data[k, max(o, 0):max(o, 0) + diag.size] = diag
+    return scipy.sparse.dia_array((data, np.array(offsets, dtype=int)), shape=dense.shape)
+
+
+def test_as_matrix_returns_dia():
+    dense = np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], -1) + np.diag([6.0], 2)
+    a = dia_of(dense)
     assert numerics.as_matrix(a) is a
-    converted = numerics.as_matrix(scipy.sparse.csr_array(np.eye(3)))
-    assert converted.format == "csc"
+    descending = scipy.sparse.dia_array((a.data[::-1], a.offsets[::-1]), shape=a.shape)
+    narrow = scipy.sparse.dia_array((a.data[:, :2], a.offsets), shape=a.shape)
+    integer = scipy.sparse.dia_array((a.data.astype(int), a.offsets), shape=a.shape)
+    for other in (scipy.sparse.csc_array(dense), scipy.sparse.csr_array(dense),
+                  scipy.sparse.coo_array(dense), scipy.sparse.csr_matrix(dense),
+                  descending, narrow, integer):
+        converted = numerics.as_matrix(other)
+        assert converted.format == "dia" and converted.dtype == np.float64
+        assert list(converted.offsets) == sorted(set(converted.offsets))
+        assert converted.data.shape[1] == converted.shape[1]
+        expected = narrow.toarray() if other is narrow else dense
+        assert np.array_equal(converted.toarray(), expected)
 
 
 def test_sparse_singular_raises():
@@ -202,7 +227,7 @@ def test_sparse_backward_residual():
 @st.composite
 def banded_systems(draw):
     """Sparse CSC matrix with random, asymmetric bandwidths and duplicate
-    entries, plus a right-hand side.
+    entries, plus a right-hand side; the package reads it as a DIA array.
 
     The diagonal is nonzero and the band's outermost diagonals each hold at
     least one entry, so ``kl``/``ku`` are exactly the drawn ones.
@@ -358,24 +383,35 @@ def factor_or_error(a):
 
 
 @settings(deadline=None, max_examples=200)
-@given(banded_systems(), st.data())
-def test_banded_lu_with_a_reused_layout_matches_a_fresh_one(system, data):
+@given(banded_systems())
+def test_banded_lu_is_independent_of_the_sparse_format(system):
+    """The CSC draw, duplicates included, its CSR form and DIA forms with
+    zero and with NaN padding factor to identical bands and pivots, and solve
+    to identical vectors."""
     a, kl, ku, _, b = system
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    layout = numerics._band(a)[1]
-    assert (layout.kl, layout.ku) == (kl, ku)
-    assert not layout.index.flags.writeable
-    # same indptr and indices, duplicates and row order included; new values
-    renewed = a.copy()
-    renewed.data = rng.standard_normal(a.nnz)
-    reused = factor_or_error(renewed)
-    numerics._band_layout.cache_clear()
-    fresh = factor_or_error(renewed)
-    if fresh is SingularMatrix:
-        assert reused is SingularMatrix
+    dense = a.toarray()   # sums the duplicate entries
+    forms = [a, a.tocsr(), dia_of(dense), dia_of(dense, padding=np.nan)]
+    results = [factor_or_error(form) for form in forms]
+    if results[0] is SingularMatrix:
+        assert all(r is SingularMatrix for r in results)
         return
-    assert reused.layout is layout and fresh.layout is not layout
-    assert np.array_equal(fresh.layout.index, layout.index)
-    assert np.array_equal(reused.lub, fresh.lub)
-    assert np.array_equal(reused.ipiv, fresh.ipiv)
-    assert np.array_equal(numerics.lu_apply(reused, b), numerics.lu_apply(fresh, b))
+    x = numerics.lu_apply(results[0], b)
+    for factors in results[1:]:
+        assert (factors.kl, factors.ku) == (kl, ku)
+        assert np.array_equal(factors.lub, results[0].lub)
+        assert np.array_equal(factors.ipiv, results[0].ipiv)
+        assert np.array_equal(numerics.lu_apply(factors, b), x)
+
+
+def test_full_band_factors_without_a_sparse_warning():
+    """A band of 119 diagonals, which scipy's own DIA conversion warns about,
+    converts and factors silently."""
+    rng = np.random.default_rng(9)
+    dense = rng.standard_normal((60, 60)) + 60.0 * np.eye(60)
+    b = rng.standard_normal(60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = numerics.lu_factorize(scipy.sparse.csc_array(dense))
+        x = numerics.lu_apply(factors, b)
+    assert (factors.kl, factors.ku) == (59, 59)
+    assert backward_error(dense, x, b) <= SOLVE_RTOL

@@ -154,9 +154,30 @@ def reference_upwind_advection(grid, u, inflow_value=0.0):
     return a, f
 
 
+def stencil_dia(dense, grid):
+    """The DIA form of the dense 5-point stencil matrix ``dense`` on ``grid``:
+    offsets ``-nx, -1, 0, 1, nx``, each diagonal's entries inside the matrix,
+    zero padding."""
+    n, nx = grid.n, grid.nx
+    offsets = np.array([-nx, -1, 0, 1, nx])
+    data = np.zeros((5, n))
+    for k, o in enumerate(offsets):
+        cols = np.arange(max(o, 0), min(n + o, n))
+        data[k, cols] = dense[cols - o, cols]
+    return scipy.sparse.dia_array((data, offsets), shape=(n, n))
+
+
+def in_grid(grid):
+    """Mask of the ``data`` entries of a stencil matrix on ``grid`` that hold
+    a coefficient whose neighbour lies in the grid."""
+    ones = np.ones((grid.ny, grid.nx))
+    return reference_stencil_matrix(grid, ones, ones, ones, ones, ones).data != 0.0
+
+
 def reference_stencil_matrix(grid, diag, west, east, south, north):
-    """COO-built CSC matrix of a 5-point stencil: every coefficient whose
-    neighbour lies in the grid, zero or not, and none of the others."""
+    """DIA form (:func:`stencil_dia`) of the COO-built matrix of a 5-point
+    stencil: every coefficient whose neighbour lies in the grid, and none of
+    the others."""
     n, nx, ny = grid.n, grid.nx, grid.ny
     i = np.arange(n) % nx
     j = np.arange(n) // nx
@@ -167,17 +188,17 @@ def reference_stencil_matrix(grid, diag, west, east, south, north):
         rows.append(keep)
         cols.append(keep + shift)
         vals.append(coef.ravel()[keep])
-    return scipy.sparse.csc_array(
+    coo = scipy.sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
+    return stencil_dia(coo.toarray(), grid)
 
 
-def assert_same_csc(a, ref):
-    """Bitwise-equal CSC arrays: shape, indptr, indices and data."""
-    assert a.format == ref.format == "csc"
+def assert_same_dia(a, ref):
+    """Equal DIA arrays: shape, offsets and data, padding included."""
+    assert a.format == ref.format == "dia"
     assert a.shape == ref.shape
-    assert np.array_equal(a.indptr, ref.indptr)
-    assert np.array_equal(a.indices, ref.indices)
+    assert np.array_equal(a.offsets, ref.offsets)
     assert np.array_equal(a.data, ref.data)
 
 
@@ -188,10 +209,11 @@ def assert_bitwise(x, y):
 
 
 def assert_same_sparse(a, ref):
-    """Bitwise-equal compressed arrays of one format."""
+    """Bitwise-equal sparse arrays of one format: every array the format keeps."""
     assert a.format == ref.format and a.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        assert_bitwise(getattr(a, name), getattr(ref, name))
+    for name in ("offsets", "indptr", "indices", "data"):
+        if hasattr(ref, name):
+            assert_bitwise(getattr(a, name), getattr(ref, name))
 
 
 def boundary_mixes(grid, rng):
@@ -227,7 +249,7 @@ def test_diffusion_operator_matches_node_loop(nx, ny):
         for bc in boundary_mixes(grid, rng):
             a, f = diffusion_operator(grid, d, bc)
             a_ref, f_ref = reference_diffusion_operator(grid, d, bc)
-            assert_same_csc(a, scipy.sparse.coo_array(a_ref).tocsc())
+            assert_same_dia(a, stencil_dia(a_ref, grid))
             assert np.array_equal(a.toarray(), a_ref)
             assert np.array_equal(f, f_ref)
 
@@ -253,7 +275,7 @@ def test_upwind_advection_matches_node_loop(nx, ny):
         for vel in (u, np.abs(u), -np.abs(u), 0.0):
             a, f = assemble_heat(surrogate, vel)
             a_ref, f_ref = reference_upwind_advection(grid, vel, inflow_value=inflow)
-            assert_same_csc(a, scipy.sparse.coo_array(k_ref + a_ref).tocsc())
+            assert_same_dia(a, stencil_dia(k_ref + a_ref, grid))
             assert np.array_equal(f, k_f_ref + f_ref)
 
 
@@ -266,7 +288,7 @@ def test_stencil_matrix_matches_coo_build(nx, ny):
         # it that must not be read
         coefs = {name: rng.standard_normal((ny, nx)) * (rng.random((ny, nx)) < 0.8)
                  for name in ("diag", "west", "east", "south", "north")}
-        assert_same_csc(problems._stencil_matrix(grid, **coefs),
+        assert_same_dia(problems._stencil_matrix(grid, **coefs),
                         reference_stencil_matrix(grid, **coefs))
 
 
@@ -294,11 +316,13 @@ def upwind_stencil(grid, u):
 def test_stencil_matrix_stores_every_in_grid_coefficient(nx, ny):
     grid = Grid2D(nx, ny)
     full, still, mixed = stencil_cases(grid, np.random.default_rng(nx * 7 + ny))
+    inside = in_grid(grid)
+    assert inside.sum() == 5 * grid.n - 2 * (nx + ny)
     for coefs in (full, still, mixed):
         a = problems._stencil_matrix(grid, **coefs)
-        assert_same_csc(a, reference_stencil_matrix(grid, **coefs))
-        assert a.nnz == 5 * grid.n - 2 * (nx + ny)
-    assert np.all(problems._stencil_matrix(grid, **full).data != 0.0)
+        assert_same_dia(a, reference_stencil_matrix(grid, **coefs))
+        assert np.all(a.data[~inside] == 0.0)
+    assert np.all(problems._stencil_matrix(grid, **full).data[inside] != 0.0)
     assert np.all(problems._stencil_matrix(grid, **still).data == 0.0)
     rows, cols = problems._stencil_matrix(grid, **mixed).nonzero()
     assert np.all(np.isin(np.abs(rows - cols), (0, nx)))
@@ -306,37 +330,40 @@ def test_stencil_matrix_stores_every_in_grid_coefficient(nx, ny):
 
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
 def test_assemblers_store_no_zero_coefficient(nx, ny):
-    """Every stored entry of diffusion_operator, on positive diffusion fields,
-    and of assemble_heat, on finite velocities of both signs with some exact
-    zeros, is nonzero: no assembled coefficient cancels."""
+    """Every in-grid entry of diffusion_operator, on positive diffusion
+    fields, and of assemble_heat, on finite velocities of both signs with
+    some exact zeros, is nonzero: no assembled coefficient cancels. (The
+    other entries of the DIA ``data``, neighbours outside the grid and
+    padding, hold zeros.)"""
     grid = Grid2D(nx, ny, width=2.0, height=6.0)
     rng = np.random.default_rng(nx * 17 + ny)
     surrogate = ThermalFlowSurrogate(grid=grid)
+    inside = in_grid(grid)
     for _ in range(5):
         d = rng.uniform(1e-3, 10.0, grid.n)
         for bc in boundary_mixes(grid, rng):
-            assert np.all(diffusion_operator(grid, d, bc)[0].data != 0.0)
+            assert np.all(diffusion_operator(grid, d, bc)[0].data[inside] != 0.0)
         u = rng.uniform(-5.0, 5.0, grid.n)
         u[rng.random(grid.n) < 0.3] = 0.0
         for vel in (u, np.abs(u), -np.abs(u), 0.0):
-            assert np.all(assemble_heat(surrogate, vel)[0].data != 0.0)
+            assert np.all(assemble_heat(surrogate, vel)[0].data[inside] != 0.0)
 
 
 def test_stencil_matrices_do_not_share_their_arrays():
     grid = Grid2D(5, 7)
     for coefs in stencil_cases(grid, np.random.default_rng(3)):
         first = problems._stencil_matrix(grid, **coefs)
-        for arr in (first.indptr, first.indices, first.data):
+        for arr in (first.offsets, first.data):
             arr[:] = arr[::-1]
-        assert_same_csc(problems._stencil_matrix(grid, **coefs),
+        assert_same_dia(problems._stencil_matrix(grid, **coefs),
                         reference_stencil_matrix(grid, **coefs))
 
 
 @pytest.mark.parametrize("nx,ny", ORACLE_GRIDS)
 def test_stencil_matrices_behave_like_constructed_ones(nx, ny):
-    """Every matrix built on the grid's template, with or without zeros, passes
-    scipy's full format check and computes what a matrix built by the
-    ``csc_array`` constructor from the same arrays computes."""
+    """Every matrix built on the grid's template, with or without zeros,
+    computes what a matrix built by the ``dia_array`` constructor, with its
+    checks, from the same arrays computes."""
     grid = Grid2D(nx, ny)
     rng = np.random.default_rng(nx * 13 + ny)
     cases = stencil_cases(grid, rng) + [
@@ -346,9 +373,7 @@ def test_stencil_matrices_behave_like_constructed_ones(nx, ny):
     m = rng.standard_normal((grid.n, 3))
     for coefs in cases:
         a = problems._stencil_matrix(grid, **coefs)
-        a.check_format(full_check=True)
-        ref = scipy.sparse.csc_array((a.data.copy(), a.indices.copy(), a.indptr.copy()),
-                                     shape=a.shape)
+        ref = scipy.sparse.dia_array((a.data.copy(), a.offsets.copy()), shape=a.shape)
         assert_bitwise(a.toarray(), ref.toarray())
         assert_bitwise(a @ v, ref @ v)
         assert_bitwise(a @ m, ref @ m)
@@ -358,8 +383,8 @@ def test_stencil_matrices_behave_like_constructed_ones(nx, ny):
         assert_same_sparse(a @ a, ref @ ref)
 
 
-def test_stencil_pattern_cache_is_bounded():
-    cached = problems._stencil_pattern
+def test_stencil_template_cache_is_bounded():
+    cached = problems._stencil_template
     for nx in range(3, 9):
         for ny in range(3, 9):
             grid = Grid2D(nx, ny)
@@ -393,7 +418,7 @@ def test_boundary_data_matches_node_loop_bitwise(nx, ny):
         for bc in boundary_data_cases(grid, rng):
             a, f = diffusion_operator(grid, d, bc)
             a_ref, f_ref = reference_diffusion_operator(grid, d, bc)
-            assert_same_sparse(a, scipy.sparse.coo_array(a_ref).tocsc())
+            assert_same_sparse(a, stencil_dia(a_ref, grid))
             assert_bitwise(f, f_ref)
 
 
@@ -417,20 +442,19 @@ def test_thermal_assemblies_match_node_loop_bitwise(theta_in):
                "west": ("dirichlet", 0.0), "east": ("dirichlet", 0.0)}
     k_ref, k_f_ref = reference_diffusion_operator(grid, surrogate.k_t, heat_bc(surrogate))
     stencil, f_bc = surrogate.heat_diffusion
-    assert_same_sparse(problems._stencil_matrix(grid, **stencil),
-                       scipy.sparse.coo_array(k_ref).tocsc())
+    assert_same_sparse(problems._stencil_matrix(grid, **stencil), stencil_dia(k_ref, grid))
     assert_bitwise(f_bc, k_f_ref)
     for _ in range(5):
         theta = rng.uniform(-0.5, 1.0, grid.n)
         a, f = assemble_flow(surrogate, theta)
         a_ref, f_ref = reference_diffusion_operator(grid, surrogate.viscosity(theta), flow_bc)
-        assert_same_sparse(a, scipy.sparse.coo_array(a_ref).tocsc())
+        assert_same_sparse(a, stencil_dia(a_ref, grid))
         assert_bitwise(f, surrogate.beta * problems.GRAVITY * theta + f_ref)
         u = rng.uniform(-2.0, 2.0, grid.n)
         u[rng.random(grid.n) < 0.2] = 0.0
         a, f = assemble_heat(surrogate, u)
         up_ref, up_f_ref = reference_upwind_advection(grid, u, theta_in)
-        assert_same_sparse(a, scipy.sparse.coo_array(k_ref + up_ref).tocsc())
+        assert_same_sparse(a, stencil_dia(k_ref + up_ref, grid))
         assert_bitwise(f, k_f_ref + up_f_ref)
 
 
@@ -505,9 +529,9 @@ def test_heat_assembly_matches_summed_operators():
         if trial % 10 == 0:
             u = np.abs(u) if trial % 20 == 0 else -np.abs(u)
         a_adv, f_adv = reference_upwind_advection(grid, u, inflow_value=surrogate.theta_in)
-        expected = scipy.sparse.coo_array(a_diff.toarray() + a_adv).tocsc()
+        expected = stencil_dia(a_diff.toarray() + a_adv, grid)
         a, f = assemble_heat(surrogate, u)
-        assert_same_csc(a, expected)
+        assert_same_dia(a, expected)
         assert a.data.dtype == np.float64
         assert np.array_equal(f, f_bc + f_adv)
 
@@ -850,17 +874,63 @@ def _no_certificate_cases():
     singular, _ = diffusion_operator(grid, 1.0, neumann)
     lam_min = np.linalg.eigvalsh(a.toarray())[0]
     indefinite = a - 2.0 * lam_min * scipy.sparse.eye_array(grid.n, format="csc")
+    # DIA forms of a, with an offset-2 superdiagonal and no mirror, with one
+    # in-matrix entry of the +1 diagonal changed, and with a positive pair of
+    # mirrored in-grid entries
+    unmirrored = scipy.sparse.dia_array(
+        (np.insert(a.data, 4, -0.5, axis=0), np.insert(a.offsets, 4, 2)), shape=a.shape)
+    unequal, positive_pair = a.copy(), a.copy()
+    unequal.data[3, 2] *= 0.5
+    positive_pair.data[1, 2] = positive_pair.data[3, 3] = 1.0
     return {"nonsymmetric-heat": (heat, surrogate.grid),
             "positive-offdiagonal": (positive.tocsc(), grid),
-            "singular-neumann": (singular, grid), "indefinite": (indefinite, grid)}
+            "singular-neumann": (singular, grid), "indefinite": (indefinite, grid),
+            "dia-unmirrored-superdiagonal": (unmirrored, grid),
+            "dia-unequal-mirror": (unequal, grid),
+            "dia-positive-subdiagonal": (positive_pair, grid)}
 
 
 @pytest.mark.parametrize("start", ["default", "sine"])
 @pytest.mark.parametrize("case", list(_no_certificate_cases()))
 def test_inverse_norm_bound_refuses_matrices_without_a_certificate(case, start):
     a, grid = _no_certificate_cases()[case]
-    with pytest.raises((ConfigError, SingularMatrix)):
+    # the DIA cases fail the symmetry or sign check itself
+    error = ConfigError if case.startswith("dia-") else (ConfigError, SingularMatrix)
+    with pytest.raises(error):
         problems.spd_inverse_norm(a, sine_start(grid) if start == "sine" else None)
+
+
+def with_padding(a, values):
+    """A copy of the DIA array ``a`` whose padding cycles through ``values``."""
+    padded = a.copy()
+    inside = np.zeros(a.data.shape, dtype=bool)
+    for k, o in enumerate(a.offsets):
+        inside[k, max(o, 0):min(a.shape[0] + o, a.shape[1])] = True
+    padded.data[~inside] = np.resize(values, (~inside).sum())
+    return padded
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1e300], [1e300, -7.0, 3.0]],
+                         ids=["nan-and-huge", "positive-asymmetric"])
+def test_padding_is_never_read(values):
+    """An operator whose padding holds NaN and 1e300, or positive values that
+    differ between mirrored diagonals, factors, solves and certifies bit for
+    bit like its CSC twin; as_matrix takes it as it is."""
+    grid = Grid2D(6, 5)
+    rng = np.random.default_rng(8)
+    a, _ = diffusion_operator(grid, rng.uniform(0.5, 2.0, grid.n), DIRICHLET0)
+    padded = with_padding(a, values)
+    assert not np.array_equal(padded.data, a.data, equal_nan=True)
+    assert numerics.as_matrix(padded) is padded
+    twin = a.tocsc()
+    b = rng.standard_normal(grid.n)
+    got, want = numerics.lu_factorize(padded), numerics.lu_factorize(twin)
+    assert_bitwise(got.lub, want.lub)
+    assert_bitwise(got.ipiv, want.ipiv)
+    assert_bitwise(numerics.lu_apply(got, b), numerics.lu_apply(want, b))
+    for start in (None, sine_start(grid)):
+        assert problems.spd_inverse_norm(padded, start) == \
+            problems.spd_inverse_norm(twin, start)
 
 
 @pytest.mark.parametrize("start, error", [
