@@ -29,13 +29,8 @@ from .errors import (
 
 GRAVITY = 9.81
 
-# spd_inverse_norm stops once its per-node Collatz-Wielandt ratios agree to
-# INV_NORM_RTOL, on its start vector or after a sweep of inverse iteration, or
-# after INV_NORM_MAX_SWEEPS sweeps; every certificate it takes is a valid
-# bound, so the cap only costs tightness.
-INV_NORM_RTOL = 1e-9
-INV_NORM_MAX_SWEEPS = 200
 NOT_M_MATRIX = "exact constants need a symmetric nonsingular M-matrix"
+NO_CERTIFICATE = "start vector does not certify the matrix: y > 0 and A y > 0 do not both hold"
 
 
 @dataclass(frozen=True)
@@ -389,31 +384,23 @@ def _make_rd_problem(pair: ReactionDiffusionPair, exact_constants: bool) -> Coup
     )
 
 
-def spd_inverse_norm(a, y=None) -> float:
-    """Certified upper bound on ``||A^{-1}||_2`` by an M-matrix certificate.
+def spd_inverse_norm(a, y) -> float:
+    """Certified upper bound on ``||A^{-1}||_2``: an M-matrix certificate
+    taken on the given ``y``, one sparse product, nothing factored.
 
-    ``A`` must be exactly symmetric with off-diagonal entries ``<= 0``. For
-    such a matrix any ``y > 0`` with ``A y > 0`` proves that ``A`` is a
-    nonsingular M-matrix, so ``A^{-1} >= 0`` (Berman & Plemmons, *Nonnegative
-    Matrices in the Mathematical Sciences*, ch. 6), and the Collatz-Wielandt
-    inequality gives ``||A^{-1}||_2 = rho(A^{-1}) <= max_i y_i / (A y)_i``
-    (Varga, *Matrix Iterative Analysis*, sec. 2.1). ``(A y)_i`` is bounded
-    below by its computed value less the componentwise rounding bound of the
-    sparse product, so every certificate taken is a valid bound, and it falls
-    toward the true norm as ``y`` nears the Perron vector.
+    For ``A`` exactly symmetric with off-diagonal entries ``<= 0``, any
+    ``y > 0`` with ``A y > 0`` proves ``A`` a nonsingular M-matrix, so
+    ``A^{-1} >= 0`` (Berman & Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, ch. 6), and the Collatz-Wielandt inequality gives
+    ``||A^{-1}||_2 = rho(A^{-1}) <= max_i y_i / (A y)_i`` (Varga, *Matrix
+    Iterative Analysis*, sec. 2.1), with ``(A y)_i`` taken as its computed
+    value less the product's rounding bound. The bound is tight when ``y``
+    is the Perron vector.
 
-    The certificate is taken first on the start ``y``, a finite, positive
-    vector of length n (default all ones). When its per-node ratios agree to
-    ``INV_NORM_RTOL``, as they do on a closed-form Perron vector, that bound
-    is returned and nothing is factored. Otherwise ``A`` is factored and
-    sweeps of inverse iteration from ``y`` supply new vectors until the
-    ratios agree, or for ``INV_NORM_MAX_SWEEPS`` sweeps.
-
-    Raises DimensionMismatch, ValueError or ConfigError for a start of the
-    wrong length, non-finite or not positive; ConfigError when a check on
-    ``A`` fails, so no certificate exists; and SingularMatrix when the
-    factorization finds ``A`` singular. It never returns an uncertified
-    number.
+    Raises DimensionMismatch or ValueError for a ``y`` of the wrong length
+    or not finite, and ConfigError for an ``A`` that fails the checks
+    (``NOT_M_MATRIX``) or a ``y`` that does not certify it
+    (``NO_CERTIFICATE``; a singular Z-matrix has no certificate).
     """
     a = numerics.as_matrix(a)
     if not scipy.sparse.issparse(a):
@@ -426,65 +413,42 @@ def spd_inverse_norm(a, y=None) -> float:
             and all(np.array_equal(d, inside[-o]) and np.all(d <= 0.0)
                     for o, d in inside.items() if o < 0)):
         raise ConfigError(NOT_M_MATRIX)
-    if y is None:
-        y = np.ones(a.shape[0])
-    else:
-        y = numerics.as_vector(y)
-        if y.shape != (a.shape[0],):
-            raise DimensionMismatch(
-                f"start vector has {y.size} entries, matrix has {a.shape[0]} rows")
-        if not np.all(y > 0.0):
-            raise ConfigError("start vector must be positive")
-    # |fl(A y) - A y| <= gamma_k |A| y when each row sums at most k products,
-    # one per stored diagonal, with gamma_j = j u / (1 - j u); gamma_{k+2}
-    # also covers the roundings of fl(|A| y), of its product with gamma and of
-    # the subtraction
+    y = numerics.as_vector(y)
+    if y.shape != (a.shape[0],):
+        raise DimensionMismatch(
+            f"start vector has {y.size} entries, matrix has {a.shape[0]} rows")
+    # |fl(A y) - A y| <= gamma_k |A| y for k products per row, one per stored
+    # diagonal, with gamma_j = j u / (1 - j u); gamma_{k+2} also covers the
+    # roundings of fl(|A| y), of its product with gamma and of the subtraction
     u = np.finfo(float).eps / 2
     terms = len(diags) + 2
     gamma = terms * u / (1.0 - terms * u)
-    for sweep in range(INV_NORM_MAX_SWEEPS + 1):
-        if sweep:
-            if sweep == 1:
-                factors = numerics.lu_factorize(a)
-            y = numerics.lu_apply(factors, y / y.max())
-        # |A| y row by row, each row's terms added in column order, as A y adds them
-        abs_y = np.zeros(a.shape[0])
-        for o, start, d in diags:
-            abs_y[start - o:start - o + d.size] += np.abs(d) * y[start:start + d.size]
-        lo = a @ y - gamma * abs_y
-        if not (np.all(y > 0.0) and np.all(lo > 0.0)):
-            if not sweep:   # the start gives no certificate; sweep from it
-                continue
-            raise ConfigError(NOT_M_MATRIX)
-        ratios = y / lo
-        bound = float(ratios.max())
-        if bound <= ratios.min() * (1.0 + INV_NORM_RTOL):
-            break
+    # |A| y row by row, each row's terms added in column order, as A y adds them
+    abs_y = np.zeros(a.shape[0])
+    for o, start, d in diags:
+        abs_y[start - o:start - o + d.size] += np.abs(d) * y[start:start + d.size]
+    lo = a @ y - gamma * abs_y
+    if not (np.all(y > 0.0) and np.all(lo > 0.0)):
+        raise ConfigError(NO_CERTIFICATE)
     # margin for the roundings of the division and of this product
-    return bound * (1.0 + 4.0 * u)
-
-
-def _rd_perron_vector(pair: ReactionDiffusionPair) -> np.ndarray:
-    """Perron vector of the pair's operators, in closed form and natural
-    order: ``y[j, i] = sin(pi (i+1) h) sin(pi (j+1) h)`` with ``h = 1/(n+1)``,
-    the discrete sine mode of the Dirichlet Laplacian on the unit square."""
-    s = np.sin(math.pi * pair.grid.xcoords())
-    return np.outer(s, s).ravel()
+    return float((y / lo).max()) * (1.0 + 4.0 * u)
 
 
 def _rd_exact_constants(pair: ReactionDiffusionPair, a1, a2) -> coupling.Constants:
     """Certified constants of the pair's problem: its graph's K and L, the
     inverse norms and the Lipschitz bound.
 
-    Each ``||A_i^{-1}||`` is the certified upper bound of
-    :func:`spd_inverse_norm` (an M-matrix certificate), taken on the pair's
-    closed-form Perron vector (:func:`_rd_perron_vector`; ``d`` only scales
-    the operator), so nothing is factored, and computed once when ``a2`` is
-    ``a1``. The reactions are linear, so each K is the coupling's
-    absolute slope times that bound, and the Lipschitz bound is the
-    contraction bound of this graph, an upper bound on the true constant of G.
+    Each ``||A_i^{-1}||`` is the bound of :func:`spd_inverse_norm`, taken on
+    the operators' Perron vector in closed form and natural order,
+    ``y[j, i] = sin(pi (i+1) h) sin(pi (j+1) h)`` with ``h = 1/(n+1)`` (the
+    discrete sine mode of the Dirichlet Laplacian; ``d`` only scales the
+    operator), so the certificate is tight, and once when ``a2`` is ``a1``.
+    The reactions are linear, so each K is the coupling's absolute slope
+    times that bound, and the Lipschitz bound is the contraction bound of
+    this graph, an upper bound on the true constant of G.
     """
-    y = _rd_perron_vector(pair)
+    s = np.sin(math.pi * pair.grid.xcoords())
+    y = np.outer(s, s).ravel()
     m1 = spd_inverse_norm(a1, y)
     m2 = m1 if a2 is a1 else spd_inverse_norm(a2, y)
     graph = coupling.DependenceGraph(

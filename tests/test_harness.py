@@ -328,23 +328,80 @@ def test_field_dump_refuses_a_field_of_another_size(tmp_path):
     assert not path.exists()
 
 
+def written_report(out, command="run", *extra):
+    """The JSON report a CLI command wrote to ``out``, once its report, its
+    trace and each of ``extra`` are checked to be files that are not empty."""
+    for name in (f"{command}_report.json", f"{command}_trace.csv", *extra):
+        assert (out / name).is_file() and (out / name).stat().st_size > 0, name
+    return json.loads((out / f"{command}_report.json").read_text())
+
+
 def test_cli_paths():
     assert cli.main(["paths", "--from", "3", "--to", "0"]) == 0
+
+
+def test_cli_paths_prints_the_count_then_each_decreasing_path(capsys):
+    assert cli.main(["paths", "--from", "4", "--to", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # 2**(4-0-1) paths from system 4 down to the outer iterate
+    assert lines[0] == "|d_{0,4}| = 8"
+    assert len(lines) == 9
+    assert all(line.startswith("4 -> ") and line.endswith(" 0") for line in lines[1:])
 
 
 def test_cli_run_scalar(tmp_path, capsys):
     rc = cli.main(["run", "--problem", "scalar", "--rom", "1", "--eps", "1e-8",
                    "--nb", "3", "--out", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "run_report.json").exists()
-    assert (tmp_path / "run_trace.csv").exists()
+    # the toy hands out one 1x1 matrix, factored once
+    assert written_report(tmp_path)["factorizations"] == [1]
+
+
+@pytest.mark.parametrize("source", ["flags", "ini"])
+def test_cli_thermal_run_factors_every_solve_and_rejects_at_most_two(tmp_path, source):
+    """Thermal has no matrix to share, so each full-order solve factors; its
+    reduced models stop drawing attempts once they fail, so at most 2 steps
+    are rejected; and every row carries the L of its err recurrence. The same
+    run comes from flags and from a file written by ``save_config``."""
+    out = tmp_path / "out"
+    if source == "flags":
+        argv = ["--problem", "thermal", "--rom", "1", "--nb", "5", "--eps", "1e-8"]
+    else:
+        ini = tmp_path / "exp.ini"
+        harness.save_config(harness.ExperimentConfig(problem="thermal", rom="1", eps=1e-8), ini)
+        argv = ["--config", str(ini)]
+    assert cli.main(["run", *argv, "--out", str(out)]) == 0
+    report = written_report(out)
+    assert report["factorizations"] == report["fom_solves"]
+    assert report["rejected"] <= 2
+    assert report["trace"] and all(isinstance(row["l_est"], float) for row in report["trace"])
+
+
+def test_cli_rd_run_with_exact_constants_factors_its_shared_operator_once(tmp_path):
+    rc = cli.main(["run", "--problem", "rd", "--rom", "1", "--exact-constants",
+                   "--criterion", "asymptotic", "--eps", "1e-8", "--out", str(tmp_path)])
+    assert rc == 0
+    assert written_report(tmp_path)["factorizations"] == [1, 0]
+
+
+def test_cli_asymptotic_run_with_a_two_snapshot_window_writes_its_report(tmp_path):
+    """It probes before the ledger has a K_{1,2} sample and refines until it
+    has one, rather than stopping mid-run."""
+    rc = cli.main(["run", "--problem", "rd", "--rom", "1", "--nb", "2",
+                   "--criterion", "asymptotic", "--eps", "1e-8", "--out", str(tmp_path)])
+    assert rc == 0
+    assert written_report(tmp_path)["converged"] is True
 
 
 def test_cli_reference_rd(tmp_path):
     rc = cli.main(["reference", "--problem", "rd", "--eps", "1e-6",
                    "--out", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "reference_field1.txt").exists()
+    report = written_report(tmp_path, "reference",
+                            "reference_field1.txt", "reference_field2.txt")
+    # it reduces nothing, so it reads no constants and never warns
+    assert report["trace"] and all(row["l_est"] is None for row in report["trace"])
+    assert report["expansive_warning"] is False
 
 
 def test_cli_reference_dumps_fields_on_the_configured_grid(tmp_path):
@@ -386,6 +443,13 @@ def test_cli_bench_times_the_two_series_and_solves_nothing_else(tmp_path, monkey
     assert json.loads((tmp_path / "bench.json").read_text())["mean"] > 0.0
 
 
+def test_cli_bench_rd_writes_its_statistics(tmp_path):
+    rc = cli.main(["bench", "--problem", "rd", "--rom", "1", "--reps", "5",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "bench.json").read_text())["mean"] > 0.0
+
+
 def test_cli_bench_kmax_exit_code(tmp_path):
     rc = cli.main(["bench", "--problem", "scalar", "--rom", "none",
                    "--eps", "1e-300", "--kmax", "50", "--out", str(tmp_path)])
@@ -412,6 +476,14 @@ def test_cli_compare_criteria_writes_one_row_per_criterion_and_validation(tmp_pa
     assert len(rows) == len(CRITERIA) * 2 == 8
     assert {(row["criterion"], row["validation"]) for row in rows} == {
         (criterion, str(validation)) for criterion in CRITERIA for validation in (True, False)}
+
+
+def test_cli_compare_criteria_on_thermal_writes_a_header_and_eight_rows(tmp_path):
+    rc = cli.main(["compare-criteria", "--problem", "thermal", "--rom", "1", "--eps", "1e-9",
+                   "--nb", "5", "--eps-rb", "1e-4", "--out", str(tmp_path)])
+    assert rc == 0
+    # one row per criterion with the validation loop on and off: 1 + 4 * 2
+    assert len((tmp_path / "criteria_comparison.csv").read_text().splitlines()) == 9
 
 
 def test_cli_error_exit_code(tmp_path):

@@ -23,7 +23,6 @@ from picardrom.errors import (
     ConfigError,
     DimensionMismatch,
     NonPositiveDiffusion,
-    SingularMatrix,
     ViscosityOutOfRange,
 )
 from picardrom.problems import (
@@ -823,10 +822,13 @@ def test_rd_inverse_norms_are_certified_and_tight_on_the_perron_vector(n, log_d)
 
 
 def test_inverse_norm_bound_is_tight_on_the_default_rd_operator():
-    prob = make_coupled_problem(ReactionDiffusionPair())
+    pair = ReactionDiffusionPair()
+    assert pair.n == 32
+    prob = make_coupled_problem(pair)
     a, _ = prob.assemblers[0](prob.x0, [])
     true_inv = 1.0 / np.linalg.eigvalsh(a.toarray())[0]
-    assert true_inv <= problems.spd_inverse_norm(a) <= true_inv * (1 + 1e-6)
+    bound = problems.spd_inverse_norm(a, sine_start(pair.grid))
+    assert true_inv <= bound <= true_inv * (1 + 1e-9)
 
 
 SIDES = ("south", "north", "west", "east")
@@ -845,22 +847,52 @@ def m_matrix_operators(draw):
     return diffusion_operator(grid, np.exp(log_d), bc)[0]
 
 
+def certificate(a, start):
+    """``spd_inverse_norm(a, start)``, or the message of its ConfigError."""
+    try:
+        return problems.spd_inverse_norm(a, start)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def true_inverse_norm(a):
+    return 1.0 / np.linalg.svd(a.toarray(), compute_uv=False)[-1]
+
+
 @settings(deadline=None, max_examples=100)
 @given(m_matrix_operators(), st.data())
 def test_inverse_norm_bound_is_certified(a, data):
-    # the default start, or a random positive one
-    start = data.draw(st.none() | st.lists(st.floats(1e-3, 1.0), min_size=a.shape[0],
-                                           max_size=a.shape[0]))
-    bound = problems.spd_inverse_norm(a, start)
-    dense = a.toarray()
-    true_inv = 1.0 / np.linalg.svd(dense, compute_uv=False)[-1]
-    # the dense reference carries rounding of its own
-    assert bound >= true_inv * (1 - 1e-12)
-    # inverse iteration closes the gap like (lam_1/lam_2)^sweeps; where the
-    # sweep cap allows that, the bound is tight too
-    lam = np.linalg.eigvalsh(dense)
-    if (lam[0] / lam[1]) ** problems.INV_NORM_MAX_SWEEPS <= 1e-9:
-        assert bound <= true_inv * (1 + 1e-6)
+    # a random positive start, drawn toward A^-1 1 by a random weight so
+    # that some draws certify: it either certifies a or is refused as a start
+    noise = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=a.shape[0],
+                                        max_size=a.shape[0])))
+    solution = numerics.lu_apply(numerics.lu_factorize(a), np.ones(a.shape[0]))
+    weight = data.draw(st.floats(0.0, 1.0))
+    start = (1.0 - weight) * noise + weight * solution / solution.max()
+    bound = certificate(a, start)
+    if isinstance(bound, float):
+        # the dense reference carries rounding of its own
+        assert bound >= true_inverse_norm(a) * (1 - 1e-12)
+    else:
+        assert bound == problems.NO_CERTIFICATE
+
+
+@settings(deadline=None, max_examples=100)
+@given(m_matrix_operators())
+def test_inverse_norm_bound_is_certified_on_the_solution_for_ones(a):
+    """``y = A^{-1} 1`` gives ``A y = 1 > 0`` up to rounding: the start the
+    flow matrices of later steps are to be certified on."""
+    start = numerics.lu_apply(numerics.lu_factorize(a), np.ones(a.shape[0]))
+    assert problems.spd_inverse_norm(a, start) >= true_inverse_norm(a) * (1 - 1e-12)
+
+
+def test_ones_do_not_certify_a_dirichlet_laplacian():
+    """An interior row of the Laplacian sums to 0, so ``A 1`` is not
+    positive: the start is refused, not the matrix."""
+    a, _ = diffusion_operator(Grid2D(5, 4), 1.0, DIRICHLET0)
+    with pytest.raises(ConfigError) as refused:
+        problems.spd_inverse_norm(a, np.ones(20))
+    assert str(refused.value) == problems.NO_CERTIFICATE
 
 
 def _no_certificate_cases():
@@ -890,14 +922,17 @@ def _no_certificate_cases():
             "dia-positive-subdiagonal": (positive_pair, grid)}
 
 
-@pytest.mark.parametrize("start", ["default", "sine"])
+@pytest.mark.parametrize("start", ["ones", "sine"])
 @pytest.mark.parametrize("case", list(_no_certificate_cases()))
 def test_inverse_norm_bound_refuses_matrices_without_a_certificate(case, start):
     a, grid = _no_certificate_cases()[case]
-    # the DIA cases fail the symmetry or sign check itself
-    error = ConfigError if case.startswith("dia-") else (ConfigError, SingularMatrix)
-    with pytest.raises(error):
-        problems.spd_inverse_norm(a, sine_start(grid) if start == "sine" else None)
+    # the singular and indefinite matrices pass the structural checks, and no
+    # positive start certifies them
+    symmetric_z_matrix = case in ("singular-neumann", "indefinite")
+    with pytest.raises(ConfigError) as refused:
+        problems.spd_inverse_norm(a, sine_start(grid) if start == "sine" else np.ones(grid.n))
+    assert str(refused.value) == (problems.NO_CERTIFICATE if symmetric_z_matrix
+                                  else problems.NOT_M_MATRIX)
 
 
 def with_padding(a, values):
@@ -914,8 +949,9 @@ def with_padding(a, values):
                          ids=["nan-and-huge", "positive-asymmetric"])
 def test_padding_is_never_read(values):
     """An operator whose padding holds NaN and 1e300, or positive values that
-    differ between mirrored diagonals, factors, solves and certifies bit for
-    bit like its CSC twin; as_matrix takes it as it is."""
+    differ between mirrored diagonals, factors, solves and certifies (or
+    refuses a start) bit for bit like its CSC twin; as_matrix takes it as it
+    is."""
     grid = Grid2D(6, 5)
     rng = np.random.default_rng(8)
     a, _ = diffusion_operator(grid, rng.uniform(0.5, 2.0, grid.n), DIRICHLET0)
@@ -928,9 +964,11 @@ def test_padding_is_never_read(values):
     assert_bitwise(got.lub, want.lub)
     assert_bitwise(got.ipiv, want.ipiv)
     assert_bitwise(numerics.lu_apply(got, b), numerics.lu_apply(want, b))
-    for start in (None, sine_start(grid)):
-        assert problems.spd_inverse_norm(padded, start) == \
-            problems.spd_inverse_norm(twin, start)
+    # the sine mode does not certify this varying-coefficient operator; A^-1 1 does
+    starts = (sine_start(grid), numerics.lu_apply(want, np.ones(grid.n)))
+    results = [(certificate(padded, y), certificate(twin, y)) for y in starts]
+    assert results[0] == (problems.NO_CERTIFICATE,) * 2
+    assert isinstance(results[1][0], float) and results[1][0] == results[1][1]
 
 
 @pytest.mark.parametrize("start, error", [
