@@ -48,11 +48,12 @@ class CoupledProblem:
     assemblers shares one factorization (see :class:`FactorCache`), so a
     returned matrix must not be modified in place afterwards. Reuse goes by
     object identity only: an assembler whose matrix does not change should
-    hand out one object, since an equal new matrix is factored again. A sparse
-    ``A_i`` is read as a DIA array (see :func:`numerics.as_matrix`; the demo
-    assemblers build one) and factors by banded LU over the band its stored
-    diagonals span, so its unknowns should be ordered to keep entries near
-    the diagonal, as the natural order of the 5-point stencils does. An
+    hand out one object, since an equal new matrix is factored again. ``A_i``
+    may be dense, like the scalar toy's 1x1 array, or sparse, like the DIA
+    arrays the demo assemblers build; either factors by banded LU over the
+    band its diagonals span (see :func:`numerics.lu_factorize`), so its
+    unknowns should be ordered to keep entries near the diagonal, as the
+    natural order of the 5-point stencils does. An
     assembler must be a deterministic function of ``(x, ys)``: after a
     rejected reduced step the refinement step at the same ``x`` reuses that
     step's ``(A_1, F_1)`` instead of assembling system 1 again.

@@ -1,15 +1,16 @@
 """Minimal linear-algebra substrate.
 
 Everything here is a thin, contract-checked layer over LAPACK (via numpy and
-scipy): direct solve with singularity detection, SVD, and the two norms used
+scipy): banded LU with singularity detection, SVD, and the two norms used
 throughout the package. Full-order operators are 5-point stencils in
 natural order, hence band matrices of half-width ``nx``, stored as scipy
 ``dia_array`` (one row of ``data`` per diagonal) from assembly through
 factorization to the certificate: banded LU copies each diagonal into its
 LAPACK band row, with no pattern to index or cache, and factors without row
-swaps solve with two BLAS triangular band solves. Reduced systems and other
-small matrices stay dense and factor with LAPACK dense LU, called directly.
-Both kinds go through the same :func:`lu_factorize` / :func:`lu_apply` pair.
+swaps solve with two BLAS triangular band solves. :func:`lu_factorize`
+factors one kind of matrix, a band: dense input reads as the band of its
+nonzero diagonals, as other sparse formats do. The reduced systems are
+:mod:`pod`'s own to solve.
 """
 
 from __future__ import annotations
@@ -123,90 +124,68 @@ def _band_view(flat: np.ndarray, offset: int, shape: tuple[int, int]) -> np.ndar
     return flat[offset:offset + ldab * n].reshape(n, ldab).T
 
 
-def lu_factorize(a):
+def lu_factorize(a) -> BandFactors:
     """LU-factor a square matrix, raising SingularMatrix on tiny pivots.
 
-    Returns an opaque handle for :func:`lu_apply`; factor once, solve often.
-    Dense input factors with LAPACK ``dgetrf``. Sparse input, as the DIA
-    array :func:`as_matrix` returns, factors with LAPACK banded LU
-    (``dgbtrf``, partial pivoting) over the band its stored diagonals span,
-    ``kl`` below and ``ku`` above the main one, in place. Each diagonal's
-    entries inside the matrix are copied straight into their band row. The
-    band array holds ``(2*kl + ku + 1) * n`` doubles: cheap for the narrow
-    bands of the stencil operators (half-width ``nx`` in natural order), but
-    up to about 3x dense storage when entries lie far from the diagonal;
-    factors without row swaps also carry views of it.
+    Returns the handle for :func:`lu_apply`; factor once, solve often.
+    Sparse input is read as the DIA array :func:`as_matrix` returns, and
+    dense input as the DIA array of its nonzero entries, converted as
+    CSC/CSR/COO input is. Either factors with LAPACK banded LU (``dgbtrf``,
+    partial pivoting) over the band its stored diagonals span, ``kl`` below
+    and ``ku`` above the main one, in place. Each diagonal's entries inside
+    the matrix are copied straight into their band row. The band array holds
+    ``(2*kl + ku + 1) * n`` doubles: cheap for the narrow bands of the
+    stencil operators (half-width ``nx`` in natural order), but up to about
+    3x dense storage when entries lie far from the diagonal; factors without
+    row swaps also carry views of it.
     """
     a = as_matrix(a)
+    if not scipy.sparse.issparse(a):
+        a = _dia(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    if scipy.sparse.issparse(a):
-        diags = list(diagonals(a))
-        offsets = [o for o, _, _ in diags] or [0]
-        kl, ku = max(-offsets[0], 0), max(offsets[-1], 0)   # offsets ascend
-        scale = np.abs(np.concatenate([d for _, _, d in diags] or [[0.0]])).max()
-        # Entry a[i, j] goes to row kl + ku + i - j of column j; the top kl
-        # rows stay free for the fill-in of partial pivoting, and kl + ku spare
-        # zeros after the band keep the triangle views below inside the buffer.
-        ldab, n = 2 * kl + ku + 1, a.shape[1]
-        flat = np.zeros(ldab * n + kl + ku)
-        ab = _band_view(flat, 0, (ldab, n))
-        for o, start, d in diags:
-            ab[kl + ku - o, start:start + d.size] = d
-        lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
-        if info < 0:
-            raise ValueError(f"dgbtrf rejected argument {-info}")
-        if info > 0:
-            raise SingularMatrix(f"numerically singular matrix (zero pivot {info})")
-        # Factored in place without row swaps, U has ku superdiagonals (its kl
-        # fill rows stay zero) and L kl subdiagonals: views from offset kl + ku
-        # and kl put L's diagonal in row 0 and U's in row ku.
-        no_swaps = lub is ab and (ipiv == np.arange(ipiv.size, dtype=ipiv.dtype)).all()
-        views = [_band_view(flat, k, lub.shape) for k in (kl + ku, kl)] if no_swaps else []
-        factors = BandFactors(lub, ipiv, kl, ku, *views)
-        pivots = np.abs(lub[kl + ku])
-    else:
-        scale = np.abs(a).max()
-        # info > 0 reports an exactly zero pivot, which the check below rejects
-        lu, piv, info = scipy.linalg.lapack.dgetrf(a)
-        if info < 0:
-            raise ValueError(f"dgetrf rejected argument {-info}")
-        factors = (lu, piv)
-        pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or (pivots < PIVOT_RTOL * scale).any():
+    diags = list(diagonals(a))
+    offsets = [o for o, _, _ in diags] or [0]
+    kl, ku = max(-offsets[0], 0), max(offsets[-1], 0)   # offsets ascend
+    scale = max((np.abs(d).max() for _, _, d in diags), default=0.0)
+    # Entry a[i, j] goes to row kl + ku + i - j of column j; the top kl
+    # rows stay free for the fill-in of partial pivoting, and kl + ku spare
+    # zeros after the band keep the triangle views below inside the buffer.
+    ldab, n = 2 * kl + ku + 1, a.shape[1]
+    flat = np.zeros(ldab * n + kl + ku)
+    ab = _band_view(flat, 0, (ldab, n))
+    for o, start, d in diags:
+        ab[kl + ku - o, start:start + d.size] = d
+    lub, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info}")
+    if info > 0:
+        raise SingularMatrix(f"numerically singular matrix (zero pivot {info})")
+    if scale == 0.0 or (np.abs(lub[kl + ku]) < PIVOT_RTOL * scale).any():
         raise SingularMatrix("numerically singular matrix (tiny pivot)")
-    return factors
+    # Factored in place without row swaps, U has ku superdiagonals (its kl
+    # fill rows stay zero) and L kl subdiagonals: views from offset kl + ku
+    # and kl put L's diagonal in row 0 and U's in row ku.
+    no_swaps = lub is ab and (ipiv == np.arange(ipiv.size, dtype=ipiv.dtype)).all()
+    views = [_band_view(flat, k, lub.shape) for k in (kl + ku, kl)] if no_swaps else []
+    return BandFactors(lub, ipiv, kl, ku, *views)
 
 
-def lu_apply(factors, b: np.ndarray) -> np.ndarray:
-    """Solve with a handle from :func:`lu_factorize`: BLAS ``dtbsv`` on L, then
-    on U, for banded factors without row swaps, else ``dgbtrs`` or ``dgetrs``."""
-    banded = isinstance(factors, BandFactors)
-    n = factors.lub.shape[1] if banded else factors[0].shape[0]
+def lu_apply(factors: BandFactors, b: np.ndarray) -> np.ndarray:
+    """Solve with the factors from :func:`lu_factorize`: BLAS ``dtbsv`` on L,
+    then on U, when no row was swapped, else LAPACK ``dgbtrs``."""
     b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
+    if b.shape != (factors.lub.shape[1],):
         raise DimensionMismatch("right-hand side length does not match matrix")
-    if banded and factors.lower is not None:
+    if factors.lower is not None:
         dtbsv = scipy.linalg.blas.dtbsv
         y = dtbsv(factors.kl, factors.lower, b, lower=1, diag=1)
         return dtbsv(factors.ku, factors.upper, y, overwrite_x=1)
-    if banded:
-        x, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
-                                             factors.ipiv)
-    else:
-        x, info = scipy.linalg.lapack.dgetrs(*factors, b)
+    x, info = scipy.linalg.lapack.dgbtrs(factors.lub, factors.kl, factors.ku, b,
+                                         factors.ipiv)
     if info < 0:
-        raise ValueError(f"{'dgbtrs' if banded else 'dgetrs'} rejected argument {-info}")
+        raise ValueError(f"dgbtrs rejected argument {-info}")
     return x
-
-
-def solve_dense(a, b) -> np.ndarray:
-    """Solve ``a x = b`` by LU with partial pivoting; ``a`` may be sparse.
-
-    Deterministic for identical inputs; raises SingularMatrix when pivoting
-    detects numerical singularity.
-    """
-    return lu_apply(lu_factorize(a), as_vector(b))
 
 
 def svd(a) -> SvdResult:

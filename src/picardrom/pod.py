@@ -3,8 +3,10 @@
 A FIFO window of recent full-order solutions feeds a centered SVD basis with
 energy truncation. The reduced solve projects the full linear system onto
 that basis and reports the full-space residual, from which the standard
-inverse-norm error bound follows. An SVD failure, like a singular projected
-system, leaves the reduced model unavailable.
+inverse-norm error bound follows. The projected system is small (k x k, k
+the basis size) and dense, and is solved here with LAPACK dense LU; the
+full-order band solves stay in :mod:`numerics`. An SVD failure, like a
+singular projected system, leaves the reduced model unavailable.
 """
 
 from __future__ import annotations
@@ -14,14 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics
-from .errors import (
-    DimensionMismatch,
-    SingularMatrix,
-    SingularReducedSystem,
-    TooFewSnapshots,
-)
+from .errors import DimensionMismatch, SingularReducedSystem, TooFewSnapshots
 
 
 class SnapshotWindow:
@@ -115,6 +113,11 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
     ``(V^T A V) v = V^T f - V^T A u_mean`` and returns
     ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``. A sparse
     ``A`` keeps the projection at O(nnz(A) * M), one product ``A [V | u_mean]``.
+
+    Raises DimensionMismatch for ``a`` or ``f`` of the wrong size, ValueError
+    for non-finite entries in them or in the projected system, and
+    SingularReducedSystem when LU with partial pivoting (LAPACK ``dgetrf``)
+    meets a pivot below ``numerics.PIVOT_RTOL`` times ``max|V^T A V|``.
     """
     a = numerics.as_matrix(a)
     f = numerics.as_vector(f)
@@ -128,10 +131,14 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
         a_cols = a @ basis.columns  # contiguous slices: strided ones round differently
         reduced_a = v_mat.T @ np.ascontiguousarray(a_cols[:, :-1])
         reduced_rhs = v_mat.T @ f - v_mat.T @ np.ascontiguousarray(a_cols[:, -1])
-        try:
-            coords = numerics.solve_dense(reduced_a, reduced_rhs)
-        except SingularMatrix as exc:
-            raise SingularReducedSystem(str(exc)) from exc
+        if not (np.isfinite(reduced_a).all() and np.isfinite(reduced_rhs).all()):
+            raise ValueError("projected system entries must be finite")
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(reduced_a)
+        # an exactly zero pivot (dgetrf's info > 0) fails this test too
+        scale = np.abs(reduced_a).max()
+        if scale == 0.0 or (np.abs(np.diag(lu)) < numerics.PIVOT_RTOL * scale).any():
+            raise SingularReducedSystem("numerically singular reduced system (tiny pivot)")
+        coords, _ = scipy.linalg.lapack.dgetrs(lu, piv, reduced_rhs)
         full = v_mat @ coords + basis.mean
     residual = numerics.norm2(a @ full - f)
     return RomSolution(full_field=full, residual_norm=residual)

@@ -1,4 +1,5 @@
-"""Tests for the linear-algebra substrate (dense and sparse paths)."""
+"""Tests for the linear-algebra substrate: banded LU, which reads dense and
+sparse input alike, the SVD and the norm."""
 
 import warnings
 
@@ -19,12 +20,12 @@ ORTHO_TOL = 1e-10       # orthonormality of computed factors
 
 
 def test_solve_identity():
-    x = numerics.solve_dense(np.eye(3), [1.0, 2.0, 3.0])
+    x = numerics.lu_apply(numerics.lu_factorize(np.eye(3)), [1.0, 2.0, 3.0])
     assert np.allclose(x, [1.0, 2.0, 3.0], atol=0, rtol=0)
 
 
 def test_solve_diagonal():
-    x = numerics.solve_dense(np.diag([2.0, 4.0]), [2.0, 8.0])
+    x = numerics.lu_apply(numerics.lu_factorize(np.diag([2.0, 4.0])), [2.0, 8.0])
     assert np.allclose(x, [1.0, 2.0], atol=0, rtol=0)
 
 
@@ -34,7 +35,7 @@ def test_solve_spd_backward_residual():
         b_mat = rng.standard_normal((20, 20))
         a = b_mat @ b_mat.T + 20.0 * np.eye(20)
         b = rng.standard_normal(20)
-        x = numerics.solve_dense(a, b)
+        x = numerics.lu_apply(numerics.lu_factorize(a), b)
         assert numerics.norm2(a @ x - b) <= SOLVE_RTOL * numerics.norm2(b)
 
 
@@ -42,27 +43,33 @@ def test_solve_deterministic():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((12, 12)) + 12 * np.eye(12)
     b = rng.standard_normal(12)
-    x1 = numerics.solve_dense(a, b)
-    x2 = numerics.solve_dense(a.copy(), b.copy())
+    x1 = numerics.lu_apply(numerics.lu_factorize(a), b)
+    x2 = numerics.lu_apply(numerics.lu_factorize(a.copy()), b.copy())
     assert np.array_equal(x1, x2)
 
 
-def test_solve_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        numerics.solve_dense(a, [1.0, 1.0])
+# Dense input and its CSC twin take the same path: each reads as a band.
+INPUT_FORMS = pytest.mark.parametrize("form", [np.asarray, scipy.sparse.csc_array],
+                                      ids=["dense", "csc"])
 
 
-def test_solve_zero_matrix_raises():
-    with pytest.raises(SingularMatrix):
-        numerics.solve_dense(np.zeros((3, 3)), [1.0, 0.0, 0.0])
+@INPUT_FORMS
+def test_solve_singular_raises(form):
+    zero_row = np.array([[1.0, 0.0], [0.0, 0.0]])
+    exact = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for a in (zero_row, exact, np.zeros((3, 3))):
+        with pytest.raises(SingularMatrix):
+            numerics.lu_factorize(form(a))
 
 
-def test_solve_dimension_mismatch():
+@INPUT_FORMS
+def test_solve_dimension_mismatch(form):
+    factors = numerics.lu_factorize(form(np.eye(3)))
+    for b in ([1.0, 2.0], np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            numerics.lu_apply(factors, b)
     with pytest.raises(DimensionMismatch):
-        numerics.solve_dense(np.eye(3), [1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        numerics.lu_factorize(np.ones((2, 3)))
+        numerics.lu_factorize(form(np.ones((2, 3))))
 
 
 def test_vector_rejects_nonfinite():
@@ -171,14 +178,6 @@ def test_as_matrix_returns_dia():
         assert np.array_equal(converted.toarray(), expected)
 
 
-def test_sparse_singular_raises():
-    zero_row = scipy.sparse.csc_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    exact = scipy.sparse.csc_array(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    for a in (zero_row, exact, scipy.sparse.csc_array((3, 3))):
-        with pytest.raises(SingularMatrix):
-            numerics.solve_dense(a, np.ones(a.shape[0]))
-
-
 def test_sparse_tiny_pivot_raises():
     a = scipy.sparse.csc_array(np.array([[1.0, 1.0], [1.0, 1.0 + 4e-15]]))
     with pytest.raises(SingularMatrix):
@@ -194,24 +193,19 @@ def test_sparse_rejects_nonfinite():
             numerics.lu_factorize(a)
 
 
-def test_sparse_dimension_mismatch():
-    a = scipy.sparse.csc_array(np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        numerics.solve_dense(a, [1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        numerics.lu_apply(numerics.lu_factorize(a), np.ones(4))
-    with pytest.raises(DimensionMismatch):
-        numerics.lu_factorize(scipy.sparse.csc_array(np.ones((2, 3))))
-
-
 def test_sparse_matches_dense():
+    """A dense matrix and its CSC twin factor to identical band factors and
+    solve to identical vectors."""
     rng = np.random.default_rng(21)
     for n in (1, 5, 40, 200):
         a = random_dominant(rng, n)
         b = rng.standard_normal(n)
-        x_sparse = numerics.solve_dense(a, b)
-        x_dense = numerics.solve_dense(a.toarray(), b)
-        assert numerics.norm2(x_sparse - x_dense) <= 1e-12 * max(1.0, numerics.norm2(x_dense))
+        sparse, dense = numerics.lu_factorize(a), numerics.lu_factorize(a.toarray())
+        assert (sparse.kl, sparse.ku) == (dense.kl, dense.ku)
+        for got, want in ((sparse.lub, dense.lub), (sparse.ipiv, dense.ipiv),
+                          (sparse.lower, dense.lower), (sparse.upper, dense.upper)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(numerics.lu_apply(sparse, b), numerics.lu_apply(dense, b))
 
 
 def test_sparse_backward_residual():
@@ -284,8 +278,8 @@ def test_banded_lu_solves_random_band_matrices(system):
     x = numerics.lu_apply(factors, b)
     assert backward_error(dense, x, b) <= SOLVE_RTOL
     if dominant:
-        x_dense = numerics.solve_dense(dense, b)
-        assert numerics.norm2(x - x_dense) <= 1e-12 * max(1.0, numerics.norm2(x_dense))
+        x_ref = np.linalg.solve(dense, b)
+        assert numerics.norm2(x - x_ref) <= 1e-12 * max(1.0, numerics.norm2(x_ref))
 
 
 @settings(deadline=None, max_examples=200)

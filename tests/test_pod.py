@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from picardrom import coupling, numerics, pod
@@ -128,7 +129,7 @@ def test_rom_solve_full_basis_matches_direct():
     basis = pod.ReducedBasis(basis=q, mean=np.zeros(n),
                              singular_values=np.ones(n))
     sol = pod.rom_solve(basis, a, f)
-    assert np.allclose(sol.full_field, numerics.solve_dense(a, f), atol=1e-9)
+    assert np.allclose(sol.full_field, np.linalg.solve(a, f), atol=1e-9)
 
 
 def test_rom_error_bound():
@@ -142,7 +143,7 @@ def test_rom_error_bound():
         a = b @ b.T + 10 * np.eye(10)
         inv_norm = 1.0 / np.linalg.svd(a, compute_uv=False)[-1]
         f = rng.standard_normal(10)
-        u_exact = numerics.solve_dense(a, f)
+        u_exact = np.linalg.solve(a, f)
         u_rb = u_exact + 0.1 * rng.standard_normal(10)
         r = numerics.norm2(a @ u_rb - f)
         assert numerics.norm2(u_exact - u_rb) <= coupling.delta_single(g, 1, inv_norm, r) + 1e-9
@@ -160,3 +161,34 @@ def test_rom_solve_refuses_a_singular_projection_of_a_nonsingular_operator(spars
                              singular_values=np.ones(1))
     with pytest.raises(SingularReducedSystem):
         pod.rom_solve(basis, a, np.ones(4))
+
+
+def with_entry(array, index, value):
+    array = np.array(array, dtype=float)
+    array[index] = value
+    return array
+
+
+FIRST_TWO = np.eye(4)[:, :2]
+MIXED = np.array([[1.0], [1.0], [0.0], [0.0]]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("a, f, v, error", [
+    (np.eye(3), np.ones(4), FIRST_TWO, DimensionMismatch),
+    (np.eye(4), np.ones(3), FIRST_TWO, DimensionMismatch),
+    (np.eye(4), with_entry(np.ones(4), 2, np.nan), FIRST_TWO, ValueError),
+    (with_entry(np.eye(4), (0, 3), np.inf), np.ones(4), FIRST_TWO, ValueError),
+    # finite A whose projection overflows: V^T A V = 2e308
+    (scipy.linalg.block_diag(np.full((2, 2), 1e308), np.eye(2)), np.ones(4), MIXED,
+     ValueError),
+    # V^T A V = [[1, 1], [1, 1 + 4e-15]]: nonzero pivots, the second below
+    # PIVOT_RTOL relative to max|V^T A V|
+    (scipy.linalg.block_diag([[1.0, 1.0], [1.0, 1.0 + 4e-15]], np.eye(2)), np.ones(4),
+     FIRST_TWO, SingularReducedSystem),
+], ids=["a-shape", "f-length", "nan-in-f", "inf-in-a", "projection-overflows",
+        "tiny-relative-pivot"])
+def test_rom_solve_refusals(a, f, v, error):
+    basis = pod.ReducedBasis(basis=v, mean=np.zeros(4),
+                             singular_values=np.ones(v.shape[1]))
+    with np.errstate(over="ignore"), pytest.raises(error):
+        pod.rom_solve(basis, a, f)

@@ -460,7 +460,7 @@ def test_thermal_assemblies_match_node_loop_bitwise(theta_in):
 def test_homogeneous_problem_is_zero():
     grid = Grid2D(6, 6)
     a, f_bc = diffusion_operator(grid, 1.0, DIRICHLET0)
-    u = numerics.solve_dense(a, f_bc + np.zeros(grid.n))
+    u = np.linalg.solve(a.toarray(), f_bc + np.zeros(grid.n))
     assert numerics.norm2(u) <= 1e-12
 
 
@@ -473,7 +473,7 @@ def test_manufactured_solution_second_order():
         exact = np.sin(np.pi * xs) * np.sin(np.pi * ys)
         rhs = 2.0 * np.pi ** 2 * exact
         a, f_bc = diffusion_operator(grid, 1.0, DIRICHLET0)
-        u = numerics.solve_dense(a, rhs + f_bc)
+        u = np.linalg.solve(a.toarray(), rhs + f_bc)
         errors.append(grid.hx * numerics.norm2(u - exact))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
@@ -483,7 +483,7 @@ def test_discrete_maximum_principle():
     grid = Grid2D(8, 8)
     bc = {s: ("dirichlet", 0.3) for s in ("south", "north", "west", "east")}
     a, f_bc = diffusion_operator(grid, 2.0, bc)
-    u = numerics.solve_dense(a, f_bc)
+    u = np.linalg.solve(a.toarray(), f_bc)
     assert u.min() >= -1e-13
 
 
@@ -500,7 +500,7 @@ def test_neumann_conduction_flux():
     # Dirichlet 0 at south; compare wall-normal gradient with q/k to O(h)
     surrogate = ThermalFlowSurrogate(grid=Grid2D(32, 16, width=2.0, height=6.0))
     a, f = assemble_heat(surrogate, np.zeros(surrogate.grid.n))
-    theta = numerics.solve_dense(a, f)
+    theta = np.linalg.solve(a.toarray(), f)
     grid = surrogate.grid
     theta2d = theta.reshape(grid.ny, grid.nx)
     mid = grid.ny // 2
@@ -512,7 +512,7 @@ def test_neumann_conduction_flux():
 def test_heat_zero_wall_flux_zero_solution():
     surrogate = ThermalFlowSurrogate(theta_wall=0.0)
     a, f = assemble_heat(surrogate, np.zeros(surrogate.grid.n))
-    theta = numerics.solve_dense(a, f)
+    theta = np.linalg.solve(a.toarray(), f)
     assert numerics.norm2(theta) <= 1e-12
 
 
@@ -596,7 +596,7 @@ def test_flow_unforced_zero():
     bc = {"south": ("dirichlet", 0.0), "north": ("neumann", 0.0),
           "west": ("dirichlet", 0.0), "east": ("dirichlet", 0.0)}
     a0, f0 = diffusion_operator(s.grid, s.viscosity(np.zeros(s.grid.n)), bc)
-    u = numerics.solve_dense(a0, f0)
+    u = np.linalg.solve(a0.toarray(), f0)
     assert numerics.norm2(u) <= 1e-12
 
 
@@ -633,7 +633,7 @@ def test_flow_symmetry_for_constant_theta():
     s = ThermalFlowSurrogate()
     theta = 0.05 * np.ones(s.grid.n)
     a, f = assemble_flow(s, theta)
-    u = numerics.solve_dense(a, f).reshape(s.grid.ny, s.grid.nx)
+    u = np.linalg.solve(a.toarray(), f).reshape(s.grid.ny, s.grid.nx)
     assert np.allclose(u, u[:, ::-1], atol=1e-10)
 
 
@@ -690,7 +690,7 @@ def test_rd_fixed_point_matches_newton_oracle():
     big[n:, n:] = a2.toarray()
     big[n:, :n] = -pair.s21 * np.eye(n)
     rhs = np.concatenate([pair.q1 + f1, pair.q2 + f2])
-    exact = numerics.solve_dense(big, rhs)
+    exact = np.linalg.solve(big, rhs)
     assert numerics.norm2(x - exact) <= 10 * eps
 
 
