@@ -45,10 +45,12 @@ class CoupledProblem:
     ``combiner(x, ys)`` maps the p solutions to the next outer iterate.
     Within a run, an assembler that returns the same ``A_i`` object again has
     its factorization reused, and the same object returned by two systems'
-    assemblers shares one factorization (see :class:`FactorCache`), so a
-    returned matrix must not be modified in place afterwards. Reuse goes by
-    object identity only: an assembler whose matrix does not change should
-    hand out one object, since an equal new matrix is factored again. ``A_i``
+    assemblers shares one factorization (see :class:`FactorCache`). A reduced
+    solve with the object its basis last projected reuses that projection
+    and its factors (see :func:`pod.rom_solve`). So a returned matrix must
+    not be modified in place afterwards. Reuse goes by object identity only:
+    an assembler whose matrix does not change should hand out one object,
+    since an equal new matrix is factored and projected again. ``A_i``
     may be dense, like the scalar toy's 1x1 array, or sparse, like the DIA
     arrays the demo assemblers build; either factors by banded LU over the
     band its diagonals span (see :func:`numerics.lu_factorize`), so its

@@ -5,8 +5,11 @@ energy truncation. The reduced solve projects the full linear system onto
 that basis and reports the full-space residual, from which the standard
 inverse-norm error bound follows. The projected system is small (k x k, k
 the basis size) and dense, and is solved here with LAPACK dense LU; the
-full-order band solves stay in :mod:`numerics`. An SVD failure, like a
-singular projected system, leaves the reduced model unavailable.
+full-order band solves stay in :mod:`numerics`. Each basis keeps the
+projection of the last matrix object it was solved with, so a reduced solve
+on that same object again skips the sparse product, the projection and the
+k x k factorization. An SVD failure, like a singular projected system,
+leaves the reduced model unavailable.
 """
 
 from __future__ import annotations
@@ -48,16 +51,36 @@ class SnapshotWindow:
         return self
 
     def matrix(self) -> np.ndarray:
-        return np.column_stack(self._columns)
+        """The snapshots as the columns of an (N, k) array, oldest first: the
+        transpose of their row stack, so each snapshot is contiguous in memory
+        and reductions along a row run over contiguous data."""
+        return np.stack(self._columns).T
+
+
+@dataclass(frozen=True)
+class _Projection:
+    """A matrix projected onto a basis by :func:`rom_solve`."""
+
+    source: object          # the caller's matrix object, matched by identity
+    matrix: object          # ``source`` as :func:`numerics.as_matrix` returned it
+    reduced: np.ndarray     # V^T A V
+    mean_image: np.ndarray  # V^T A u_mean
+    lu: np.ndarray          # ``reduced`` factored by dgetrf, pivots checked
+    piv: np.ndarray
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Orthonormal basis of the centered snapshot space plus the mean field."""
+    """Orthonormal basis of the centered snapshot space plus the mean field.
+
+    It also holds the projection of the last matrix :func:`rom_solve` solved
+    with on it, so that projection lives exactly as long as the basis.
+    """
 
     basis: np.ndarray            # (N, M), orthonormal columns
     mean: np.ndarray             # (N,)
     singular_values: np.ndarray  # centered singular values
+    _projection = None           # a _Projection once rom_solve has projected a matrix
 
     @property
     def size(self) -> int:
@@ -114,12 +137,25 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
     ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``. A sparse
     ``A`` keeps the projection at O(nnz(A) * M), one product ``A [V | u_mean]``.
 
+    The basis keeps the last projection: ``a`` as validated, ``V^T A V``,
+    ``V^T A u_mean`` and the checked factors of ``V^T A V``. A call with the
+    same ``a`` object again (matched by identity, never by value, as
+    :class:`driver.FactorCache` matches matrices) reuses them, so ``a`` must
+    not be modified in place between calls. Such a call still validates
+    ``f``, checks ``V^T f - V^T A u_mean`` for finite entries, and forms the
+    residual from ``a``, so its result is bitwise that of a fresh projection.
+
     Raises DimensionMismatch for ``a`` or ``f`` of the wrong size, ValueError
     for non-finite entries in them or in the projected system, and
     SingularReducedSystem when LU with partial pivoting (LAPACK ``dgetrf``)
     meets a pivot below ``numerics.PIVOT_RTOL`` times ``max|V^T A V|``.
     """
-    a = numerics.as_matrix(a)
+    source = a
+    kept = basis._projection
+    if kept is not None and kept.source is source:
+        a = kept.matrix
+    else:
+        kept, a = None, numerics.as_matrix(a)
     f = numerics.as_vector(f)
     n = basis.mean.size
     if a.shape != (n, n) or f.size != n:
@@ -128,18 +164,24 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
     if basis.size == 0:
         full = basis.mean.copy()
     else:
-        a_cols = a @ basis.columns  # contiguous slices: strided ones round differently
-        reduced_a = v_mat.T @ np.ascontiguousarray(a_cols[:, :-1])
-        reduced_rhs = v_mat.T @ f - v_mat.T @ np.ascontiguousarray(a_cols[:, -1])
+        if kept is None:
+            a_cols = a @ basis.columns  # contiguous slices: strided ones round differently
+            reduced_a = v_mat.T @ np.ascontiguousarray(a_cols[:, :-1])
+            mean_image = v_mat.T @ np.ascontiguousarray(a_cols[:, -1])
+        else:
+            reduced_a, mean_image = kept.reduced, kept.mean_image
+        reduced_rhs = v_mat.T @ f - mean_image
         if not (np.isfinite(reduced_a).all() and np.isfinite(reduced_rhs).all()):
             raise ValueError("projected system entries must be finite")
-        lu, piv, _ = scipy.linalg.lapack.dgetrf(reduced_a)
-        # an exactly zero pivot (dgetrf's info > 0) fails this test too
-        scale = np.abs(reduced_a).max()
-        if scale == 0.0 or (np.abs(np.diag(lu)) < numerics.PIVOT_RTOL * scale).any():
-            raise SingularReducedSystem("numerically singular reduced system (tiny pivot)")
-        coords, _ = scipy.linalg.lapack.dgetrs(lu, piv, reduced_rhs)
+        if kept is None:
+            lu, piv, _ = scipy.linalg.lapack.dgetrf(reduced_a)
+            # an exactly zero pivot (dgetrf's info > 0) fails this test too
+            scale = np.abs(reduced_a).max()
+            if scale == 0.0 or (np.abs(np.diag(lu)) < numerics.PIVOT_RTOL * scale).any():
+                raise SingularReducedSystem("numerically singular reduced system (tiny pivot)")
+            kept = _Projection(source, a, reduced_a, mean_image, lu, piv)
+            object.__setattr__(basis, "_projection", kept)
+        coords, _ = scipy.linalg.lapack.dgetrs(kept.lu, kept.piv, reduced_rhs)
         full = v_mat @ coords + basis.mean
     residual = numerics.norm2(a @ full - f)
     return RomSolution(full_field=full, residual_norm=residual)
-

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from picardrom import coupling, numerics, pod
+from picardrom import coupling, numerics, pod, problems
 from picardrom.errors import DimensionMismatch, SingularReducedSystem, TooFewSnapshots
 
 
@@ -32,6 +32,24 @@ def test_fifo_keeps_last_capacity():
     w = _window(cols, capacity=5)
     assert len(w) == 5
     assert np.array_equal(w.matrix(), np.column_stack(cols[2:]))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_build_basis_bits_match_a_column_stacked_window(k):
+    """Below 8 snapshots, numpy sums a row of the (N, k) window in order
+    whether the window is column-stacked (C order, contiguous rows) or a
+    transposed row stack (F order): the basis, mean and singular values are
+    those of the column-stacked build, bit for bit."""
+    rng = np.random.default_rng(10 + k)
+    columns = [rng.standard_normal(300) for _ in range(k)]
+    basis = pod.build_basis_svd(_window(columns), 1e-7)
+    phi = np.column_stack(columns)
+    mean = phi.mean(axis=1)
+    left, s, _ = np.linalg.svd(phi - mean[:, None], full_matrices=False)
+    assert basis.size == k - 1
+    assert basis.mean.tobytes() == mean.tobytes()
+    assert basis.singular_values.tobytes() == s.tobytes()
+    assert basis.basis.tobytes() == np.ascontiguousarray(left[:, :k - 1]).tobytes()
 
 
 def test_push_dimension_mismatch():
@@ -173,22 +191,81 @@ FIRST_TWO = np.eye(4)[:, :2]
 MIXED = np.array([[1.0], [1.0], [0.0], [0.0]]) / np.sqrt(2.0)
 
 
-@pytest.mark.parametrize("a, f, v, error", [
-    (np.eye(3), np.ones(4), FIRST_TWO, DimensionMismatch),
-    (np.eye(4), np.ones(3), FIRST_TWO, DimensionMismatch),
-    (np.eye(4), with_entry(np.ones(4), 2, np.nan), FIRST_TWO, ValueError),
-    (with_entry(np.eye(4), (0, 3), np.inf), np.ones(4), FIRST_TWO, ValueError),
+def _counting_dgetrf(monkeypatch) -> list:
+    """Count pod's k x k factorizations: one per reduced solve that projects."""
+    calls = []
+    dgetrf = scipy.linalg.lapack.dgetrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dgetrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, f, v, error, f_side", [
+    (np.eye(3), np.ones(4), FIRST_TWO, DimensionMismatch, False),
+    (np.eye(4), np.ones(3), FIRST_TWO, DimensionMismatch, True),
+    (np.eye(4), with_entry(np.ones(4), 2, np.nan), FIRST_TWO, ValueError, True),
+    # finite f whose projection overflows: V^T f = 1.7e308 * sqrt(2)
+    (np.eye(4), np.array([1.7e308, 1.7e308, 0.0, 0.0]), MIXED, ValueError, True),
+    (with_entry(np.eye(4), (0, 3), np.inf), np.ones(4), FIRST_TWO, ValueError, False),
     # finite A whose projection overflows: V^T A V = 2e308
     (scipy.linalg.block_diag(np.full((2, 2), 1e308), np.eye(2)), np.ones(4), MIXED,
-     ValueError),
+     ValueError, False),
     # V^T A V = [[1, 1], [1, 1 + 4e-15]]: nonzero pivots, the second below
     # PIVOT_RTOL relative to max|V^T A V|
     (scipy.linalg.block_diag([[1.0, 1.0], [1.0, 1.0 + 4e-15]], np.eye(2)), np.ones(4),
-     FIRST_TWO, SingularReducedSystem),
-], ids=["a-shape", "f-length", "nan-in-f", "inf-in-a", "projection-overflows",
-        "tiny-relative-pivot"])
-def test_rom_solve_refusals(a, f, v, error):
-    basis = pod.ReducedBasis(basis=v, mean=np.zeros(4),
-                             singular_values=np.ones(v.shape[1]))
+     FIRST_TWO, SingularReducedSystem, False),
+], ids=["a-shape", "f-length", "nan-in-f", "projected-f-overflows", "inf-in-a",
+        "projection-overflows", "tiny-relative-pivot"])
+def test_rom_solve_refusals(a, f, v, error, f_side, monkeypatch):
+    """Each refusal holds on a fresh basis, and an ``f``-side one also on a
+    (basis, ``a``) pair already projected, where the call reuses the kept
+    projection (no factorization) and must still check ``f``."""
+    def fresh_basis():
+        return pod.ReducedBasis(basis=v, mean=np.zeros(4),
+                                singular_values=np.ones(v.shape[1]))
+
     with np.errstate(over="ignore"), pytest.raises(error):
-        pod.rom_solve(basis, a, f)
+        pod.rom_solve(fresh_basis(), a, f)
+    if f_side:
+        basis = fresh_basis()
+        pod.rom_solve(basis, a, np.ones(4))
+        factored = _counting_dgetrf(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(error):
+            pod.rom_solve(basis, a, f)
+        assert factored == []
+
+
+def _rd_operator():
+    walls = {side: ("dirichlet", 0.0) for side in ("south", "north", "west", "east")}
+    return problems.diffusion_operator(problems.Grid2D(32, 32), 0.02, walls)[0]
+
+
+def _thermal_operator():
+    surrogate = problems.ThermalFlowSurrogate()
+    return problems.assemble_heat(surrogate, np.full(surrogate.grid.n, 0.5))[0]
+
+
+@pytest.mark.parametrize("operator", [_rd_operator, _thermal_operator],
+                         ids=["rd", "thermal"])
+def test_rom_solve_on_a_kept_projection_is_bitwise_a_fresh_one(operator, monkeypatch):
+    """A second solve with the same matrix object reuses the basis's
+    projection and returns the bits of a solve on an equal copy, which
+    projects afresh: a copy is never matched, only the object itself."""
+    a = operator()
+    n = a.shape[0]
+    rng = np.random.default_rng(9)
+    basis = pod.build_basis_svd(_window([rng.standard_normal(n) for _ in range(5)]), 1e-7)
+    f, g = rng.standard_normal(n), rng.standard_normal(n)
+    factored = _counting_dgetrf(monkeypatch)
+    pod.rom_solve(basis, a, f)
+    kept = pod.rom_solve(basis, a, g)
+    assert len(factored) == 1
+    copies = [pod.rom_solve(basis, a.copy(), g) for _ in range(2)]
+    assert len(factored) == 3
+    for sol in copies:
+        assert sol.full_field.tobytes() == kept.full_field.tobytes()
+        assert sol.residual_norm.hex() == kept.residual_norm.hex()
