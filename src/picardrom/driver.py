@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -50,12 +51,12 @@ class CoupledProblem:
     and its factors (see :func:`pod.rom_solve`). So a returned matrix must
     not be modified in place afterwards. Reuse goes by object identity only:
     an assembler whose matrix does not change should hand out one object,
-    since an equal new matrix is factored and projected again. ``A_i``
-    may be dense, like the scalar toy's 1x1 array, or sparse, like the DIA
-    arrays the demo assemblers build; either factors by banded LU over the
-    band its diagonals span (see :func:`numerics.lu_factorize`), so its
-    unknowns should be ordered to keep entries near the diagonal, as the
-    natural order of the 5-point stencils does. An
+    since an equal new matrix is factored and projected again. Every
+    ``A_i``, dense ones included, is read as a DIA array (see
+    :func:`numerics.as_matrix`) and factors by banded LU over the band its
+    diagonals span (see :func:`numerics.lu_factorize`), so its unknowns
+    should be ordered to keep entries near the diagonal, as the natural
+    order of the 5-point stencils does. An
     assembler must be a deterministic function of ``(x, ys)``: after a
     rejected reduced step the refinement step at the same ``x`` reuses that
     step's ``(A_1, F_1)`` instead of assembling system 1 again.
@@ -336,23 +337,28 @@ def evaluate_criterion(kind: str, *, delta_k: float, err: float, constants: Cons
 
 
 class _RomState:
-    """Per-system snapshot windows, and the plan of a reduced step: ``rom[i]``
-    is system i's basis, built when first read after a push; it raises
-    SvdFailure, caching nothing, when the SVD fails."""
+    """Per-system snapshot windows and bases, and the plan of a reduced step.
+
+    ``windows[i]`` is system i's FIFO of its last ``n_b`` full-order
+    solutions, oldest first, each checked finite and copied at the push.
+    ``rom[i]`` is system i's basis, built from that window when first read
+    after a push (a push drops it); it raises SvdFailure, caching nothing,
+    when the SVD fails, and DimensionMismatch when the solutions in the
+    window differ in length."""
 
     def __init__(self, config: RunConfig, report: RunReport):
-        self.windows = {i: pod.SnapshotWindow(config.n_b) for i in config.rom_set}
-        self.bases: dict[int, pod.ReducedBasis] = {}   # dropped when a push moves the window
+        self.windows = {i: deque(maxlen=config.n_b) for i in config.rom_set}
+        self.bases: dict[int, pod.ReducedBasis] = {}
         self.config = config
         self.report = report
 
     def push(self, solutions: list[np.ndarray]) -> None:
-        for i in self.windows:
-            self.windows[i].push(solutions[i - 1])
+        for i, window in self.windows.items():
+            window.append(numerics.as_vector(solutions[i - 1]).copy())
             self.bases.pop(i, None)
 
     def ready(self) -> bool:
-        return all(len(w) >= w.capacity for w in self.windows.values())
+        return all(len(w) == w.maxlen for w in self.windows.values())
 
     def __contains__(self, i: int) -> bool:
         return i in self.windows

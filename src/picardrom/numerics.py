@@ -7,9 +7,9 @@ natural order, hence band matrices of half-width ``nx``, stored as scipy
 ``dia_array`` (one row of ``data`` per diagonal) from assembly through
 factorization to the certificate: banded LU copies each diagonal into its
 LAPACK band row, with no pattern to index or cache, and factors without row
-swaps solve with two BLAS triangular band solves. :func:`lu_factorize`
-factors one kind of matrix, a band: dense input reads as the band of its
-nonzero diagonals, as other sparse formats do. The reduced systems are
+swaps solve with two BLAS triangular band solves. :func:`as_matrix` reads
+every matrix, dense input included, as the band of its nonzero diagonals,
+so the package handles one matrix type. The reduced systems are
 :mod:`pod`'s own to solve.
 """
 
@@ -40,37 +40,32 @@ def as_vector(data) -> np.ndarray:
 
 
 def as_matrix(data):
-    """Validate and return a finite 2-D float matrix.
+    """Validate and return a finite 2-D float matrix as a ``dia_array``.
 
-    Sparse input comes back as a ``dia_array`` with strictly ascending
-    offsets and one ``data`` column per matrix column (the same object when it
-    already is one, of floats); anything else comes back as a dense array.
-    Only the entries inside the matrix must be finite: see :func:`diagonals`.
+    The result has strictly ascending offsets and one ``data`` column per
+    matrix column; it is ``data`` itself when that already is one, of floats.
+    Dense input and other sparse formats are converted by :func:`_dia`. Only
+    the entries inside the matrix must be finite: see :func:`diagonals`.
     """
-    if scipy.sparse.issparse(data):
-        a = data
-        offsets = a.offsets.tolist() if a.format == "dia" else None
-        if not (offsets is not None and a.data.shape[1] == a.shape[1]
-                and all(o < p for o, p in zip(offsets, offsets[1:]))):
-            a = _dia(a)
-        a = a.astype(float, copy=False)
-        finite = np.isfinite(a.data).all() or all(
-            np.isfinite(d).all() for _, _, d in diagonals(a))
-    else:
-        a = np.asarray(data, dtype=float)
-        finite = np.isfinite(a).all()
+    a = data if scipy.sparse.issparse(data) else np.asarray(data, dtype=float)
     if a.ndim != 2 or 0 in a.shape:
         raise DimensionMismatch(f"expected nonempty 2-D matrix, got shape {a.shape}")
-    if not finite:
+    offsets = a.offsets.tolist() if getattr(a, "format", None) == "dia" else None
+    if not (offsets is not None and a.data.shape[1] == a.shape[1]
+            and all(o < p for o, p in zip(offsets, offsets[1:]))):
+        a = _dia(a)
+    a = a.astype(float, copy=False)
+    if not (np.isfinite(a.data).all() or all(
+            np.isfinite(d).all() for _, _, d in diagonals(a))):
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def _dia(a):
-    """The sparse matrix ``a`` as a new ``dia_array``: duplicates summed,
-    offsets ascending, zero padding and one ``data`` column per matrix column.
-    Built from its COO form directly, so a wide band converts without scipy's
-    ``SparseEfficiencyWarning``."""
+    """The dense or sparse matrix ``a`` as a new ``dia_array`` of its nonzero
+    entries: duplicates summed, offsets ascending, zero padding and one
+    ``data`` column per matrix column. Built from its COO form directly, so a
+    wide band converts without scipy's ``SparseEfficiencyWarning``."""
     coo = scipy.sparse.coo_array(a)
     coo.sum_duplicates()
     offsets, row = np.unique(coo.col - coo.row, return_inverse=True)
@@ -128,20 +123,17 @@ def lu_factorize(a) -> BandFactors:
     """LU-factor a square matrix, raising SingularMatrix on tiny pivots.
 
     Returns the handle for :func:`lu_apply`; factor once, solve often.
-    Sparse input is read as the DIA array :func:`as_matrix` returns, and
-    dense input as the DIA array of its nonzero entries, converted as
-    CSC/CSR/COO input is. Either factors with LAPACK banded LU (``dgbtrf``,
-    partial pivoting) over the band its stored diagonals span, ``kl`` below
-    and ``ku`` above the main one, in place. Each diagonal's entries inside
-    the matrix are copied straight into their band row. The band array holds
+    The input is read as the DIA array :func:`as_matrix` returns and factors
+    with LAPACK banded LU (``dgbtrf``, partial pivoting) over the band its
+    stored diagonals span, ``kl`` below and ``ku`` above the main one, in
+    place. Each diagonal's entries inside the matrix are copied straight
+    into their band row. The band array holds
     ``(2*kl + ku + 1) * n`` doubles: cheap for the narrow bands of the
     stencil operators (half-width ``nx`` in natural order), but up to about
     3x dense storage when entries lie far from the diagonal; factors without
     row swaps also carry views of it.
     """
     a = as_matrix(a)
-    if not scipy.sparse.issparse(a):
-        a = _dia(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     diags = list(diagonals(a))
@@ -189,8 +181,14 @@ def lu_apply(factors: BandFactors, b: np.ndarray) -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin SVD; raises SvdFailure if the LAPACK kernel fails."""
-    a = as_matrix(a)
+    """Thin SVD of a finite, nonempty, dense 2-D array, such as the snapshot
+    matrix of :func:`pod.build_basis_svd`; raises SvdFailure if the LAPACK
+    kernel fails."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or 0 in a.shape:
+        raise DimensionMismatch(f"expected nonempty 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

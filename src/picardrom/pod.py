@@ -1,10 +1,12 @@
-"""Snapshot management and the projection-based reduced-order model.
+"""The projection-based reduced-order model: a POD basis and the reduced solve.
 
-A FIFO window of recent full-order solutions feeds a centered SVD basis with
-energy truncation. The reduced solve projects the full linear system onto
-that basis and reports the full-space residual, from which the standard
-inverse-norm error bound follows. The projected system is small (k x k, k
-the basis size) and dense, and is solved here with LAPACK dense LU; the
+A centered SVD of recent full-order solutions, truncated by energy, gives
+the basis; the run keeps those solutions (see :class:`driver._RomState`).
+The reduced solve projects the full linear system onto that basis and
+reports the full-space residual, from which the standard inverse-norm error
+bound follows. Every matrix is read as the DIA array
+:func:`numerics.as_matrix` returns. The projected system is small (k x k,
+k the basis size) and dense, and is solved here with LAPACK dense LU; the
 full-order band solves stay in :mod:`numerics`. Each basis keeps the
 projection of the last matrix object it was solved with, so a reduced solve
 on that same object again skips the sparse product, the projection and the
@@ -14,7 +16,6 @@ leaves the reduced model unavailable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,38 +24,6 @@ import scipy.linalg
 
 from . import numerics
 from .errors import DimensionMismatch, SingularReducedSystem, TooFewSnapshots
-
-
-class SnapshotWindow:
-    """Bounded FIFO store of equal-length snapshot vectors."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._columns: deque[np.ndarray] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    @property
-    def dim(self) -> int | None:
-        return self._columns[0].size if self._columns else None
-
-    def push(self, u) -> "SnapshotWindow":
-        u = numerics.as_vector(u)
-        if self._columns and u.size != self.dim:
-            raise DimensionMismatch(
-                f"snapshot length {u.size} != window dimension {self.dim}"
-            )
-        self._columns.append(u.copy())
-        return self
-
-    def matrix(self) -> np.ndarray:
-        """The snapshots as the columns of an (N, k) array, oldest first: the
-        transpose of their row stack, so each snapshot is contiguous in memory
-        and reductions along a row run over contiguous data."""
-        return np.stack(self._columns).T
 
 
 @dataclass(frozen=True)
@@ -98,19 +67,28 @@ class RomSolution:
     residual_norm: float
 
 
-def build_basis_svd(window: SnapshotWindow, eps_rb: float) -> ReducedBasis:
-    """POD basis: centered SVD truncated by the energy criterion.
+def build_basis_svd(snapshots, eps_rb: float) -> ReducedBasis:
+    """POD basis of ``snapshots``, oldest first: centered SVD truncated by
+    the energy criterion.
 
-    The basis size M is the smallest count whose captured energy fraction
-    reaches ``1 - eps_rb**2``, capped at the numerical rank. A window of
-    identical snapshots degenerates to M = 0 (mean field only). Raises
-    SvdFailure when the SVD kernel fails.
+    The snapshots are the columns of an (N, k) array, the transpose of their
+    row stack, so each snapshot is contiguous in memory and reductions along
+    a row run over contiguous data. The basis size M is the smallest count
+    whose captured energy fraction reaches ``1 - eps_rb**2``, capped at the
+    numerical rank. Identical snapshots degenerate to M = 0 (mean field
+    only). Raises TooFewSnapshots for fewer than two snapshots,
+    DimensionMismatch for snapshots of unequal length, ValueError for
+    non-finite entries, and SvdFailure when the SVD kernel fails.
     """
     if not 0.0 < eps_rb < 1.0:
         raise ValueError("eps_rb must lie in (0, 1)")
-    if len(window) < 2:
+    if len(snapshots) < 2:
         raise TooFewSnapshots("basis construction needs at least 2 snapshots")
-    phi = window.matrix()
+    if len({np.shape(u) for u in snapshots}) > 1:
+        raise DimensionMismatch("snapshots differ in length")
+    phi = np.stack(snapshots).T
+    if not np.isfinite(phi).all():   # before any arithmetic on them
+        raise ValueError("snapshot entries must be finite")
     mean = phi.mean(axis=1)
     dec = numerics.svd(phi - mean[:, None])
     s = dec.singular_values
@@ -134,8 +112,9 @@ def rom_solve(basis: ReducedBasis, a, f) -> RomSolution:
 
     With V the basis and u_mean the mean snapshot, solves
     ``(V^T A V) v = V^T f - V^T A u_mean`` and returns
-    ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``. A sparse
-    ``A`` keeps the projection at O(nnz(A) * M), one product ``A [V | u_mean]``.
+    ``V v + u_mean`` together with ``||A (V v + u_mean) - f||``. ``A`` is
+    read as a band, dense input included, so the projection costs
+    O(nnz(A) * M), one product ``A [V | u_mean]``.
 
     The basis keeps the last projection: ``a`` as validated, ``V^T A V``,
     ``V^T A u_mean`` and the checked factors of ``V^T A V``. A call with the

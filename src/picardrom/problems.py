@@ -403,8 +403,6 @@ def spd_inverse_norm(a, y) -> float:
     (``NO_CERTIFICATE``; a singular Z-matrix has no certificate).
     """
     a = numerics.as_matrix(a)
-    if not scipy.sparse.issparse(a):
-        a = numerics.as_matrix(scipy.sparse.coo_array(a))
     diags = list(numerics.diagonals(a))
     # A is symmetric when each stored diagonal's in-matrix entries equal its
     # mirror's, entry by entry, and a Z-matrix when the subdiagonals' are <= 0

@@ -21,7 +21,13 @@ from picardrom.driver import (
     evaluate_criterion,
     step,
 )
-from picardrom.errors import ConfigError, MissingConstants, SingularReducedSystem, SvdFailure
+from picardrom.errors import (
+    ConfigError,
+    DimensionMismatch,
+    MissingConstants,
+    SingularReducedSystem,
+    SvdFailure,
+)
 
 
 def scalar_problem(rate=0.5, source=0.0, x0=1.0):
@@ -223,7 +229,7 @@ def test_accelerated_scalar_with_rom_converges():
     cfg = RunConfig(eps=1e-10, n_b=3, rom_set=frozenset({1}))
     report = accelerated_run(prob, cfg)
     assert report.converged
-    assert report.final_err <= 1e-10 or math.isinf(report.final_err) is False
+    assert report.final_err <= 1e-10
 
 
 def test_rejected_step_keeps_iterate_and_forces_fom():
@@ -244,12 +250,125 @@ def test_rejected_step_keeps_iterate_and_forces_fom():
     assert report.rejected == events.count("reject")
 
 
-def test_counter_consistency():
-    prob = scalar_problem()
-    cfg = RunConfig(eps=1e-10, n_b=3, rom_set=frozenset({1}))
-    report = accelerated_run(prob, cfg)
-    assert report.svds == len([1 for _ in range(report.svds)])  # nonnegative int
+def spy(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` that returns."""
+    original, returned = getattr(module, name), []
+
+    def spied(*args):
+        result = original(*args)
+        returned.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, spied)
+    return returned
+
+
+@pytest.mark.parametrize("build, cfg", [
+    (scalar_problem, RunConfig(eps=1e-10, n_b=3, rom_set=frozenset({1}))),
+    # rejections and failed validations both happen here
+    (lambda: thermal_problem(), RunConfig(eps=1e-8, n_b=5, eps_rb=1e-4,
+                                          rom_set=frozenset({1}), criterion="residual")),
+], ids=["scalar", "thermal"])
+def test_counter_consistency(monkeypatch, build, cfg):
+    """Each counter matches what the run did: spied basis builds and reduced
+    solves, and the trace's events."""
+    builds = spy(monkeypatch, pod, "build_basis_svd")
+    solves = spy(monkeypatch, pod, "rom_solve")
+    report = accelerated_run(build(), cfg)
+    events = [r.event for r in report.trace]
+    assert report.converged and builds and solves
+    assert report.svds == len(builds)
+    assert report.rom_solves == len(solves)
+    assert report.basis_sizes == {1: builds[-1].size}
+    assert report.rejected == events.count("reject")
+    assert report.validation_cycles == events.count("validate-fail")
     assert report.iterations == len(report.trace)
+
+
+def rom_state(n_b, rom_set=frozenset({1, 2})):
+    report = RunReport(p=2)
+    return driver._RomState(RunConfig(eps=1e-8, n_b=n_b, rom_set=rom_set), report), report
+
+
+def test_fifo_eviction():
+    a, b, c = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    state, _ = rom_state(2, frozenset({1}))
+    for u in (a, b, c):
+        state.push([u])
+    assert state.ready()
+    assert [u.tolist() for u in state.windows[1]] == [b.tolist(), c.tolist()]
+
+
+def test_fifo_keeps_last_capacity():
+    """After n_b + 2 pushes each window holds its system's last n_b
+    solutions, oldest first, as copies."""
+    rng = np.random.default_rng(0)
+    pushed = [[rng.standard_normal(4), rng.standard_normal(3)] for _ in range(7)]
+    state, _ = rom_state(5)
+    for k, solutions in enumerate(pushed):
+        assert state.ready() == (k >= 5)
+        state.push(solutions)
+    assert state.ready()
+    for i in (1, 2):
+        kept = [solutions[i - 1] for solutions in pushed[2:]]
+        assert [u.tolist() for u in state.windows[i]] == [u.tolist() for u in kept]
+        assert not any(np.shares_memory(u, v) for u, v in zip(state.windows[i], kept))
+
+
+def test_rom_state_push_drops_the_basis():
+    rng = np.random.default_rng(1)
+    state, report = rom_state(3)
+    for _ in range(3):
+        state.push([rng.standard_normal(4), rng.standard_normal(3)])
+    first = state[1]
+    assert state[1] is first and report.svds == 1
+    state.push([rng.standard_normal(4), rng.standard_normal(3)])
+    assert state[1] is not first and report.svds == 2
+
+
+def test_rom_state_checks_solutions():
+    """A non-finite solution is refused at the push; one of another length
+    is refused when the basis is built from the window holding it."""
+    state, _ = rom_state(2, frozenset({1}))
+    state.push([np.ones(3)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            state.push([np.array([1.0, bad, 0.0])])
+    assert len(state.windows[1]) == 1
+    state.push([np.ones(4)])
+    with pytest.raises(DimensionMismatch):
+        state[1]
+
+
+def with_dia_matrices(problem):
+    """``problem`` with each assembled matrix handed out as a ``dia_array``,
+    one per matrix object, so factors are reused as with the original."""
+    converted = {}   # id -> (matrix, its dia_array); the matrix pins the id
+
+    def as_dia(assemble):
+        def assemble_dia(x, ys):
+            a, f = assemble(x, ys)
+            _, dia = converted.setdefault(id(a), (a, scipy.sparse.dia_array(a)))
+            return dia, f
+        return assemble_dia
+
+    return dataclasses.replace(problem, assemblers=[as_dia(a) for a in problem.assemblers])
+
+
+def trace_bits(report):
+    return [(r.x_hash, r.err.hex(), None if r.delta is None else r.delta.hex())
+            for r in report.trace]
+
+
+@pytest.mark.parametrize("build, rom_set", [(scalar_problem, frozenset({1})),
+                                            (decoupled_problem, frozenset({1, 2}))],
+                         ids=["scalar", "decoupled"])
+def test_dense_and_dia_matrices_give_the_same_run(build, rom_set):
+    cfg = RunConfig(eps=1e-10, n_b=2, rom_set=rom_set)
+    dense = accelerated_run(build(), cfg)
+    dia = accelerated_run(with_dia_matrices(build()), cfg)
+    assert dense.rom_solves > 0 and dense.to_dict() == dia.to_dict()
+    assert trace_bits(dense) == trace_bits(dia)
 
 
 def test_determinism():

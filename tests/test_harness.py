@@ -247,6 +247,24 @@ def test_mean_ci_coverage():
     assert 930 <= hits <= 970
 
 
+def test_median_ci_ranks_are_symmetric_and_cover():
+    """Exact binomial coverage of the interval's ranks: at least 95% from six
+    samples on, with the inner rank pair one step short of it; five samples
+    give their extremes."""
+    assert harness._median_ci([4.0, 1.0, 3.0, 0.0, 2.0]) == (0.0, 4.0)
+    for n in range(5, 41):
+        lo, hi = harness._median_ci([float(j) for j in range(n)])
+        k = int(lo)
+        assert lo == k and hi == n - 1 - k
+
+        def coverage(rank):
+            return 1.0 - 2.0 * sum(math.comb(n, j) for j in range(rank + 1)) / 2.0**n
+
+        assert coverage(k + 1) < 0.95
+        if n >= 6:
+            assert coverage(k) >= 0.95
+
+
 def test_emit_trace_and_replay(tmp_path):
     cfg = RunConfig(eps=1e-9, n_b=3, rom_set=frozenset({1}))
     prob = harness.build_problem(harness.ExperimentConfig(problem="scalar"))

@@ -169,13 +169,17 @@ def test_as_matrix_returns_dia():
     integer = scipy.sparse.dia_array((a.data.astype(int), a.offsets), shape=a.shape)
     for other in (scipy.sparse.csc_array(dense), scipy.sparse.csr_array(dense),
                   scipy.sparse.coo_array(dense), scipy.sparse.csr_matrix(dense),
-                  descending, narrow, integer):
+                  descending, narrow, integer, dense, np.array([[1.0]])):
         converted = numerics.as_matrix(other)
         assert converted.format == "dia" and converted.dtype == np.float64
         assert list(converted.offsets) == sorted(set(converted.offsets))
         assert converted.data.shape[1] == converted.shape[1]
-        expected = narrow.toarray() if other is narrow else dense
+        expected = other if isinstance(other, np.ndarray) else (
+            narrow.toarray() if other is narrow else dense)
         assert np.array_equal(converted.toarray(), expected)
+    for bad in (np.ones(3), np.ones((0, 3))):
+        with pytest.raises(DimensionMismatch):
+            numerics.as_matrix(bad)
 
 
 def test_sparse_tiny_pivot_raises():

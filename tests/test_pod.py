@@ -1,4 +1,4 @@
-"""Tests for snapshot management and the reduced-order model."""
+"""Tests for the POD basis and the reduced-order model."""
 
 import numpy as np
 import pytest
@@ -9,40 +9,15 @@ from picardrom import coupling, numerics, pod, problems
 from picardrom.errors import DimensionMismatch, SingularReducedSystem, TooFewSnapshots
 
 
-def _window(columns, capacity=None):
-    w = pod.SnapshotWindow(capacity or len(columns))
-    for c in columns:
-        w.push(c)
-    return w
-
-
-def test_fifo_eviction():
-    a, b, c = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])
-    w = pod.SnapshotWindow(2)
-    w.push(a)
-    w.push(b)
-    w.push(c)
-    assert len(w) == 2
-    assert np.array_equal(w.matrix(), np.column_stack([b, c]))
-
-
-def test_fifo_keeps_last_capacity():
-    rng = np.random.default_rng(0)
-    cols = [rng.standard_normal(4) for _ in range(7)]
-    w = _window(cols, capacity=5)
-    assert len(w) == 5
-    assert np.array_equal(w.matrix(), np.column_stack(cols[2:]))
-
-
 @pytest.mark.parametrize("k", range(2, 8))
 def test_build_basis_bits_match_a_column_stacked_window(k):
-    """Below 8 snapshots, numpy sums a row of the (N, k) window in order
-    whether the window is column-stacked (C order, contiguous rows) or a
+    """Below 8 snapshots, numpy sums a row of the (N, k) snapshot matrix in
+    order whether it is column-stacked (C order, contiguous rows) or a
     transposed row stack (F order): the basis, mean and singular values are
     those of the column-stacked build, bit for bit."""
     rng = np.random.default_rng(10 + k)
     columns = [rng.standard_normal(300) for _ in range(k)]
-    basis = pod.build_basis_svd(_window(columns), 1e-7)
+    basis = pod.build_basis_svd(columns, 1e-7)
     phi = np.column_stack(columns)
     mean = phi.mean(axis=1)
     left, s, _ = np.linalg.svd(phi - mean[:, None], full_matrices=False)
@@ -52,22 +27,25 @@ def test_build_basis_bits_match_a_column_stacked_window(k):
     assert basis.basis.tobytes() == np.ascontiguousarray(left[:, :k - 1]).tobytes()
 
 
-def test_push_dimension_mismatch():
-    w = _window([np.array([1.0, 2.0])], capacity=3)
-    with pytest.raises(DimensionMismatch):
-        w.push(np.array([1.0, 2.0, 3.0]))
-
-
 def test_build_basis_requires_two_snapshots():
-    w = _window([np.array([1.0, 2.0])], capacity=3)
     with pytest.raises(TooFewSnapshots):
-        pod.build_basis_svd(w, 1e-7)
+        pod.build_basis_svd([np.array([1.0, 2.0])], 1e-7)
+
+
+def test_build_basis_refuses_unequal_lengths():
+    with pytest.raises(DimensionMismatch):
+        pod.build_basis_svd([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])], 1e-7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_basis_refuses_nonfinite_snapshots(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pod.build_basis_svd([np.array([1.0, 2.0]), np.array([bad, np.inf])], 1e-7)
 
 
 def test_identical_snapshots_degenerate_to_mean():
     u = np.array([1.0, 2.0, 3.0])
-    w = _window([u, u.copy(), u.copy()])
-    basis = pod.build_basis_svd(w, 1e-7)
+    basis = pod.build_basis_svd([u, u.copy(), u.copy()], 1e-7)
     assert basis.size == 0
     assert np.allclose(basis.mean, u, atol=1e-15)
     sol = pod.rom_solve(basis, np.eye(3), np.zeros(3))
@@ -78,11 +56,11 @@ def test_rank_one_family_gives_m_one():
     rng = np.random.default_rng(1)
     mean = rng.standard_normal(40)
     w_dir = rng.standard_normal(40)
-    window = _window([mean + rng.standard_normal() * w_dir for _ in range(6)])
-    basis = pod.build_basis_svd(window, 1e-7)
+    snapshots = [mean + rng.standard_normal() * w_dir for _ in range(6)]
+    basis = pod.build_basis_svd(snapshots, 1e-7)
     assert basis.size == 1
     v = basis.basis
-    for u in window.matrix().T:
+    for u in snapshots:
         centered = u - basis.mean
         proj_err = numerics.norm2(centered - v @ (v.T @ centered))
         assert proj_err <= 1e-10 * max(1.0, numerics.norm2(u))
@@ -98,24 +76,23 @@ def test_energy_truncation_sigma_211():
     q, _ = np.linalg.qr(proj @ rng.standard_normal((k, 3)))
     centered = u @ np.diag([2.0, 1.0, 1.0]) @ q.T  # columns sum to zero
     mean = rng.standard_normal(n)
-    window = _window([mean + centered[:, j] for j in range(k)])
+    snapshots = [mean + centered[:, j] for j in range(k)]
     assert np.allclose(np.sort(np.linalg.svd(centered, compute_uv=False))[::-1][:3],
                        [2.0, 1.0, 1.0], atol=1e-12)
-    basis = pod.build_basis_svd(window, 0.5)
+    basis = pod.build_basis_svd(snapshots, 0.5)
     assert basis.size == 2
 
 
 def test_energy_monotonicity():
     rng = np.random.default_rng(3)
-    window = _window([rng.standard_normal(30) for _ in range(8)])
-    sizes = [pod.build_basis_svd(window, e).size for e in (0.9, 0.5, 0.1, 1e-3, 1e-7)]
+    snapshots = [rng.standard_normal(30) for _ in range(8)]
+    sizes = [pod.build_basis_svd(snapshots, e).size for e in (0.9, 0.5, 0.1, 1e-3, 1e-7)]
     assert sizes == sorted(sizes)
 
 
 def test_basis_orthonormality():
     rng = np.random.default_rng(4)
-    window = _window([rng.standard_normal(50) for _ in range(5)])
-    basis = pod.build_basis_svd(window, 1e-7)
+    basis = pod.build_basis_svd([rng.standard_normal(50) for _ in range(5)], 1e-7)
     gram = basis.basis.T @ basis.basis
     assert numerics.norm2(gram - np.eye(basis.size)) <= 1e-9
 
@@ -125,9 +102,8 @@ def test_rom_solve_exact_when_solution_in_span():
     n = 15
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     mean = rng.standard_normal(n)
-    window = _window([mean + rng.standard_normal() * rng.standard_normal(n)
-                      for _ in range(4)])
-    basis = pod.build_basis_svd(window, 1e-9)
+    snapshots = [mean + rng.standard_normal() * rng.standard_normal(n) for _ in range(4)]
+    basis = pod.build_basis_svd(snapshots, 1e-9)
     u = basis.mean + basis.basis @ rng.standard_normal(basis.size)
     f = a @ u
     sol = pod.rom_solve(basis, a, f)
@@ -258,7 +234,7 @@ def test_rom_solve_on_a_kept_projection_is_bitwise_a_fresh_one(operator, monkeyp
     a = operator()
     n = a.shape[0]
     rng = np.random.default_rng(9)
-    basis = pod.build_basis_svd(_window([rng.standard_normal(n) for _ in range(5)]), 1e-7)
+    basis = pod.build_basis_svd([rng.standard_normal(n) for _ in range(5)], 1e-7)
     f, g = rng.standard_normal(n), rng.standard_normal(n)
     factored = _counting_dgetrf(monkeypatch)
     pod.rom_solve(basis, a, f)
