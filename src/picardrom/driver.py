@@ -19,9 +19,9 @@ exact map once at apparent convergence.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
+import zlib
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -129,6 +129,9 @@ class TraceRow:
     reduced step, ``None`` when the row probed nothing. ``l_est`` is the L of
     the row's ``err`` recurrence (:func:`_relaxed_lipschitz`), ``None`` in a
     run that reduces no system, which has no recurrence: its ``err`` stays inf.
+    ``x_hash`` digests the iterate the row ends at (:func:`_hash_state`,
+    CRC-32 over its bytes): an equality check for comparing runs, not a
+    security digest.
     """
 
     k: int
@@ -189,7 +192,8 @@ class RunReport:
 
 
 def _hash_state(x: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(x).data).hexdigest()[:12]
+    """CRC-32 of ``x``'s bytes in C order, as 8 hex digits."""
+    return "%08x" % zlib.crc32(np.ascontiguousarray(x))
 
 
 class FactorCache:

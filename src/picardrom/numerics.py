@@ -64,14 +64,21 @@ def as_matrix(data):
 def _dia(a):
     """The dense or sparse matrix ``a`` as a new ``dia_array`` of its nonzero
     entries: duplicates summed, offsets ascending, zero padding and one
-    ``data`` column per matrix column. Built from its COO form directly, so a
-    wide band converts without scipy's ``SparseEfficiencyWarning``."""
-    coo = scipy.sparse.coo_array(a)
-    coo.sum_duplicates()
-    offsets, row = np.unique(coo.col - coo.row, return_inverse=True)
-    values = np.zeros((offsets.size, coo.shape[1]), dtype=coo.dtype)
-    values[row, coo.col] = coo.data
-    return scipy.sparse.dia_array((values, offsets), shape=coo.shape)
+    ``data`` column per matrix column. Built from its (row, column, value)
+    triplets directly, so a wide band converts without scipy's
+    ``SparseEfficiencyWarning``: a sparse matrix's COO form, or a dense
+    array's ``np.nonzero``, which has no duplicates to sum."""
+    if scipy.sparse.issparse(a):
+        coo = scipy.sparse.coo_array(a)
+        coo.sum_duplicates()
+        rows, cols, entries = coo.row, coo.col, coo.data
+    else:
+        rows, cols = np.nonzero(a)
+        entries = a[rows, cols]
+    offsets, slot = np.unique(cols - rows, return_inverse=True)
+    values = np.zeros((offsets.size, a.shape[1]), dtype=entries.dtype)
+    values[slot, cols] = entries
+    return scipy.sparse.dia_array((values, offsets), shape=a.shape)
 
 
 def diagonals(a):

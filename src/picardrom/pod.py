@@ -78,7 +78,8 @@ def build_basis_svd(snapshots, eps_rb: float) -> ReducedBasis:
     numerical rank. Identical snapshots degenerate to M = 0 (mean field
     only). Raises TooFewSnapshots for fewer than two snapshots,
     DimensionMismatch for snapshots of unequal length, ValueError for
-    non-finite entries, and SvdFailure when the SVD kernel fails.
+    non-finite entries and for finite ones whose centring overflows, and
+    SvdFailure when the SVD kernel fails.
     """
     if not 0.0 < eps_rb < 1.0:
         raise ValueError("eps_rb must lie in (0, 1)")
@@ -87,10 +88,12 @@ def build_basis_svd(snapshots, eps_rb: float) -> ReducedBasis:
     if len({np.shape(u) for u in snapshots}) > 1:
         raise DimensionMismatch("snapshots differ in length")
     phi = np.stack(snapshots).T
-    if not np.isfinite(phi).all():   # before any arithmetic on them
-        raise ValueError("snapshot entries must be finite")
-    mean = phi.mean(axis=1)
-    dec = numerics.svd(phi - mean[:, None])
+    # A non-finite snapshot entry, or a centring that overflows, leaves a
+    # non-finite entry in its row, which numerics.svd refuses (ValueError).
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = phi.mean(axis=1)
+        centred = phi - mean[:, None]
+    dec = numerics.svd(centred)
     s = dec.singular_values
     scale = max(1.0, numerics.norm2(phi))
     if s.size == 0 or s[0] <= numerics.RANK_RTOL * scale:

@@ -139,16 +139,24 @@ def _diffusion_stencil(grid: Grid2D, d: np.ndarray, bc: dict):
     side and 0 on a Neumann side, so each node's diagonal sums its west,
     east, south and north faces in that order, and each off-diagonal is a
     view of the negated faces; the boundary entries of the off-diagonals lie
-    outside the grid and are not read.
+    outside the grid and are not read. A scalar ``d`` has each weight
+    computed once and broadcast: the same operations on the same values as
+    for its constant field, so the same bits.
     """
-    d = _node_field(grid, d)
+    d = np.asarray(d, dtype=float)
+    if d.ndim:
+        d = _node_field(grid, d)
     if d.min() <= 0.0:
         raise NonPositiveDiffusion("diffusion field must be strictly positive")
     ny, nx = grid.ny, grid.nx
     fx = np.empty((ny, nx + 1))
     fy = np.empty((ny + 1, nx))
-    np.divide(_harmonic(d[:, :-1], d[:, 1:]), grid.hx**2, out=fx[:, 1:-1])
-    np.divide(_harmonic(d[:-1, :], d[1:, :]), grid.hy**2, out=fy[1:-1, :])
+    if d.ndim:
+        across_x, across_y = _harmonic(d[:, :-1], d[:, 1:]), _harmonic(d[:-1, :], d[1:, :])
+    else:
+        across_x = across_y = _harmonic(d, d)
+    np.divide(across_x, grid.hx**2, out=fx[:, 1:-1])
+    np.divide(across_y, grid.hy**2, out=fy[1:-1, :])
     f = np.zeros((ny, nx))
     # boundary face, boundary node slice and spacing of each side, in the
     # order their contributions are summed at every node
@@ -163,7 +171,7 @@ def _diffusion_stencil(grid: Grid2D, d: np.ndarray, bc: dict):
             val = np.broadcast_to(val, face.shape)
         dirichlet = kind == "dirichlet"
         if dirichlet:
-            np.divide(d[edge], h**2, out=face)
+            np.divide(d[edge] if d.ndim else d, h**2, out=face)
         else:  # neumann: conormal flux d*du/dn prescribed
             face[:] = 0.0
         if val.any():  # boundary data that is exactly zero adds nothing

@@ -18,11 +18,18 @@ the harness defaults otherwise.
 Each tree runs the grid in its own subprocess with ``OPENBLAS_NUM_THREADS=1``
 and the tree's ``src`` first on ``PYTHONPATH``. A configuration's record holds
 every ``TraceRow`` as a dict of its fields (floats as hex),
-``RunReport.to_dict()`` without the trace (the rows hold it) and the hash of
-the final iterate; a run that stops with a library error records the error's
-class instead. The tool reads only harness and driver names that have stood
-unchanged since the golden traces were recorded, so it runs on older trees
-too.
+``RunReport.to_dict()`` without the trace (the rows hold it) and the digest of
+the final iterate ``RunReport.x``; a run that stops with a library error
+records the error's class instead.
+
+The tool digests iterates itself, with SHA-1 over their bytes: each row's
+``x_hash`` is replaced by the digest of that row's iterate, the ``x_next``
+that ``accelerated_run``'s ``observer`` receives. So the records follow the
+iterates, not the library's choice of digest, and a change of that digest
+shows no difference. This depends on the ``observer``, which ROADMAP item 11
+retires; the tool must then read the iterates from what replaces it. The
+tool reads only harness and driver names that have stood unchanged since
+the golden traces were recorded, so it runs on older trees too.
 
 ``tests/test_equivalence.py`` runs a slice of the grid in-process, so the
 tool cannot rot.
@@ -32,11 +39,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 # The grid is fixed here, not read from either tree, so both trees run the same grid.
 EPS = 1e-8
@@ -69,6 +79,11 @@ def _hex(value):
     return value
 
 
+def digest(x) -> str:
+    """SHA-1 of the iterate ``x``'s bytes in C order."""
+    return hashlib.sha1(np.ascontiguousarray(x)).hexdigest()
+
+
 def record(name: str) -> dict:
     """The record of one configuration of :func:`configurations`."""
     from picardrom import driver, harness
@@ -80,17 +95,20 @@ def record(name: str) -> dict:
                                    criterion=criterion, eps=EPS,
                                    validation=validation == "val",
                                    exact_constants=bool(exact))
+    digests = []   # of each row's iterate, in row order
     try:
         prob = harness.build_problem(cfg)
         run_cfg = dataclasses.replace(harness.build_run_config(cfg, prob.p),
                                       relaxation=RELAXATIONS[lam])
-        report = driver.accelerated_run(prob, run_cfg)
+        report = driver.accelerated_run(
+            prob, run_cfg, observer=lambda ev: digests.append(digest(ev["x_next"])))
     except PicardRomError as exc:
         return {"error": type(exc).__name__}
     summary = report.to_dict()
     del summary["trace"]
-    return {"rows": [_hex(dataclasses.asdict(row)) for row in report.trace],
-            "report": _hex(summary), "x": driver._hash_state(report.x)}
+    return {"rows": [_hex(dict(dataclasses.asdict(row), x_hash=x_hash))
+                     for row, x_hash in zip(report.trace, digests, strict=True)],
+            "report": _hex(summary), "x": digest(report.x)}
 
 
 def records(names) -> dict[str, dict]:

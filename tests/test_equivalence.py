@@ -4,6 +4,11 @@ The cross-tree use (``python tests/equivalence.py --against <tree>``) is a
 step of every refactor; these tests keep the tool itself working.
 """
 
+import dataclasses
+import itertools
+
+import numpy as np
+
 import equivalence
 from picardrom import driver
 
@@ -67,3 +72,33 @@ def test_a_report_field_only_one_tree_has_is_reported_in_either_direction():
         (name, "report guarantee", "rigorous", equivalence.MISSING)]
     assert equivalence.compare({name: plain}, {name: extra}) == [
         (name, "report guarantee", equivalence.MISSING, "rigorous")]
+
+
+def test_records_do_not_follow_the_library_digest(monkeypatch):
+    before = equivalence.records(SLICE)
+    monkeypatch.setattr(driver, "_hash_state", lambda x: "0")
+    assert equivalence.records(SLICE) == before
+
+
+def test_a_one_ulp_change_to_one_iterate_is_reported_at_its_row(monkeypatch):
+    """With the library digest constant, only the tool's own digest can see
+    an iterate move by one ulp."""
+    name, k = "rd/residual/none/noval/1.0", 3   # a plain run: one step per row
+    before = equivalence.record(name)
+    monkeypatch.setattr(driver, "_hash_state", lambda x: "0")
+    plain, calls = driver.step, itertools.count()
+
+    def nudging(*args, **kwargs):
+        result = plain(*args, **kwargs)
+        if next(calls) != k:
+            return result
+        x_next = result.x_next.copy()
+        x_next[0] = np.nextafter(x_next[0], np.inf)
+        return dataclasses.replace(result, x_next=x_next)
+
+    monkeypatch.setattr(driver, "step", nudging)
+    after = equivalence.record(name)
+    [(where_name, where, left, right)] = equivalence.compare({name: before}, {name: after})
+    assert (where_name, left, right) == (name, before["rows"][k], after["rows"][k])
+    assert where.startswith(f"row {k} (") and "x_hash" in where
+    assert left["x_hash"] != right["x_hash"]

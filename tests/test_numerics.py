@@ -401,6 +401,17 @@ def test_banded_lu_is_independent_of_the_sparse_format(system):
         assert np.array_equal(numerics.lu_apply(factors, b), x)
 
 
+@settings(deadline=None, max_examples=200)
+@given(banded_systems())
+def test_dense_input_converts_to_the_band_of_its_csc_twin(system):
+    dense = system[0].toarray()
+    a = numerics.as_matrix(dense)
+    twin = numerics.as_matrix(scipy.sparse.csc_array(dense))
+    for name in ("offsets", "data"):
+        x, y = getattr(a, name), getattr(twin, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def test_full_band_factors_without_a_sparse_warning():
     """A band of 119 diagonals, which scipy's own DIA conversion warns about,
     converts and factors silently."""

@@ -43,6 +43,15 @@ def test_build_basis_refuses_nonfinite_snapshots(bad):
         pod.build_basis_svd([np.array([1.0, 2.0]), np.array([bad, np.inf])], 1e-7)
 
 
+@pytest.mark.parametrize("snapshots", [
+    [np.full(3, 1.7e308), np.full(3, 1.7e308)],                  # the mean overflows
+    [np.full(3, 1.7e308), np.full(3, -1.7e308), np.full(3, 1.7e308)],   # the centring does
+], ids=["mean", "centring"])
+def test_build_basis_refuses_finite_snapshots_whose_centring_overflows(snapshots):
+    with pytest.raises(ValueError, match="finite"):
+        pod.build_basis_svd(snapshots, 1e-7)
+
+
 def test_identical_snapshots_degenerate_to_mean():
     u = np.array([1.0, 2.0, 3.0])
     basis = pod.build_basis_svd([u, u.copy(), u.copy()], 1e-7)

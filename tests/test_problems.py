@@ -809,6 +809,27 @@ def test_rd_exact_constants_factor_nothing(monkeypatch):
     assert prob.fixed_constants is not None and factored == []
 
 
+@pytest.mark.parametrize("n", [3, 8, 16, 32, 64, 129])
+def test_a_scalar_coefficient_builds_the_operator_of_its_constant_field(n):
+    """A scalar d's face weights are computed once; the operator, F_bc and
+    the certified constants are bitwise those of d as one value per node."""
+    grid = Grid2D(n, n)
+    bc = {"south": ("dirichlet", 0.5), "north": ("neumann", 0.0),
+          "west": ("dirichlet", 0.0), "east": ("neumann", 0.3)}
+    for d in (1e-3, 0.02, 0.1 + 0.2, 1.0, 7.3):
+        for walls in (DIRICHLET0, bc):
+            a, f = diffusion_operator(grid, d, walls)
+            a_ref, f_ref = diffusion_operator(grid, np.full(grid.n, d), walls)
+            assert_same_sparse(a, a_ref)
+            assert_bitwise(f, f_ref)
+        pair = ReactionDiffusionPair(n=n, d1=d, d2=2.0 * d)
+        ops = [diffusion_operator(grid, c, DIRICHLET0)[0] for c in (pair.d1, pair.d2)]
+        refs = [diffusion_operator(grid, np.full(grid.n, c), DIRICHLET0)[0]
+                for c in (pair.d1, pair.d2)]
+        assert (repr(problems._rd_exact_constants(pair, *ops))
+                == repr(problems._rd_exact_constants(pair, *refs)))
+
+
 @settings(deadline=None, max_examples=50)
 @given(n=st.integers(3, 16), log_d=st.tuples(st.floats(-3.0, 0.0), st.floats(-3.0, 0.0)))
 def test_rd_inverse_norms_are_certified_and_tight_on_the_perron_vector(n, log_d):
